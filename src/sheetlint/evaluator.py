@@ -1,4 +1,4 @@
-"""Concrete evaluation of spreadsheet instances.
+"""Evaluation of spreadsheet programs, over points and over intervals.
 
 Every non-empty cell evaluates to one of four values:
 
@@ -7,11 +7,20 @@ Every non-empty cell evaluates to one of four values:
     Text    the value of a Label cell
     Fault   evaluation failed; the kind says how
 
+One walker computes every formula, over closed intervals instead of
+numbers.  A concrete run is an interval run with each input held at a
+single point: every interval then stays degenerate, and the cell's
+Number is its lower endpoint.  Interval testing runs the same walker
+over declared input ranges, so a bound collapses to the concrete value
+when every range is a point.
+
 Scalar arithmetic coerces Blank to 0 and treats Text as a type fault.
 Grouping functions instead skip Blank and Text cells in their ranges.
 Both departures from plain arithmetic are recorded as runtime notes so
 callers can surface them.  Faults travel: an operation over a faulty
-operand yields Fault(PROPAGATED).
+operand yields Fault(PROPAGATED).  A result with an endpoint beyond
+the floats' range yields Fault(OVERFLOW); the loaders reject
+non-finite numbers, so no operation ever sees infinity or NaN.
 
 A formula therefore never evaluates to Blank or Text.  A bare reference
 as the whole formula body goes through the same scalar coercion at the
@@ -20,12 +29,14 @@ root.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
-from .dataflow import CyclicDependency, build_graph
-from .model import Constant, Formula, Input, Label, SpreadsheetInstance
+from .dataflow import build_graph
+from .errors import SheetLintError
+from .model import Constant, Formula, Input, SpreadsheetInstance
 from .scl import (
     BinaryOp,
     Call,
@@ -35,7 +46,7 @@ from .scl import (
     NumberLiteral,
     RangeArg,
     Reference,
-    row_major,
+    format_number,
 )
 
 
@@ -44,9 +55,10 @@ class FaultKind(Enum):
     TYPE_ERROR = "type_error"
     CYCLE = "cycle"
     PROPAGATED = "propagated"
-    # Interval evaluation shares this fault type; the kind below never
-    # comes out of the concrete evaluator.
+    # A divisor range that holds zero among other values; a degenerate
+    # divisor at zero is DIV_BY_ZERO, so concrete runs never see this.
     DIVISOR_CONTAINS_ZERO = "divisor_contains_zero"
+    OVERFLOW = "overflow"
 
 
 @dataclass(frozen=True)
@@ -102,127 +114,234 @@ class EvalResult:
     notes: tuple[RuntimeNote, ...]
 
 
-_Lookup = Callable[[CellAddress], Value]
+# ---------------------------------------------------------------------------
+# Interval arithmetic
 
 
-def _content_value(content, addr: CellAddress, instance: SpreadsheetInstance) -> Value:
-    if isinstance(content, Constant):
-        return Number(content.value)
-    if isinstance(content, Input):
-        return Number(instance.input_value(addr))
-    if isinstance(content, Label):
-        return Text(content.text)
-    raise TypeError(f"not a plain cell: {content!r}")
+class DivisorContainsZero(SheetLintError):
+    """Interval division where the divisor straddles or touches zero."""
 
 
-def _eval_formula(
-    ast: FormulaNode,
-    host: CellAddress,
-    lookup: _Lookup,
-    notes: list[RuntimeNote],
-) -> Value:
-    def subject_of(node: FormulaNode) -> CellAddress | None:
-        return node.ref.address() if isinstance(node, Reference) else None
+class EmptyAggregate(SheetLintError):
+    """A grouping function over no numeric operands at all."""
 
-    def as_number(raw: Value, node: FormulaNode) -> Union[float, Fault]:
-        """Coerce an operand for scalar arithmetic."""
-        if isinstance(raw, Number):
-            return raw.value
-        if isinstance(raw, Fault):
-            return Fault(FaultKind.PROPAGATED)
-        if isinstance(raw, Blank):
-            notes.append(RuntimeNote(NoteKind.BLANK_IN_ARITHMETIC, host, subject_of(node)))
-            return 0.0
-        notes.append(RuntimeNote(NoteKind.TYPE_ERROR, host, subject_of(node)))
-        return Fault(FaultKind.TYPE_ERROR)
 
-    def evaluate(node: FormulaNode) -> Value:
-        if isinstance(node, NumberLiteral):
-            return Number(node.value)
-        if isinstance(node, Reference):
-            return lookup(node.ref.address())
-        if isinstance(node, Negate):
-            operand = as_number(evaluate(node.child), node.child)
-            if isinstance(operand, Fault):
-                return operand
-            return Number(-operand)
-        if isinstance(node, BinaryOp):
-            left_raw = evaluate(node.left)
-            right_raw = evaluate(node.right)
-            left = as_number(left_raw, node.left)
-            if isinstance(left, Fault):
-                return left
-            right = as_number(right_raw, node.right)
-            if isinstance(right, Fault):
-                return right
-            if node.op == "+":
-                return Number(left + right)
-            if node.op == "-":
-                return Number(left - right)
-            if node.op == "*":
-                return Number(left * right)
-            if right == 0.0:
-                notes.append(RuntimeNote(NoteKind.DIV_BY_ZERO, host, subject_of(node.right)))
-                return Fault(FaultKind.DIV_BY_ZERO)
-            return Number(left / right)
-        if isinstance(node, Call):
-            return aggregate(node)
-        raise TypeError(f"not evaluable: {node!r}")
+@dataclass(frozen=True)
+class Interval:
+    """A closed interval of reals; both endpoints belong to it."""
 
-    def aggregate(node: Call) -> Value:
-        items: list[float] = []
-        faulted = False
-        for arg in node.args:
-            if isinstance(arg, RangeArg):
-                for addr in arg.rng.cells():
-                    raw = lookup(addr)
-                    if isinstance(raw, Number):
-                        items.append(raw.value)
-                    elif isinstance(raw, Fault):
-                        faulted = True
-                    else:
-                        notes.append(
-                            RuntimeNote(NoteKind.SKIPPED_NON_NUMERIC, host, addr)
-                        )
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if not self.lo <= self.hi:
+            raise ValueError(f"not an interval: lo={self.lo!r}, hi={self.hi!r}")
+
+    @classmethod
+    def degenerate(cls, value: float) -> "Interval":
+        return cls(value, value)
+
+    def contains(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
+
+    def encloses(self, other: "Interval") -> bool:
+        return self.lo <= other.lo and other.hi <= self.hi
+
+    def __str__(self) -> str:
+        return f"[{format_number(self.lo)}, {format_number(self.hi)}]"
+
+
+IntervalValue = Union[Interval, Fault]
+
+
+def iv_binop(op: str, a: Interval, b: Interval) -> Interval:
+    """Endpoint arithmetic for '+', '-', '*', and '/'.
+
+    Division raises DivisorContainsZero when 0 lies in b; the result
+    would be unbounded.
+    """
+    if op == "+":
+        return Interval(a.lo + b.lo, a.hi + b.hi)
+    if op == "-":
+        return Interval(a.lo - b.hi, a.hi - b.lo)
+    if op == "*":
+        products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+        return Interval(min(products), max(products))
+    if op == "/":
+        if b.lo <= 0.0 <= b.hi:
+            raise DivisorContainsZero(f"divisor {b} contains zero")
+        quotients = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
+        return Interval(min(quotients), max(quotients))
+    raise ValueError(f"unknown operator {op!r}")
+
+
+def iv_negate(a: Interval) -> Interval:
+    return Interval(-a.hi, -a.lo)
+
+
+def iv_aggregate(name: str, items: list[Interval]) -> Interval:
+    """Grouping functions lifted to intervals.
+
+    COUNT is degenerate at the number of operands.  The others raise
+    EmptyAggregate when there is nothing to group.
+    """
+    if name == "COUNT":
+        return Interval.degenerate(float(len(items)))
+    if not items:
+        raise EmptyAggregate(f"{name} over no numeric cells")
+    if name == "SUM":
+        return Interval(sum(iv.lo for iv in items), sum(iv.hi for iv in items))
+    if name == "AVG":
+        total = Interval(sum(iv.lo for iv in items), sum(iv.hi for iv in items))
+        return iv_binop("/", total, Interval.degenerate(float(len(items))))
+    if name == "MIN":
+        return Interval(min(iv.lo for iv in items), min(iv.hi for iv in items))
+    if name == "MAX":
+        return Interval(max(iv.lo for iv in items), max(iv.hi for iv in items))
+    raise ValueError(f"unknown function {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# The formula walker
+
+# What a cell holds while the walker runs: numbers are intervals.
+_Held = Union[Interval, Blank, Text, Fault]
+_Cells = Mapping[CellAddress, _Held]
+
+_ZERO = Interval.degenerate(0.0)
+_PROPAGATED = Fault(FaultKind.PROPAGATED)
+_OVERFLOW = Fault(FaultKind.OVERFLOW)
+
+
+def _subject(node: FormulaNode) -> CellAddress | None:
+    return node.ref.address() if isinstance(node, Reference) else None
+
+
+def _finite(box: Interval) -> IntervalValue:
+    if math.isfinite(box.lo) and math.isfinite(box.hi):
+        return box
+    return _OVERFLOW
+
+
+def _operand(
+    raw: _Held, node: FormulaNode, host: CellAddress, notes: list[RuntimeNote]
+) -> IntervalValue:
+    """Coerce an operand for scalar arithmetic."""
+    if isinstance(raw, Interval):
+        return raw
+    if isinstance(raw, Fault):
+        return _PROPAGATED
+    if isinstance(raw, Blank):
+        notes.append(RuntimeNote(NoteKind.BLANK_IN_ARITHMETIC, host, _subject(node)))
+        return _ZERO
+    notes.append(RuntimeNote(NoteKind.TYPE_ERROR, host, _subject(node)))
+    return Fault(FaultKind.TYPE_ERROR)
+
+
+def _walk(
+    node: FormulaNode, host: CellAddress, held: _Cells, notes: list[RuntimeNote]
+) -> _Held:
+    if isinstance(node, NumberLiteral):
+        return Interval.degenerate(node.value)
+    if isinstance(node, Reference):
+        return held.get(node.ref.address(), BLANK)
+    if isinstance(node, Negate):
+        operand = _operand(_walk(node.child, host, held, notes), node.child, host, notes)
+        if isinstance(operand, Fault):
+            return operand
+        return iv_negate(operand)
+    if isinstance(node, BinaryOp):
+        left_raw = _walk(node.left, host, held, notes)
+        right_raw = _walk(node.right, host, held, notes)
+        left = _operand(left_raw, node.left, host, notes)
+        if isinstance(left, Fault):
+            return left
+        right = _operand(right_raw, node.right, host, notes)
+        if isinstance(right, Fault):
+            return right
+        if node.op == "/" and right.lo <= 0.0 <= right.hi:
+            if right.lo < right.hi:
+                return Fault(FaultKind.DIVISOR_CONTAINS_ZERO)
+            notes.append(RuntimeNote(NoteKind.DIV_BY_ZERO, host, _subject(node.right)))
+            return Fault(FaultKind.DIV_BY_ZERO)
+        return _finite(iv_binop(node.op, left, right))
+    if isinstance(node, Call):
+        return _aggregate(node, host, held, notes)
+    raise TypeError(f"not evaluable: {node!r}")
+
+
+def _aggregate(
+    node: Call, host: CellAddress, held: _Cells, notes: list[RuntimeNote]
+) -> IntervalValue:
+    items: list[Interval] = []
+    faulted = False
+    for arg in node.args:
+        if isinstance(arg, RangeArg):
+            subjects = list(arg.rng.cells())
+            raws = [held.get(addr, BLANK) for addr in subjects]
+        else:
+            subjects = [_subject(arg)]
+            raws = [_walk(arg, host, held, notes)]
+        for subject, raw in zip(subjects, raws):
+            if isinstance(raw, Interval):
+                items.append(raw)
+            elif isinstance(raw, Fault):
+                faulted = True
             else:
-                raw = evaluate(arg)
-                if isinstance(raw, Number):
-                    items.append(raw.value)
-                elif isinstance(raw, Fault):
-                    faulted = True
-                else:
-                    notes.append(
-                        RuntimeNote(NoteKind.SKIPPED_NON_NUMERIC, host, subject_of(arg))
-                    )
-        if faulted:
-            return Fault(FaultKind.PROPAGATED)
-        return apply_function(node.name, items)
+                notes.append(RuntimeNote(NoteKind.SKIPPED_NON_NUMERIC, host, subject))
+    if faulted:
+        return _PROPAGATED
+    if not items and node.name != "COUNT":
+        # AVG divides by the count, so emptiness surfaces as its
+        # division fault; the others have no value to give at all.
+        kind = NoteKind.DIV_BY_ZERO if node.name == "AVG" else NoteKind.TYPE_ERROR
+        notes.append(RuntimeNote(kind, host, None))
+        return Fault(FaultKind[kind.name])
+    return _finite(iv_aggregate(node.name, items))
 
-    def apply_function(name: str, items: list[float]) -> Value:
-        if name == "COUNT":
-            return Number(float(len(items)))
-        if not items:
-            # AVG divides by the count, so emptiness surfaces as its
-            # division fault; the others have no value to give at all.
-            if name == "AVG":
-                notes.append(RuntimeNote(NoteKind.DIV_BY_ZERO, host, None))
-                return Fault(FaultKind.DIV_BY_ZERO)
-            notes.append(RuntimeNote(NoteKind.TYPE_ERROR, host, None))
-            return Fault(FaultKind.TYPE_ERROR)
-        if name == "SUM":
-            return Number(sum(items))
-        if name == "AVG":
-            return Number(sum(items) / len(items))
-        if name == "MIN":
-            return Number(min(items))
-        return Number(max(items))
 
-    result = evaluate(ast)
-    if isinstance(result, (Blank, Text)):
-        # A bare reference at the root still lands in a numeric cell.
-        coerced = as_number(result, ast)
-        return coerced if isinstance(coerced, Fault) else Number(coerced)
-    return result
+def evaluate(
+    instance: SpreadsheetInstance,
+    order: list[CellAddress],
+    ranges: Mapping[CellAddress, Interval],
+    notes: list[RuntimeNote],
+) -> dict[CellAddress, _Held]:
+    """Run the walker over every non-empty cell, in a topological order.
+
+    Constants are degenerate intervals, inputs take their range from
+    ``ranges`` or else sit at their value in the instance, labels are
+    Text, and formulas hold an Interval or a Fault.  Notes are appended
+    in evaluation order.
+    """
+    program = instance.program
+    held: dict[CellAddress, _Held] = {}
+    for addr in order:
+        content = program.content(addr)
+        if content is None:
+            continue
+        if isinstance(content, Formula):
+            result = _walk(content.ast, addr, held, notes)
+            if isinstance(result, (Blank, Text)):
+                # A bare reference at the root still lands in a numeric cell.
+                result = _operand(result, content.ast, addr, notes)
+            held[addr] = result
+        elif isinstance(content, Constant):
+            held[addr] = Interval.degenerate(content.value)
+        elif isinstance(content, Input):
+            held[addr] = ranges.get(addr) or Interval.degenerate(instance.input_value(addr))
+        else:
+            held[addr] = Text(content.text)
+    return held
+
+
+def eval_in_order(instance: SpreadsheetInstance, order: list[CellAddress]) -> EvalResult:
+    """eval_instance over a topological order the caller already has."""
+    notes: list[RuntimeNote] = []
+    values = {
+        addr: Number(value.lo) if isinstance(value, Interval) else value
+        for addr, value in evaluate(instance, order, {}, notes).items()
+    }
+    return EvalResult(values, tuple(notes))
 
 
 def eval_instance(instance: SpreadsheetInstance) -> EvalResult:
@@ -230,66 +349,4 @@ def eval_instance(instance: SpreadsheetInstance) -> EvalResult:
 
     Raises CyclicDependency when formulas form a reference loop.
     """
-    program = instance.program
-    order = build_graph(program).topo_order()
-    values: dict[CellAddress, Value] = {}
-    notes: list[RuntimeNote] = []
-
-    def lookup(addr: CellAddress) -> Value:
-        return values.get(addr, BLANK)
-
-    for addr in order:
-        content = program.content(addr)
-        if content is None:
-            continue
-        if isinstance(content, Formula):
-            values[addr] = _eval_formula(content.ast, addr, lookup, notes)
-        else:
-            values[addr] = _content_value(content, addr, instance)
-    return EvalResult(values, tuple(notes))
-
-
-_PENDING = object()
-
-
-def eval_cell(
-    instance: SpreadsheetInstance,
-    addr: CellAddress,
-    memo: dict[CellAddress, Value] | None = None,
-) -> Value:
-    """Evaluate one cell on demand, without touching the rest.
-
-    Agrees with eval_instance on every cell.  Pass the same ``memo``
-    dict across calls against one instance to share work.  Raises
-    CyclicDependency when the cell sits on a reference loop.
-    """
-    if memo is None:
-        memo = {}
-    notes: list[RuntimeNote] = []
-    stack: list[CellAddress] = []
-
-    def get(a: CellAddress) -> Value:
-        cached = memo.get(a)
-        if cached is _PENDING:
-            start = stack.index(a)
-            cycle = stack[start:]
-            pivot = cycle.index(min(cycle, key=row_major))
-            raise CyclicDependency(cycle[pivot:] + cycle[:pivot])
-        if cached is not None:
-            return cached
-        content = instance.program.content(a)
-        if content is None:
-            memo[a] = BLANK
-            return BLANK
-        if isinstance(content, Formula):
-            memo[a] = _PENDING
-            stack.append(a)
-            value = _eval_formula(content.ast, a, get, notes)
-            stack.pop()
-            memo[a] = value
-            return value
-        value = _content_value(content, a, instance)
-        memo[a] = value
-        return value
-
-    return get(addr)
+    return eval_in_order(instance, build_graph(instance.program).topo_order())

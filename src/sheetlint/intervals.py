@@ -1,4 +1,4 @@
-"""Interval arithmetic and interval-based testing.
+"""Interval-based testing.
 
 Inputs get closed ranges instead of single numbers.  Evaluating the
 sheet over intervals yields, for every formula cell, a bounding
@@ -14,63 +14,46 @@ points at wrong inputs or a wrong formula; an E that sticks out of B
 means the expectation and the computation cannot be reconciled, since
 some expected values are unreachable.
 
-Interval evaluation mirrors concrete evaluation exactly: Blank coerces
-to [0, 0] in scalar arithmetic, Text faults there, and grouping
-functions skip both.  With every input range collapsed to a point, B
-collapses to the concrete value.
+Interval arithmetic and the formula walker live in the evaluator, which
+computes d and B alike: d is the walker's result with every input range
+collapsed to a point, so B collapses to d by construction.  This module
+re-exports the interval arithmetic for callers that import it here.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Union
+from typing import Mapping
 
 from .dataflow import build_graph
 from .errors import SheetLintError
-from .evaluator import (
-    BLANK,
-    Blank,
+from .evaluator import (  # the interval arithmetic is re-exported from here
+    DivisorContainsZero,
+    EmptyAggregate,
     Fault,
-    FaultKind,
+    Interval,
+    IntervalValue,
     Number,
-    Text,
     Value,
-    eval_instance,
+    eval_in_order,
+    evaluate,
+    iv_aggregate,
+    iv_binop,
+    iv_negate,
 )
 from .model import (
-    Constant,
     Formula,
     Input,
-    Label,
     NotAnInputCell,
     SpreadsheetInstance,
     SpreadsheetProgram,
     _NUMBER_RE,
+    strip_comment,
 )
-from .scl import (
-    BinaryOp,
-    Call,
-    CellAddress,
-    FormulaNode,
-    MalformedAddress,
-    Negate,
-    NumberLiteral,
-    RangeArg,
-    Reference,
-    format_number,
-    parse_address,
-    row_major,
-)
-
-
-class DivisorContainsZero(SheetLintError):
-    """Interval division where the divisor straddles or touches zero."""
-
-
-class EmptyAggregate(SheetLintError):
-    """A grouping function over no numeric operands at all."""
+from .scl import CellAddress, MalformedAddress, parse_address, row_major
 
 
 class IntervalSpecError(SheetLintError):
@@ -90,165 +73,11 @@ class NotAFormulaCell(SheetLintError):
 
 
 @dataclass(frozen=True)
-class Interval:
-    """A closed interval of reals; both endpoints belong to it."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"not an interval: lo={self.lo!r}, hi={self.hi!r}")
-
-    @classmethod
-    def degenerate(cls, value: float) -> "Interval":
-        return cls(value, value)
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def __str__(self) -> str:
-        return f"[{format_number(self.lo)}, {format_number(self.hi)}]"
-
-
-def iv_binop(op: str, a: Interval, b: Interval) -> Interval:
-    """Endpoint arithmetic for '+', '-', '*', and '/'.
-
-    Division raises DivisorContainsZero when 0 lies in b; the result
-    would be unbounded.
-    """
-    if op == "+":
-        return Interval(a.lo + b.lo, a.hi + b.hi)
-    if op == "-":
-        return Interval(a.lo - b.hi, a.hi - b.lo)
-    if op == "*":
-        products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-        return Interval(min(products), max(products))
-    if op == "/":
-        if b.lo <= 0.0 <= b.hi:
-            raise DivisorContainsZero(f"divisor {b} contains zero")
-        quotients = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
-        return Interval(min(quotients), max(quotients))
-    raise ValueError(f"unknown operator {op!r}")
-
-
-def iv_negate(a: Interval) -> Interval:
-    return Interval(-a.hi, -a.lo)
-
-
-def iv_aggregate(name: str, items: list[Interval]) -> Interval:
-    """Grouping functions lifted to intervals.
-
-    COUNT is degenerate at the number of operands.  The others raise
-    EmptyAggregate when there is nothing to group.
-    """
-    if name == "COUNT":
-        return Interval.degenerate(float(len(items)))
-    if not items:
-        raise EmptyAggregate(f"{name} over no numeric cells")
-    if name == "SUM":
-        return Interval(sum(iv.lo for iv in items), sum(iv.hi for iv in items))
-    if name == "AVG":
-        total = Interval(sum(iv.lo for iv in items), sum(iv.hi for iv in items))
-        return iv_binop("/", total, Interval.degenerate(float(len(items))))
-    if name == "MIN":
-        return Interval(min(iv.lo for iv in items), min(iv.hi for iv in items))
-    if name == "MAX":
-        return Interval(max(iv.lo for iv in items), max(iv.hi for iv in items))
-    raise ValueError(f"unknown function {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# Interval evaluation of whole programs
-
-IntervalValue = Union[Interval, Fault]
-
-_IVALUE = Union[Interval, Blank, Text, Fault]
-
-_ZERO = Interval.degenerate(0.0)
-
-
-@dataclass(frozen=True)
 class IntervalSpec:
     """Input ranges and expectations for one program."""
 
     input_ranges: Mapping[CellAddress, Interval]
     expected: Mapping[CellAddress, Interval]
-
-
-def _iv_formula(ast: FormulaNode, lookup) -> IntervalValue:
-    def as_interval(raw: _IVALUE) -> IntervalValue:
-        if isinstance(raw, Interval):
-            return raw
-        if isinstance(raw, Fault):
-            return Fault(FaultKind.PROPAGATED)
-        if isinstance(raw, Blank):
-            return _ZERO
-        return Fault(FaultKind.TYPE_ERROR)
-
-    def evaluate(node: FormulaNode) -> _IVALUE:
-        if isinstance(node, NumberLiteral):
-            return Interval.degenerate(node.value)
-        if isinstance(node, Reference):
-            return lookup(node.ref.address())
-        if isinstance(node, Negate):
-            operand = as_interval(evaluate(node.child))
-            if isinstance(operand, Fault):
-                return operand
-            return iv_negate(operand)
-        if isinstance(node, BinaryOp):
-            left_raw = evaluate(node.left)
-            right_raw = evaluate(node.right)
-            left = as_interval(left_raw)
-            if isinstance(left, Fault):
-                return left
-            right = as_interval(right_raw)
-            if isinstance(right, Fault):
-                return right
-            if node.op == "/" and right.lo <= 0.0 <= right.hi:
-                if right.lo == right.hi:
-                    return Fault(FaultKind.DIV_BY_ZERO)
-                return Fault(FaultKind.DIVISOR_CONTAINS_ZERO)
-            return iv_binop(node.op, left, right)
-        if isinstance(node, Call):
-            return aggregate(node)
-        raise TypeError(f"not evaluable: {node!r}")
-
-    def aggregate(node: Call) -> _IVALUE:
-        items: list[Interval] = []
-        faulted = False
-        for arg in node.args:
-            if isinstance(arg, RangeArg):
-                for addr in arg.rng.cells():
-                    raw = lookup(addr)
-                    if isinstance(raw, Interval):
-                        items.append(raw)
-                    elif isinstance(raw, Fault):
-                        faulted = True
-            else:
-                raw = evaluate(arg)
-                if isinstance(raw, Interval):
-                    items.append(raw)
-                elif isinstance(raw, Fault):
-                    faulted = True
-        if faulted:
-            return Fault(FaultKind.PROPAGATED)
-        if not items and node.name != "COUNT":
-            # Mirror the concrete evaluator's fault kinds so point
-            # inputs collapse to identical faults.
-            if node.name == "AVG":
-                return Fault(FaultKind.DIV_BY_ZERO)
-            return Fault(FaultKind.TYPE_ERROR)
-        return iv_aggregate(node.name, items)
-
-    result = evaluate(ast)
-    if isinstance(result, (Blank, Text)):
-        # A bare reference at the root still lands in a numeric cell.
-        return as_interval(result)
-    return result
 
 
 def eval_intervals(
@@ -264,32 +93,21 @@ def eval_intervals(
     Raises NotAnInputCell for a range on a non-input and
     CyclicDependency for cyclic programs.
     """
-    for addr in spec.input_ranges:
-        if not isinstance(program.content(addr), Input):
-            raise NotAnInputCell(addr)
     order = build_graph(program).topo_order()
-    ivalues: dict[CellAddress, _IVALUE] = {}
+    return _bounds(SpreadsheetInstance(program), spec.input_ranges, order)
 
-    def lookup(addr: CellAddress) -> _IVALUE:
-        return ivalues.get(addr, BLANK)
 
-    for addr in order:
-        content = program.content(addr)
-        if content is None:
-            continue
-        if isinstance(content, Constant):
-            ivalues[addr] = Interval.degenerate(content.value)
-        elif isinstance(content, Input):
-            ivalues[addr] = spec.input_ranges.get(
-                addr, Interval.degenerate(content.default)
-            )
-        elif isinstance(content, Label):
-            ivalues[addr] = Text(content.text)
-        else:
-            ivalues[addr] = _iv_formula(content.ast, lookup)
+def _bounds(
+    instance: SpreadsheetInstance,
+    ranges: Mapping[CellAddress, Interval],
+    order: list[CellAddress],
+) -> dict[CellAddress, IntervalValue]:
+    for addr in ranges:
+        if not isinstance(instance.program.content(addr), Input):
+            raise NotAnInputCell(addr)
     return {
         addr: value
-        for addr, value in ivalues.items()
+        for addr, value in evaluate(instance, order, ranges, []).items()
         if isinstance(value, (Interval, Fault))
     }
 
@@ -368,39 +186,29 @@ def run_interval_test(instance: SpreadsheetInstance, spec: IntervalSpec) -> Test
     for addr in spec.expected:
         if not isinstance(program.content(addr), Formula):
             raise NotAFormulaCell(addr)
-    result = eval_instance(instance)
-    effective = dict(spec.input_ranges)
-    for addr, _ in program.input_cells():
-        if addr not in effective:
-            effective[addr] = Interval.degenerate(instance.input_value(addr))
-    bounds = eval_intervals(program, IntervalSpec(effective, spec.expected))
     graph = build_graph(program)
-
-    verdicts: dict[CellAddress, Verdict] = {}
-    for addr, _ in program.formula_cells():
-        expected = spec.expected.get(addr)
-        if expected is None:
-            verdicts[addr] = Verdict.NOT_JUDGED
-        else:
-            verdicts[addr] = judge(result.values[addr], expected, bounds[addr])
+    order = graph.topo_order()
+    values = eval_in_order(instance, order).values
+    bounds = _bounds(instance, spec.input_ranges, order)
+    verdicts = {
+        addr: judge(values[addr], spec.expected[addr], bounds[addr])
+        if addr in spec.expected
+        else Verdict.NOT_JUDGED
+        for addr, _ in program.formula_cells()
+    }
     symptomatic = {addr for addr, v in verdicts.items() if v in SYMPTOMS}
-
-    rows = []
-    for addr, _ in program.formula_cells():
-        suspects: tuple[CellAddress, ...] = ()
-        if addr in symptomatic:
-            suspects = _suspects(graph, addr, symptomatic)
-        rows.append(
-            CellTest(
-                cell=addr,
-                value=result.values[addr],
-                bounding=bounds[addr],
-                expected=spec.expected.get(addr),
-                verdict=verdicts[addr],
-                suspects=suspects,
-            )
+    rows = tuple(
+        CellTest(
+            cell=addr,
+            value=values[addr],
+            bounding=bounds[addr],
+            expected=spec.expected.get(addr),
+            verdict=verdict,
+            suspects=_suspects(graph, addr, symptomatic) if addr in symptomatic else (),
         )
-    return TestReport(tuple(rows))
+        for addr, verdict in verdicts.items()
+    )
+    return TestReport(rows)
 
 
 def _suspects(graph, addr: CellAddress, symptomatic: set[CellAddress]):
@@ -435,16 +243,16 @@ def load_interval_spec(text: str, program: SpreadsheetProgram) -> IntervalSpec:
     """Parse .intervals text against a program.
 
     Lines read ``input ADDR in [lo, hi]`` or ``expect ADDR in
-    [lo, hi]``; blank lines and ';' comments are skipped.  Raises
-    IntervalSpecError for malformed lines, NotAnInputCell for a range
-    on anything but an Input, and NotAFormulaCell for an expectation on
-    anything but a Formula.
+    [lo, hi]``; ';' starts a comment and blank lines are skipped.
+    Raises IntervalSpecError for malformed lines and non-finite
+    endpoints, NotAnInputCell for a range on anything but an Input, and
+    NotAFormulaCell for an expectation on anything but a Formula.
     """
     input_ranges: dict[CellAddress, Interval] = {}
     expected: dict[CellAddress, Interval] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith(";"):
+        line = strip_comment(raw).strip()
+        if not line:
             continue
         m = _SPEC_LINE_RE.match(line)
         if m is None:
@@ -461,6 +269,10 @@ def load_interval_spec(text: str, program: SpreadsheetProgram) -> IntervalSpec:
         if not _NUMBER_RE.match(lo_text) or not _NUMBER_RE.match(hi_text):
             raise IntervalSpecError(f"bad interval endpoints [{lo_text}, {hi_text}]", lineno)
         lo, hi = float(lo_text), float(hi_text)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise IntervalSpecError(
+                f"interval endpoints out of range [{lo_text}, {hi_text}]", lineno
+            )
         if lo > hi:
             raise IntervalSpecError(f"interval is empty: [{lo_text}, {hi_text}]", lineno)
         interval = Interval(lo, hi)

@@ -9,12 +9,14 @@ cell holds exactly one of four things:
     Label     explanatory text, written  "1. Quarter"
 
 Absence from the map is the fifth state, the empty cell.  A .sheet file
-gives one cell per line as ``ADDR = CONTENT``; blank lines and lines
-starting with ';' are skipped.
+gives one cell per line as ``ADDR = CONTENT``.  A ';' outside a quoted
+label starts a comment that runs to the end of the line; lines left
+blank are skipped.  Numbers must be finite.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -182,9 +184,11 @@ class SpreadsheetInstance:
         bindings: Mapping[CellAddress, float] | None = None,
     ):
         bindings = dict(bindings or {})
-        for addr in bindings:
+        for addr, value in bindings.items():
             if not isinstance(program.content(addr), Input):
                 raise NotAnInputCell(addr)
+            if not math.isfinite(value):
+                raise ValueError(f"input {addr} bound to non-finite {value!r}")
         self.program = program
         self._bindings = {
             addr: float(value)
@@ -226,7 +230,8 @@ def instantiate(
 ) -> SpreadsheetInstance:
     """Bind input values to a program.
 
-    Raises NotAnInputCell when a binding targets anything but an Input.
+    Raises NotAnInputCell when a binding targets anything but an Input,
+    and ValueError when a bound value is not finite.
     """
     return SpreadsheetInstance(program, bindings)
 
@@ -237,17 +242,26 @@ def instantiate(
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?\Z")
 
 
+def strip_comment(line: str) -> str:
+    """The line up to its first ';' that is not inside double quotes."""
+    semi = line.find(";")
+    while semi >= 0:
+        if line.count('"', 0, semi) % 2 == 0:
+            return line[:semi]
+        semi = line.find(";", semi + 1)
+    return line
+
+
 def _parse_content(text: str, addr: CellAddress, lineno: int) -> CellContent:
-    if text.startswith("#"):
+    if text[:1] in ("#", "?"):
+        what = "constant" if text[0] == "#" else "input default"
         body = text[1:].strip()
         if not _NUMBER_RE.match(body):
-            raise MalformedLine(f"bad number in constant: {body!r}", lineno)
-        return Constant(float(body))
-    if text.startswith("?"):
-        body = text[1:].strip()
-        if not _NUMBER_RE.match(body):
-            raise MalformedLine(f"bad number in input default: {body!r}", lineno)
-        return Input(float(body))
+            raise MalformedLine(f"bad number in {what}: {body!r}", lineno)
+        value = float(body)
+        if not math.isfinite(value):
+            raise MalformedLine(f"number out of range in {what}: {body!r}", lineno)
+        return Constant(value) if text[0] == "#" else Input(value)
     if text.startswith("="):
         try:
             return Formula(parse_formula(text[1:]))
@@ -268,8 +282,8 @@ def load_program(text: str) -> SpreadsheetProgram:
     """
     cells: dict[CellAddress, CellContent] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith(";"):
+        line = strip_comment(raw).strip()
+        if not line:
             continue
         addr_text, sep, content_text = line.partition("=")
         if not sep:

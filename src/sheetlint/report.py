@@ -13,6 +13,7 @@ import hashlib
 import json
 from typing import Mapping
 
+from . import __version__
 from .areas import LogicalArea, PhysicalArea
 from .dataflow import DependencyGraph
 from .detectors import Diagnostic
@@ -22,7 +23,6 @@ from .model import SpreadsheetProgram, content_kind, render_content
 from .scl import CellAddress, format_number, row_major
 
 TOOL_NAME = "sheetlint"
-TOOL_VERSION = "0.1.0"
 SCHEMA_NAME = "report-v1"
 
 
@@ -88,7 +88,7 @@ def envelope(
 ) -> dict:
     return {
         "schema": SCHEMA_NAME,
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+        "tool": {"name": TOOL_NAME, "version": __version__},
         "command": command,
         "inputs": [{"path": path, "sha256": file_digest(path)} for path in inputs],
         "program": _program_json(program),

@@ -17,9 +17,10 @@ Whitespace between tokens carries no meaning.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import SheetLintError
 
@@ -390,7 +391,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return NumberLiteral(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise FormulaSyntaxError(f"number out of range: {tok.text!r}", tok.pos)
+            return NumberLiteral(value)
         if tok.kind == "ref":
             if self.peek(1).kind == "symbol" and self.peek(1).text == ":":
                 raise RangeOutsideCall(
@@ -531,6 +535,36 @@ def render(node: FormulaNode) -> str:
 # Copy equivalence
 
 
+def map_refs(
+    node: FormulaNode,
+    ref_fn: Callable[[CellRef], CellRef | NormRef],
+    range_fn: Callable[[RangeRef], RangeRef | NormRange],
+) -> FormulaNode:
+    """Rebuild a tree with every reference rewritten.
+
+    ``ref_fn`` maps the reference of each Reference leaf and
+    ``range_fn`` the range of each RangeArg leaf; operators, calls, and
+    literals keep their shape.
+    """
+
+    def walk(n: FormulaNode) -> FormulaNode:
+        if isinstance(n, NumberLiteral):
+            return n
+        if isinstance(n, Reference):
+            return Reference(ref_fn(n.ref))
+        if isinstance(n, RangeArg):
+            return RangeArg(range_fn(n.rng))
+        if isinstance(n, Negate):
+            return Negate(walk(n.child))
+        if isinstance(n, BinaryOp):
+            return BinaryOp(n.op, walk(n.left), walk(n.right))
+        if isinstance(n, Call):
+            return Call(n.name, tuple(walk(a) for a in n.args))
+        raise TypeError(f"not a formula node: {n!r}")
+
+    return walk(node)
+
+
 def normalize(node: FormulaNode, origin: CellAddress) -> FormulaNode:
     """Rewrite references relative to the cell hosting the formula.
 
@@ -547,22 +581,9 @@ def normalize(node: FormulaNode, origin: CellAddress) -> FormulaNode:
             row_absolute=ref.row_absolute,
         )
 
-    def walk(n: FormulaNode) -> FormulaNode:
-        if isinstance(n, NumberLiteral):
-            return n
-        if isinstance(n, Reference):
-            return Reference(norm_ref(n.ref))
-        if isinstance(n, RangeArg):
-            return RangeArg(NormRange(norm_ref(n.rng.start), norm_ref(n.rng.end)))
-        if isinstance(n, Negate):
-            return Negate(walk(n.child))
-        if isinstance(n, BinaryOp):
-            return BinaryOp(n.op, walk(n.left), walk(n.right))
-        if isinstance(n, Call):
-            return Call(n.name, tuple(walk(a) for a in n.args))
-        raise TypeError(f"not a formula node: {n!r}")
-
-    return walk(node)
+    return map_refs(
+        node, norm_ref, lambda rng: NormRange(norm_ref(rng.start), norm_ref(rng.end))
+    )
 
 
 def translate(node: FormulaNode, dcol: int, drow: int) -> FormulaNode:
@@ -579,22 +600,9 @@ def translate(node: FormulaNode, dcol: int, drow: int) -> FormulaNode:
             row_absolute=ref.row_absolute,
         )
 
-    def walk(n: FormulaNode) -> FormulaNode:
-        if isinstance(n, NumberLiteral):
-            return n
-        if isinstance(n, Reference):
-            return Reference(move(n.ref))
-        if isinstance(n, RangeArg):
-            return RangeArg(RangeRef.normalized(move(n.rng.start), move(n.rng.end)))
-        if isinstance(n, Negate):
-            return Negate(walk(n.child))
-        if isinstance(n, BinaryOp):
-            return BinaryOp(n.op, walk(n.left), walk(n.right))
-        if isinstance(n, Call):
-            return Call(n.name, tuple(walk(a) for a in n.args))
-        raise TypeError(f"not a formula node: {n!r}")
-
-    return walk(node)
+    return map_refs(
+        node, move, lambda rng: RangeRef.normalized(move(rng.start), move(rng.end))
+    )
 
 
 def skeleton(node: FormulaNode) -> Skeleton:

@@ -200,7 +200,11 @@ def test_cli_determinism(announce):
                 [sys.executable, "-m", "sheetlint.cli", *argv],
                 capture_output=True,
                 cwd=str(ROOT),
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+                env={
+                    "PYTHONHASHSEED": hash_seed,
+                    "PATH": "/usr/bin:/bin",
+                    "PYTHONPATH": str(ROOT / "src"),
+                },
             )
 
         for argv in invocations():

@@ -63,6 +63,47 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("sheetlint: error:")
 
 
+class TestNonFiniteNumbers:
+    def test_overflow_is_a_fault_not_a_crash(self, tmp_path, capsys):
+        sheet = tmp_path / "big.sheet"
+        sheet.write_text("A1 = ?1e308\nA2 = =A1*10-A1*10\nA3 = =A1*10\n")
+        spec = tmp_path / "big.intervals"
+        spec.write_text("expect A2 in [0, 0]\nexpect A3 in [0, 0]\n")
+        assert main(["check", str(sheet)]) == 0
+        assert main(["test", str(sheet), str(spec)]) == 1
+        out, err = capsys.readouterr()
+        assert "A2: both  d=fault(propagated)  E=[0, 0]  B=fault(propagated)" in out
+        assert "A3: both  d=fault(overflow)  E=[0, 0]  B=fault(overflow)" in out
+        assert err == ""
+        assert main(["test", str(sheet), str(spec), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        jsonschema.validate(payload, SCHEMA)
+        values = {row["cell"]: row["value"] for row in payload["interval_test"]["rows"]}
+        assert values["A3"] == {"kind": "fault", "fault": "overflow"}
+
+    @pytest.mark.parametrize(
+        "sheet_text,spec_text",
+        [
+            ("A1 = ?1e400\nA2 = =A1-A1\n", None),
+            ("A1 = #1\nA2 = =A1*1e400\n", None),
+            ("A1 = ?1\nA2 = =A1-A1\n", "input A1 in [0, 1e400]\n"),
+        ],
+    )
+    def test_non_finite_literal_exits_two(self, tmp_path, capsys, sheet_text, spec_text):
+        sheet = tmp_path / "inf.sheet"
+        sheet.write_text(sheet_text)
+        if spec_text is None:
+            argv = ["check", str(sheet)]
+        else:
+            spec = tmp_path / "inf.intervals"
+            spec.write_text(spec_text)
+            argv = ["test", str(sheet), str(spec)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sheetlint: error: line ")
+        assert "out of range" in err
+
+
 class TestCyclicPrograms:
     @pytest.fixture()
     def cyclic(self, tmp_path):

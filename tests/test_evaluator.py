@@ -4,7 +4,6 @@ import pytest
 
 from sheetlint.dataflow import CyclicDependency
 from sheetlint.evaluator import (
-    BLANK,
     EvalResult,
     Fault,
     FaultKind,
@@ -12,7 +11,6 @@ from sheetlint.evaluator import (
     Number,
     RuntimeNote,
     Text,
-    eval_cell,
     eval_instance,
 )
 from sheetlint.model import instantiate, load_program
@@ -176,32 +174,3 @@ class TestEvalInstance:
     def test_chained_formulas_evaluate_in_dependency_order(self):
         result = run("A3 = =A2*2\nA2 = =A1*2\nA1 = #3\n")
         assert value(result, "A3") == Number(12.0)
-
-
-class TestEvalCell:
-    def test_agrees_with_eval_instance(self):
-        text = "A1 = ?2\nB1 = =A1+1\nB2 = =A1*2\nC1 = =B1+B2+SUM(A1:B2)\n"
-        prog = load_program(text)
-        inst = instantiate(prog)
-        whole = eval_instance(inst)
-        memo = {}
-        for name in ["A1", "B1", "B2", "C1"]:
-            addr = parse_address(name)
-            assert eval_cell(inst, addr, memo) == whole.values[addr]
-
-    def test_untouched_cells_stay_unevaluated(self):
-        prog = load_program("A1 = #1\nB1 = =A1+1\nZ9 = =1/0+A1\n")
-        inst = instantiate(prog)
-        memo = {}
-        assert eval_cell(inst, parse_address("B1"), memo) == Number(2.0)
-        assert parse_address("Z9") not in memo
-
-    def test_empty_cell_reads_blank(self):
-        prog = load_program("A1 = #1\n")
-        assert eval_cell(instantiate(prog), parse_address("D4")) == BLANK
-
-    def test_cycle_witness_matches_graph_form(self):
-        prog = load_program("A1 = =B1+1\nB1 = =A1+1\n")
-        with pytest.raises(CyclicDependency) as info:
-            eval_cell(instantiate(prog), parse_address("B1"))
-        assert [str(a) for a in info.value.cycle] == ["A1", "B1"]

@@ -171,6 +171,29 @@ class TestEvalIntervals:
         assert bounds[parse_address("B2")] == Fault(FaultKind.DIV_BY_ZERO)
         assert bounds[parse_address("B3")] == iv(0, 0)
 
+    def test_overflow_is_a_fault_in_both_runs(self):
+        prog = load_program(
+            "A1 = ?1e308\nA2 = =A1*10-A1*10\nA3 = =A1*10\nA4 = =SUM(A1,A1)\nA5 = =-A3\n"
+        )
+        concrete = eval_instance(instantiate(prog)).values
+        bounds = eval_intervals(prog, IntervalSpec({}, {}))
+        expected = {
+            "A2": Fault(FaultKind.PROPAGATED),
+            "A3": Fault(FaultKind.OVERFLOW),
+            "A4": Fault(FaultKind.OVERFLOW),
+            "A5": Fault(FaultKind.PROPAGATED),
+        }
+        for name, fault in expected.items():
+            addr = parse_address(name)
+            assert concrete[addr] == fault, name
+            assert bounds[addr] == fault, name
+
+    def test_overflow_at_one_endpoint_faults_the_bound(self):
+        prog = load_program("A1 = ?1\nB1 = =A1*1e300\n")
+        spec = IntervalSpec({parse_address("A1"): iv(0, 1e10)}, {})
+        assert eval_intervals(prog, spec)[parse_address("B1")] == Fault(FaultKind.OVERFLOW)
+        assert eval_instance(instantiate(prog)).values[parse_address("B1")] == Number(1e300)
+
     def test_range_on_non_input_rejected(self):
         prog = load_program("A1 = #3\nB1 = =A1+1\n")
         with pytest.raises(NotAnInputCell):
@@ -298,6 +321,26 @@ class TestLoadIntervalSpec:
             with pytest.raises(IntervalSpecError) as info:
                 load_interval_spec("; lead-in\n" + bad + "\n", self.PROGRAM)
             assert info.value.line == 2
+
+    def test_non_finite_endpoints_rejected_with_line(self):
+        for bad in ["input A1 in [0, 1e400]", "expect B1 in [-1e999, 0]"]:
+            with pytest.raises(IntervalSpecError) as info:
+                load_interval_spec("input A2 in [1, 2]\n" + bad + "\n", self.PROGRAM)
+            assert info.value.line == 2
+            assert "out of range" in str(info.value)
+
+    def test_readme_examples_with_trailing_comments(self):
+        program = load_program(
+            "C2 = ?500\nC3 = ?1000\nC8 = =SUM(C2:C3)\n"
+        )
+        spec = load_interval_spec(
+            "; bands for the interval test\n"
+            "input C2 in [0, 2000]       ; C2 must be an input cell\n"
+            "expect C8 in [3500, 4500]   ; C8 must be a formula cell\n",
+            program,
+        )
+        assert spec.input_ranges == {parse_address("C2"): iv(0, 2000)}
+        assert spec.expected == {parse_address("C8"): iv(3500, 4500)}
 
     def test_empty_interval_rejected(self):
         with pytest.raises(IntervalSpecError):

@@ -81,6 +81,19 @@ class TestLoadProgram:
         with pytest.raises(MalformedLine):
             load_program('A1 = "unterminated\n')
 
+    def test_non_finite_numbers_rejected_with_line(self):
+        for bad in ["A2 = #1e400", "A2 = ?1e400", "A2 = ?-1e309"]:
+            with pytest.raises(MalformedLine) as info:
+                load_program("A1 = #1\n" + bad + "\n")
+            assert info.value.line == 2
+            assert "out of range" in str(info.value)
+
+    def test_non_finite_formula_literal_rejected_with_line(self):
+        with pytest.raises(CellFormulaError) as info:
+            load_program("A1 = #1\nA2 = =A1*1e999\n")
+        assert info.value.line == 2
+        assert "out of range" in str(info.value)
+
     def test_duplicate_cell_rejected(self):
         with pytest.raises(DuplicateCell) as info:
             load_program("A1 = #1\nA1 = #2\n")
@@ -91,6 +104,30 @@ class TestLoadProgram:
             load_program("A1 = #1\nA2 = =A1+\n")
         assert info.value.line == 2
         assert "A2" in str(info.value)
+
+
+class TestTrailingComments:
+    def test_readme_examples(self):
+        prog = load_program(
+            'A1 = "Sales"        ; label (text)\n'
+            "B2 = #140           ; constant number\n"
+            "B3 = ?100           ; input cell with default 100\n"
+            "B4 = =SUM(B2:B3)    ; formula\n"
+        )
+        assert prog.content(parse_address("A1")) == Label("Sales")
+        assert prog.content(parse_address("B2")) == Constant(140.0)
+        assert prog.content(parse_address("B3")) == Input(100.0)
+        assert prog.content(parse_address("B4")) == Formula(parse_formula("SUM(B2:B3)"))
+
+    def test_semicolon_inside_a_label_is_text(self):
+        prog = load_program('A1 = "a; b"  ; note "quoted"\nA2 = "c;d"\n')
+        assert prog.content(parse_address("A1")) == Label("a; b")
+        assert prog.content(parse_address("A2")) == Label("c;d")
+
+    def test_comment_only_content_is_malformed(self):
+        with pytest.raises(MalformedLine) as info:
+            load_program("A1 = ; nothing here\n")
+        assert info.value.line == 1
 
 
 class TestRendering:
@@ -156,6 +193,13 @@ class TestInstance:
             instantiate(prog, {parse_address("A1"): 1.0})
         with pytest.raises(NotAnInputCell):
             instantiate(prog).input_value(parse_address("A2"))
+
+    def test_non_finite_binding_rejected(self):
+        prog = load_program("A1 = ?1\n")
+        with pytest.raises(ValueError):
+            instantiate(prog, {parse_address("A1"): float("inf")})
+        with pytest.raises(ValueError):
+            instantiate(prog).with_input(parse_address("A1"), float("nan"))
 
     def test_equality_is_by_effective_values(self):
         prog = load_program("A1 = ?5\nA2 = =A1*2\n")

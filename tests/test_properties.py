@@ -4,7 +4,7 @@ import random
 
 from corpus import corpus, make_program, sample_instance
 from sheetlint.dataflow import build_graph
-from sheetlint.evaluator import Fault, Number, eval_cell, eval_instance
+from sheetlint.evaluator import Fault, Number, eval_instance
 from sheetlint.intervals import Interval, IntervalSpec, Verdict, eval_intervals, judge
 from sheetlint.model import instantiate, load_program, render_program
 from sheetlint.scl import normalize, skeleton, translate
@@ -122,17 +122,6 @@ class TestGraphDuality:
             order = {addr: k for k, addr in enumerate(build_graph(cp.program).topo_order())}
             for source, target in build_graph(cp.program).edges():
                 assert order[source] < order[target], cp.seed
-
-
-class TestOnDemandEvaluation:
-    def test_eval_cell_matches_the_full_run(self):
-        rng = random.Random(17)
-        for cp in PROGRAMS[:5]:
-            inst = sample_instance(cp, rng)
-            values = eval_instance(inst).values
-            memo = {}
-            for addr, _ in cp.program.formula_cells():
-                assert eval_cell(inst, addr, memo) == values[addr], (cp.seed, addr)
 
 
 class TestGeneratorContract:

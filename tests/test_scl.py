@@ -21,6 +21,7 @@ from sheetlint.scl import (
     column_letters,
     column_number,
     format_number,
+    map_refs,
     normalize,
     parse_address,
     parse_formula,
@@ -203,6 +204,16 @@ class TestParsing:
                 parse_formula(text)
 
 
+class TestNumberRange:
+    def test_non_finite_literal_is_a_syntax_error(self):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula("A1*1e400")
+        assert info.value.position == 3
+        assert parse_formula("A1*1e-400") == BinaryOp(
+            "*", Reference(CellRef(1, 1)), NumberLiteral(0.0)
+        )
+
+
 class TestRendering:
     def test_format_number_drops_integral_point(self):
         assert format_number(1020.0) == "1020"
@@ -280,6 +291,23 @@ class TestTranslate:
     def test_rejects_moves_off_the_sheet(self):
         with pytest.raises(ValueError):
             translate(parse_formula("A1+A2"), -1, 0)
+
+
+class TestMapRefs:
+    def test_rewrites_only_reference_leaves(self):
+        tree = parse_formula("-A1*2+SUM(B1:C2,$D$3)")
+        seen = []
+
+        def ref_fn(r):
+            seen.append(str(r))
+            return r
+
+        def range_fn(r):
+            seen.append(str(r))
+            return r
+
+        assert map_refs(tree, ref_fn, range_fn) == tree
+        assert seen == ["A1", "B1:C2", "$D$3"]
 
 
 class TestSkeleton:
