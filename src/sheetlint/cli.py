@@ -15,12 +15,12 @@ import argparse
 import sys
 
 from .areas import infer_logical_areas, infer_physical_areas
-from .dataflow import CyclicDependency, build_graph
+from .dataflow import CyclicDependency, DependencyGraph, build_graph
 from .detectors import detect_all
 from .errors import SheetLintError
-from .evaluator import eval_instance
+from .evaluator import EvalResult, eval_in_order
 from .intervals import load_interval_spec, run_interval_test
-from .model import instantiate, load_program
+from .model import SpreadsheetProgram, instantiate, load_program
 from . import report
 
 
@@ -82,13 +82,17 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
+def _evaluate(program: SpreadsheetProgram, graph: DependencyGraph) -> EvalResult | None:
+    """Concrete values in the graph's order, or None for a cyclic program."""
+    try:
+        return eval_in_order(instantiate(program), graph.topo_order())
+    except CyclicDependency:
+        return None
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     program = load_program(_read(args.sheet))
-    try:
-        result = eval_instance(instantiate(program))
-    except CyclicDependency:
-        result = None
-    diagnostics = detect_all(program, result)
+    diagnostics = detect_all(program, _evaluate(program, build_graph(program)))
     if args.format == "json":
         text = report.to_json(report.check_json(program, diagnostics, [args.sheet]))
     else:
@@ -114,13 +118,11 @@ def _cmd_test(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     program = load_program(_read(args.sheet))
     graph = build_graph(program)
-    try:
-        result = eval_instance(instantiate(program))
-    except CyclicDependency:
-        result = None
-    diagnostics = detect_all(program, result)
     physical = infer_physical_areas(program)
     logical = infer_logical_areas(program)
+    diagnostics = detect_all(
+        program, _evaluate(program, graph), physical=physical, logical=logical
+    )
     if args.resolution == "area":
         text = report.area_graph_dot(program, graph, physical, logical, diagnostics)
     else:
@@ -158,6 +160,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as err:
         print(f"sheetlint: error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # The formula walkers recurse once per nesting level.
+        print("sheetlint: error: formula nested too deeply to analyse", file=sys.stderr)
         return 2
 
 

@@ -42,6 +42,7 @@ from .scl import (
     NumberLiteral,
     Negate,
     RangeArg,
+    RangeRef,
     Reference,
     Call,
     column_letters,
@@ -114,14 +115,19 @@ def detect_blank_ref(program: SpreadsheetProgram) -> list[Diagnostic]:
     return out
 
 
-def detect_wrong_type_in_range(program: SpreadsheetProgram) -> list[Diagnostic]:
+def detect_wrong_type_in_range(
+    program: SpreadsheetProgram, *, physical: list[PhysicalArea] | None = None
+) -> list[Diagnostic]:
     """D2: a Label sits inside a numeric grouping range.
 
     The label is skipped today, so the result looks right; if the cell
     is ever given a number, that number silently joins the aggregate.
+    ``physical`` is the program's physical areas, inferred when omitted.
     """
+    if physical is None:
+        physical = infer_physical_areas(program)
     out: list[Diagnostic] = []
-    for area in infer_physical_areas(program):
+    for area in physical:
         for addr in area.rect.cells():
             if isinstance(program.content(addr), Label):
                 out.append(
@@ -139,14 +145,19 @@ def detect_wrong_type_in_range(program: SpreadsheetProgram) -> list[Diagnostic]:
     return out
 
 
-def detect_incorrect_range(program: SpreadsheetProgram) -> list[Diagnostic]:
+def detect_incorrect_range(
+    program: SpreadsheetProgram, *, physical: list[PhysicalArea] | None = None
+) -> list[Diagnostic]:
     """D3: a cell of the range's own kind adjoins it but is left out.
 
     Checked one step beyond both ends of the range's major axis; the
-    consuming formula itself does not count.
+    consuming formula itself does not count.  ``physical`` is the
+    program's physical areas, inferred when omitted.
     """
+    if physical is None:
+        physical = infer_physical_areas(program)
     out: list[Diagnostic] = []
-    for area in infer_physical_areas(program):
+    for area in physical:
         if area.majority_type is None:
             continue
         for addr in _adjoining(area):
@@ -188,32 +199,34 @@ def _adjoining(area: PhysicalArea) -> list[CellAddress]:
 
 
 def detect_area_mixup(
-    program: SpreadsheetProgram, chain_threshold: int = 3
+    program: SpreadsheetProgram,
+    chain_threshold: int = 3,
+    *,
+    physical: list[PhysicalArea] | None = None,
 ) -> list[Diagnostic]:
     """D4: results from distinct areas are blended.
 
     Fires when two grouping ranges overlap, and when a formula adds up
     ``chain_threshold`` or more cells of one row or column one by one
-    instead of grouping over a range.
+    instead of grouping over a range.  ``physical`` is the program's
+    physical areas, inferred when omitted.
     """
+    if physical is None:
+        physical = infer_physical_areas(program)
     out: list[Diagnostic] = []
-    areas = infer_physical_areas(program)
-    for i, first in enumerate(areas):
-        for second in areas[i + 1 :]:
-            shared = first.rect.overlap(second.rect)
-            if shared is None:
-                continue
-            subjects = sorted({first.consumer, second.consumer}, key=row_major)
-            out.append(
-                Diagnostic(
-                    Code.D4_AREA_MIXUP,
-                    Severity.WARNING,
-                    tuple(subjects),
-                    f"ranges {first.rect} (of {first.consumer}) and "
-                    f"{second.rect} (of {second.consumer}) overlap at {shared}",
-                    area=first,
-                )
+    for i, j, shared in _overlapping_pairs(physical):
+        first, second = physical[i], physical[j]
+        subjects = sorted({first.consumer, second.consumer}, key=row_major)
+        out.append(
+            Diagnostic(
+                Code.D4_AREA_MIXUP,
+                Severity.WARNING,
+                tuple(subjects),
+                f"ranges {first.rect} (of {first.consumer}) and "
+                f"{second.rect} (of {second.consumer}) overlap at {shared}",
+                area=first,
             )
+        )
     for addr, cell in program.formula_cells():
         refs = _plus_chain(cell.ast)
         if refs is None or len(refs) < chain_threshold:
@@ -242,6 +255,31 @@ def detect_area_mixup(
     return out
 
 
+def _overlapping_pairs(
+    areas: list[PhysicalArea],
+) -> list[tuple[int, int, RangeRef]]:
+    """Every (i, j, shared rectangle) with i < j whose ranges overlap,
+    in (i, j) order.
+
+    Sweeps the areas by top row: an area only meets those that start
+    at or above its bottom row, so disjoint row spans are never paired.
+    """
+    order = sorted(range(len(areas)), key=lambda i: areas[i].rect.start.row)
+    hits: list[tuple[int, int, RangeRef]] = []
+    for n, i in enumerate(order):
+        rect = areas[i].rect
+        for m in range(n + 1, len(order)):
+            j = order[m]
+            other = areas[j].rect
+            if other.start.row > rect.end.row:
+                break
+            shared = rect.overlap(other)
+            if shared is not None:
+                hits.append((min(i, j), max(i, j), shared))
+    hits.sort(key=lambda hit: hit[:2])
+    return hits
+
+
 def _plus_chain(node: FormulaNode) -> list[CellRef] | None:
     """The references of a pure '+' tree, or None for anything else."""
     if isinstance(node, BinaryOp) and node.op == "+":
@@ -255,15 +293,20 @@ def _plus_chain(node: FormulaNode) -> list[CellRef] | None:
     return None
 
 
-def detect_constant_overwrite(program: SpreadsheetProgram) -> list[Diagnostic]:
+def detect_constant_overwrite(
+    program: SpreadsheetProgram, *, logical: list[LogicalArea] | None = None
+) -> list[Diagnostic]:
     """D5: a constant interrupts a run of copies of one formula.
 
     Needs a logical area of at least three members whose hull is a
     single row or column; a Constant or Input strictly inside that hull
-    looks like a formula someone typed a number over.
+    looks like a formula someone typed a number over.  ``logical`` is
+    the program's logical areas, inferred when omitted.
     """
+    if logical is None:
+        logical = infer_logical_areas(program)
     out: list[Diagnostic] = []
-    for area in infer_logical_areas(program):
+    for area in logical:
         if len(area.members) < 3:
             continue
         hull = area.hull
@@ -374,35 +417,44 @@ def _ref_compatible(x: NormRef, y: NormRef) -> bool:
 
 
 def detect_all(
-    program: SpreadsheetProgram, result: EvalResult | None = None
+    program: SpreadsheetProgram,
+    result: EvalResult | None = None,
+    *,
+    physical: list[PhysicalArea] | None = None,
+    logical: list[LogicalArea] | None = None,
 ) -> list[Diagnostic]:
     """Every detector's findings in one stable order.
 
     Ordering is by code, then subject cells row-major, and is a pure
-    function of the program.  Cycles are reported here as G_CYCLE even
-    without an EvalResult, since a cyclic program has no result to
-    pass.  With a result, divisions by zero surface as G_DIV_ZERO.
+    function of the program.  Without an EvalResult the program is
+    checked for cycles, reported as G_CYCLE; a result exists only for
+    an acyclic program, since evaluation needs a topological order.
+    With a result, divisions by zero surface as G_DIV_ZERO.  The
+    physical and logical areas are inferred when omitted.
     """
+    if physical is None:
+        physical = infer_physical_areas(program)
     out: list[Diagnostic] = []
     out.extend(detect_blank_ref(program))
-    out.extend(detect_wrong_type_in_range(program))
-    out.extend(detect_incorrect_range(program))
-    out.extend(detect_area_mixup(program))
-    out.extend(detect_constant_overwrite(program))
+    out.extend(detect_wrong_type_in_range(program, physical=physical))
+    out.extend(detect_incorrect_range(program, physical=physical))
+    out.extend(detect_area_mixup(program, physical=physical))
+    out.extend(detect_constant_overwrite(program, logical=logical))
     out.extend(detect_copy_misreference(program))
-    try:
-        build_graph(program).topo_order()
-    except CyclicDependency as err:
-        shown = " -> ".join(str(a) for a in err.cycle + err.cycle[:1])
-        out.append(
-            Diagnostic(
-                Code.G_CYCLE,
-                Severity.ERROR,
-                tuple(err.cycle),
-                f"formulas form a reference cycle: {shown}",
+    if result is None:
+        try:
+            build_graph(program).topo_order()
+        except CyclicDependency as err:
+            shown = " -> ".join(str(a) for a in err.cycle + err.cycle[:1])
+            out.append(
+                Diagnostic(
+                    Code.G_CYCLE,
+                    Severity.ERROR,
+                    tuple(err.cycle),
+                    f"formulas form a reference cycle: {shown}",
+                )
             )
-        )
-    if result is not None:
+    else:
         offenders = sorted(
             {note.cell for note in result.notes if note.kind is NoteKind.DIV_BY_ZERO},
             key=row_major,

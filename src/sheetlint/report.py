@@ -293,13 +293,16 @@ def cell_graph_dot(
         for addr in area.rect.cells():
             if addr in graph.nodes and addr not in claimed:
                 claimed[addr] = i
+    clusters: dict[int, list[CellAddress]] = {}
+    for addr, i in claimed.items():
+        clusters.setdefault(i, []).append(addr)
 
     lines = [
         "digraph sheet {",
         '  node [shape=box, fontname="Helvetica"];',
     ]
     for i, area in enumerate(physical):
-        members = sorted((a for a, j in claimed.items() if j == i), key=row_major)
+        members = sorted(clusters.get(i, ()), key=row_major)
         if not members:
             continue
         lines.append(f"  subgraph cluster_{i} {{")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -87,16 +88,19 @@ def column_number(letters: str) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class CellAddress:
-    """Absolute position of one cell; columns and rows start at 1."""
+class CellAddress(namedtuple("CellAddress", "col row")):
+    """Absolute position of one cell; columns and rows start at 1.
 
-    col: int
-    row: int
+    A tuple underneath, so the hashing and equality behind every
+    address-keyed map run in C.  The hash is ``hash((col, row))``.
+    """
 
-    def __post_init__(self):
-        if self.col < 1 or self.row < 1:
-            raise ValueError(f"cell coordinates start at 1, got ({self.col}, {self.row})")
+    __slots__ = ()
+
+    def __new__(cls, col: int, row: int) -> "CellAddress":
+        if col < 1 or row < 1:
+            raise ValueError(f"cell coordinates start at 1, got ({col}, {row})")
+        return super().__new__(cls, col, row)
 
     def __str__(self) -> str:
         return column_letters(self.col) + str(self.row)

@@ -1,15 +1,21 @@
 """Command line behavior: arguments, exit codes, output channels."""
 
+import contextlib
+import cProfile
+import io
 import json
 import pathlib
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import jsonschema
 import pytest
 
+from sheetlint.areas import infer_logical_areas, infer_physical_areas
 from sheetlint.cli import main
+from sheetlint.dataflow import DependencyGraph
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE.parent / "fixtures"
@@ -20,6 +26,7 @@ QUARTERLY_IV = str(FIXTURES / "quarterly_sums.intervals")
 APPENDED = str(FIXTURES / "sales_appended.sheet")
 APPENDED_IV = str(FIXTURES / "sales_appended.intervals")
 CLEAN = str(FIXTURES / "subtotals_two_column.sheet")
+RUNNING = str(FIXTURES / "running_totals.sheet")
 
 
 class TestExitCodes:
@@ -120,6 +127,52 @@ class TestCyclicPrograms:
         spec.write_text("expect A1 in [0, 1]\n")
         assert main(["test", cyclic, str(spec)]) == 2
         assert "cyclic dependency" in capsys.readouterr().err
+
+
+class TestDeepFormulas:
+    """Formulas deeper than the recursive walkers can follow."""
+
+    SHAPES = {
+        "plus_chain": "=" + "+".join(["A1"] * 3000),
+        "parentheses": "=" + "(" * 2000 + "A1" + ")" * 2000,
+    }
+
+    @pytest.mark.parametrize("command", ["check", "graph", "areas", "test"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_exits_two_with_one_error_line(self, shape, command, tmp_path, capsys):
+        sheet = tmp_path / "deep.sheet"
+        sheet.write_text(f"A1 = ?1\nB1 = {self.SHAPES[shape]}\n")
+        spec = tmp_path / "deep.intervals"
+        spec.write_text("input A1 in [0, 2]\n")
+        argv = [command, str(sheet)] + ([str(spec)] if command == "test" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "sheetlint: error: formula nested too deeply to analyse\n"
+
+
+class TestBuildOnce:
+    """check and graph build each derived structure once per run."""
+
+    BUILDERS = {
+        "DependencyGraph.__init__": DependencyGraph.__init__,
+        "DependencyGraph.topo_order": DependencyGraph.topo_order,
+        "infer_physical_areas": infer_physical_areas,
+        "infer_logical_areas": infer_logical_areas,
+    }
+
+    @pytest.mark.parametrize("command", ["check", "graph"])
+    def test_each_structure_built_once(self, command):
+        profile = cProfile.Profile()
+        with contextlib.redirect_stdout(io.StringIO()):
+            profile.runcall(main, [command, RUNNING])
+        # Counted per code object, as pstats merges functions that
+        # share a file, line and name.
+        calls = Counter()
+        for entry in profile.getstats():
+            calls[entry.code] += entry.callcount
+        counts = {name: calls[fn.__code__] for name, fn in self.BUILDERS.items()}
+        assert counts == dict.fromkeys(self.BUILDERS, 1)
 
 
 class TestJsonFormat:

@@ -1,10 +1,13 @@
 """Detector tests: one class per code, plus the combined stable listing."""
 
+import random
+
 import pytest
 
-from sheetlint.areas import LogicalArea, PhysicalArea
+from sheetlint.areas import LogicalArea, PhysicalArea, infer_physical_areas
 from sheetlint.detectors import (
     Code,
+    Diagnostic,
     Severity,
     detect_all,
     detect_area_mixup,
@@ -16,6 +19,7 @@ from sheetlint.detectors import (
 )
 from sheetlint.evaluator import eval_instance
 from sheetlint.model import instantiate, load_program
+from sheetlint.scl import CellAddress, CellRef, RangeRef, row_major
 
 QUARTERLY = (
     'B2 = "1. Quarter"\nB4 = #140\nB5 = #200\nB6 = #170\n'
@@ -327,3 +331,71 @@ class TestDetectAll:
         diags = detect_all(prog)
         codes = [d.code.value for d in diags]
         assert codes == sorted(codes)
+
+
+class TestAreaMixupPairs:
+    """The row sweep in D4 against the plain all-pairs loop."""
+
+    @staticmethod
+    def all_pairs(areas):
+        out = []
+        for i, first in enumerate(areas):
+            for second in areas[i + 1 :]:
+                shared = first.rect.overlap(second.rect)
+                if shared is None:
+                    continue
+                subjects = sorted({first.consumer, second.consumer}, key=row_major)
+                out.append(
+                    Diagnostic(
+                        Code.D4_AREA_MIXUP,
+                        Severity.WARNING,
+                        tuple(subjects),
+                        f"ranges {first.rect} (of {first.consumer}) and "
+                        f"{second.rect} (of {second.consumer}) overlap at {shared}",
+                        area=first,
+                    )
+                )
+        out.sort(
+            key=lambda d: (d.code.value, tuple(row_major(a) for a in d.cells), d.message)
+        )
+        return out
+
+    @staticmethod
+    def random_rect(rng):
+        c1, c2 = sorted(rng.randint(1, 5) for _ in range(2))
+        r1, r2 = sorted(rng.randint(1, 14) for _ in range(2))
+        return RangeRef(CellRef(c1, r1), CellRef(c2, r2))
+
+    @classmethod
+    def random_areas(cls, rng, count):
+        # Half the rectangles come from a pool of three, and there are
+        # few consumers and two functions, so equal messages from
+        # different areas (ties under the sort key) occur too.
+        pool = [cls.random_rect(rng) for _ in range(3)]
+        areas = []
+        for _ in range(count):
+            areas.append(
+                PhysicalArea(
+                    rect=rng.choice(pool) if rng.random() < 0.5 else cls.random_rect(rng),
+                    consumer=CellAddress(rng.randint(6, 7), rng.randint(1, 3)),
+                    function=rng.choice(["SUM", "AVG"]),
+                    majority_type=None,
+                )
+            )
+        return areas
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_all_pairs(self, seed):
+        rng = random.Random(seed)
+        areas = self.random_areas(rng, rng.randint(0, 40))
+        got = detect_area_mixup(load_program(""), physical=areas)
+        assert got == self.all_pairs(areas)
+        assert [d.area for d in got] == [d.area for d in self.all_pairs(areas)]
+
+    def test_given_areas_match_inferred(self):
+        prog = load_program(
+            "A1 = #1\nA2 = #2\nA3 = #3\nB1 = =SUM(A1:A2)+AVG(A1:A3)\nB2 = =SUM(A2:A3)\n"
+        )
+        physical = infer_physical_areas(prog)
+        assert detect_area_mixup(prog, physical=physical) == detect_area_mixup(prog)
+        assert len(detect_area_mixup(prog)) == 3

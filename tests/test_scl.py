@@ -90,6 +90,17 @@ class TestAddresses:
         with pytest.raises(ValueError):
             CellAddress(5, 0)
 
+    def test_key_behaviour(self):
+        with pytest.raises(ValueError, match=r"start at 1, got \(0, 0\)"):
+            CellAddress(col=0, row=0)
+        addr = CellAddress(28, 7)
+        assert hash(addr) == hash((28, 7))
+        assert str(addr) == "AB7"
+        assert repr(addr) == "CellAddress(col=28, row=7)"
+        assert (addr.col, addr.row) == (28, 7)
+        with pytest.raises(AttributeError):
+            addr.col = 1
+
 
 class TestRangeRef:
     def test_normalized_sorts_each_axis(self):
