@@ -82,12 +82,14 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _evaluate(program: SpreadsheetProgram, graph: DependencyGraph) -> EvalResult | None:
-    """Concrete values in the graph's order, or None for a cyclic program."""
+def _evaluate(
+    program: SpreadsheetProgram, graph: DependencyGraph
+) -> EvalResult | CyclicDependency:
+    """Concrete values in the graph's order, or the cycle that prevents them."""
     try:
         return eval_in_order(instantiate(program), graph.topo_order())
-    except CyclicDependency:
-        return None
+    except CyclicDependency as err:
+        return err
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

@@ -42,7 +42,6 @@ from .scl import (
     NumberLiteral,
     Negate,
     RangeArg,
-    RangeRef,
     Reference,
     Call,
     column_letters,
@@ -214,17 +213,17 @@ def detect_area_mixup(
     if physical is None:
         physical = infer_physical_areas(program)
     out: list[Diagnostic] = []
+    # Overlaps grow with the square of the areas: spell each area once.
+    spelled = [f"{area.rect} (of {area.consumer})" for area in physical]
     for i, j, shared in _overlapping_pairs(physical):
-        first, second = physical[i], physical[j]
-        subjects = sorted({first.consumer, second.consumer}, key=row_major)
+        subjects = {physical[i].consumer, physical[j].consumer}
         out.append(
             Diagnostic(
                 Code.D4_AREA_MIXUP,
                 Severity.WARNING,
-                tuple(subjects),
-                f"ranges {first.rect} (of {first.consumer}) and "
-                f"{second.rect} (of {second.consumer}) overlap at {shared}",
-                area=first,
+                tuple(sorted(subjects, key=row_major)),
+                f"ranges {spelled[i]} and {spelled[j]} overlap at {shared}",
+                area=physical[i],
             )
         )
     for addr, cell in program.formula_cells():
@@ -255,28 +254,33 @@ def detect_area_mixup(
     return out
 
 
-def _overlapping_pairs(
-    areas: list[PhysicalArea],
-) -> list[tuple[int, int, RangeRef]]:
+def _overlapping_pairs(areas: list[PhysicalArea]) -> list[tuple[int, int, str]]:
     """Every (i, j, shared rectangle) with i < j whose ranges overlap,
-    in (i, j) order.
+    in (i, j) order; the rectangle is spelled without '$' markers.
 
     Sweeps the areas by top row: an area only meets those that start
     at or above its bottom row, so disjoint row spans are never paired.
     """
-    order = sorted(range(len(areas)), key=lambda i: areas[i].rect.start.row)
-    hits: list[tuple[int, int, RangeRef]] = []
+    boxes = [
+        (a.rect.start.col, a.rect.start.row, a.rect.end.col, a.rect.end.row)
+        for a in areas
+    ]
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][1])
+    hits: list[tuple[int, int, str]] = []
     for n, i in enumerate(order):
-        rect = areas[i].rect
+        left, top, right, bottom = boxes[i]
         for m in range(n + 1, len(order)):
             j = order[m]
-            other = areas[j].rect
-            if other.start.row > rect.end.row:
+            c1, r1, c2, r2 = boxes[j]
+            if r1 > bottom:
                 break
-            shared = rect.overlap(other)
-            if shared is not None:
-                hits.append((min(i, j), max(i, j), shared))
-    hits.sort(key=lambda hit: hit[:2])
+            # r1 >= top by the sort, so the row spans meet from r1 down.
+            c1, c2 = max(c1, left), min(c2, right)
+            if c1 > c2:
+                continue
+            shared = f"{column_letters(c1)}{r1}:{column_letters(c2)}{min(r2, bottom)}"
+            hits.append((i, j, shared) if i < j else (j, i, shared))
+    hits.sort()  # by (i, j), as no two hits share both
     return hits
 
 
@@ -418,7 +422,7 @@ def _ref_compatible(x: NormRef, y: NormRef) -> bool:
 
 def detect_all(
     program: SpreadsheetProgram,
-    result: EvalResult | None = None,
+    result: EvalResult | CyclicDependency | None = None,
     *,
     physical: list[PhysicalArea] | None = None,
     logical: list[LogicalArea] | None = None,
@@ -426,14 +430,16 @@ def detect_all(
     """Every detector's findings in one stable order.
 
     Ordering is by code, then subject cells row-major, and is a pure
-    function of the program.  Without an EvalResult the program is
-    checked for cycles, reported as G_CYCLE; a result exists only for
-    an acyclic program, since evaluation needs a topological order.
-    With a result, divisions by zero surface as G_DIV_ZERO.  The
-    physical and logical areas are inferred when omitted.
+    function of the program.  ``result`` is the program's evaluation,
+    or the CyclicDependency that stopped it, reported as G_CYCLE; when
+    omitted, the program is checked for cycles here.  With an
+    EvalResult, divisions by zero surface as G_DIV_ZERO.  The physical
+    and logical areas are inferred when omitted.
     """
     if physical is None:
         physical = infer_physical_areas(program)
+    # Each detector returns its findings sorted, and they are appended
+    # in code order, so the whole list is sorted without a final sort.
     out: list[Diagnostic] = []
     out.extend(detect_blank_ref(program))
     out.extend(detect_wrong_type_in_range(program, physical=physical))
@@ -445,16 +451,18 @@ def detect_all(
         try:
             build_graph(program).topo_order()
         except CyclicDependency as err:
-            shown = " -> ".join(str(a) for a in err.cycle + err.cycle[:1])
-            out.append(
-                Diagnostic(
-                    Code.G_CYCLE,
-                    Severity.ERROR,
-                    tuple(err.cycle),
-                    f"formulas form a reference cycle: {shown}",
-                )
+            result = err
+    if isinstance(result, CyclicDependency):
+        shown = " -> ".join(str(a) for a in result.cycle + result.cycle[:1])
+        out.append(
+            Diagnostic(
+                Code.G_CYCLE,
+                Severity.ERROR,
+                tuple(result.cycle),
+                f"formulas form a reference cycle: {shown}",
             )
-    else:
+        )
+    elif result is not None:
         offenders = sorted(
             {note.cell for note in result.notes if note.kind is NoteKind.DIV_BY_ZERO},
             key=row_major,
@@ -468,5 +476,4 @@ def detect_all(
                     f"{addr} divides by zero under the current inputs",
                 )
             )
-    out.sort(key=_sort_key)
     return out

@@ -71,13 +71,13 @@ def _program_json(program: SpreadsheetProgram) -> dict:
     }
 
 
-def _diagnostic_json(diag: Diagnostic) -> dict:
+def _diagnostic_json(diag: Diagnostic, area: str | None) -> dict:
     return {
         "code": diag.code.value,
         "severity": diag.severity.value,
         "cells": [str(a) for a in diag.cells],
         "message": diag.message,
-        "area": str(diag.area) if diag.area is not None else None,
+        "area": area,
     }
 
 
@@ -99,7 +99,13 @@ def check_json(
     program: SpreadsheetProgram, diagnostics: list[Diagnostic], inputs: list[str]
 ) -> dict:
     payload = envelope("check", inputs, program)
-    payload["diagnostics"] = [_diagnostic_json(d) for d in diagnostics]
+    # Findings share their area objects (D4 gives one area a finding
+    # per overlapping pair), so each area is spelled once.
+    areas = {id(d.area): d.area for d in diagnostics if d.area is not None}
+    spelled = {key: str(area) for key, area in areas.items()}
+    payload["diagnostics"] = [
+        _diagnostic_json(d, spelled.get(id(d.area))) for d in diagnostics
+    ]
     return payload
 
 

@@ -17,6 +17,7 @@ Whitespace between tokens carries no meaning.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import namedtuple
@@ -67,8 +68,14 @@ GROUPING_FUNCTIONS = ("SUM", "AVG", "MIN", "MAX", "COUNT")
 # Addresses and references
 
 
+@functools.lru_cache(maxsize=4096)
 def column_letters(col: int) -> str:
-    """Spell a 1-based column number in letters (1 -> A, 27 -> AA)."""
+    """Spell a 1-based column number in letters (1 -> A, 27 -> AA).
+
+    Memoized, as every address and range spelled in a report comes
+    through here; a bad column raises each time, since errors are not
+    cached.
+    """
     if col < 1:
         raise ValueError(f"column numbers start at 1, got {col}")
     out = []

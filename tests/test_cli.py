@@ -4,6 +4,7 @@ import contextlib
 import cProfile
 import io
 import json
+import os
 import pathlib
 import shutil
 import subprocess
@@ -27,6 +28,7 @@ APPENDED = str(FIXTURES / "sales_appended.sheet")
 APPENDED_IV = str(FIXTURES / "sales_appended.intervals")
 CLEAN = str(FIXTURES / "subtotals_two_column.sheet")
 RUNNING = str(FIXTURES / "running_totals.sheet")
+CYCLIC = str(FIXTURES / "cyclic.sheet")
 
 
 class TestExitCodes:
@@ -161,11 +163,17 @@ class TestBuildOnce:
         "infer_logical_areas": infer_logical_areas,
     }
 
-    @pytest.mark.parametrize("command", ["check", "graph"])
-    def test_each_structure_built_once(self, command):
+    # On the cyclic sheet the cycle that stops evaluation is reported
+    # as G_CYCLE without building the graph again.
+    @pytest.mark.parametrize(
+        "command, sheet",
+        [("check", RUNNING), ("graph", RUNNING), ("check", CYCLIC), ("graph", CYCLIC)],
+        ids=["check", "graph", "check-cyclic", "graph-cyclic"],
+    )
+    def test_each_structure_built_once(self, command, sheet):
         profile = cProfile.Profile()
         with contextlib.redirect_stdout(io.StringIO()):
-            profile.runcall(main, [command, RUNNING])
+            profile.runcall(main, [command, sheet])
         # Counted per code object, as pstats merges functions that
         # share a file, line and name.
         calls = Counter()
@@ -247,10 +255,13 @@ class TestDeterminism:
 
 class TestEntryPoints:
     def test_module_invocation(self, capsys):
+        # The child finds the package from the source tree, as this
+        # process does through pytest's pythonpath setting.
         proc = subprocess.run(
             [sys.executable, "-m", "sheetlint.cli", "check", QUARTERLY],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(HERE.parent / "src")},
         )
         assert proc.returncode == 1
         assert main(["check", QUARTERLY]) == 1

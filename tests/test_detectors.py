@@ -1,14 +1,17 @@
 """Detector tests: one class per code, plus the combined stable listing."""
 
+import pathlib
 import random
 
 import pytest
 
 from sheetlint.areas import LogicalArea, PhysicalArea, infer_physical_areas
+from sheetlint.dataflow import CyclicDependency
 from sheetlint.detectors import (
     Code,
     Diagnostic,
     Severity,
+    _sort_key,
     detect_all,
     detect_area_mixup,
     detect_blank_ref,
@@ -26,6 +29,8 @@ QUARTERLY = (
     'B7 = "2. Quarter"\nB8 = #180\nB9 = #230\nB10 = #100\n'
     "B12 = =SUM(B2:B10)\n"
 )
+
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
 ONE_COLUMN_SUBTOTALS = (
     "H3 = #500\nH4 = #1000\nH5 = #900\nH6 = =SUM(H3:H5)\n"
@@ -323,6 +328,38 @@ class TestDetectAll:
         ]
         assert all(d.severity is Severity.WARNING for d in diags)
 
+    @staticmethod
+    def running_totals(rows):
+        # Running totals with one fault per code planted: a label in the
+        # ranges (D2), a total typed over (D5), a lost '$' (D6) and a
+        # division by an empty cell (D1, G_DIV_ZERO); D3 and D4 fire on
+        # the idiom itself.
+        lines = [f"A{r} = #{r}" for r in range(2, rows + 2)]
+        lines += [f"B{r} = =SUM(A$2:A{r})" for r in range(2, rows + 2)]
+        lines[5] = 'A7 = "note"'
+        lines[rows + 28] = "B30 = #5"
+        lines[rows + 38] = "B40 = =SUM(A2:A40)"
+        lines.append("C2 = =A2/D2")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in FIXTURES.glob("*.sheet")) + ["running60"]
+    )
+    def test_listing_is_sorted(self, name):
+        # detect_all concatenates the detectors' sorted lists in code
+        # order instead of sorting the whole listing again.
+        if name == "running60":
+            prog = load_program(self.running_totals(60))
+        else:
+            prog = load_program((FIXTURES / name).read_text())
+        try:
+            result = eval_instance(instantiate(prog))
+        except CyclicDependency as err:
+            result = err
+        for given in (None, result):
+            diags = detect_all(prog, given)
+            assert diags == sorted(diags, key=_sort_key)
+
     def test_codes_sort_before_cells(self):
         prog = load_program(
             'Z1 = "x"\nA2 = =D9+1\nB1 = #1\nB2 = #2\n'
@@ -362,9 +399,12 @@ class TestAreaMixupPairs:
 
     @staticmethod
     def random_rect(rng):
+        # A '$' on each axis of each corner at random: an area is
+        # spelled with its markers, the shared rectangle without.
         c1, c2 = sorted(rng.randint(1, 5) for _ in range(2))
         r1, r2 = sorted(rng.randint(1, 14) for _ in range(2))
-        return RangeRef(CellRef(c1, r1), CellRef(c2, r2))
+        marks = [rng.random() < 0.5 for _ in range(4)]
+        return RangeRef(CellRef(c1, r1, *marks[:2]), CellRef(c2, r2, *marks[2:]))
 
     @classmethod
     def random_areas(cls, rng, count):

@@ -57,12 +57,19 @@ class TestColumns:
         assert column_number("aa") == 27
 
     def test_round_trip(self):
-        for col in range(1, 2000):
-            assert column_number(column_letters(col)) == col
+        # Every column of one to three letters (ZZZ is 18278), twice, so
+        # the second pass reads the memoized spellings.
+        for _ in range(2):
+            for col in range(1, 18279):
+                assert column_number(column_letters(col)) == col
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            column_letters(0)
+        # Errors are not memoized: a bad column raises every time, also
+        # once good columns are cached.
+        assert column_letters(1) == "A"
+        for col in (0, 0, -1):
+            with pytest.raises(ValueError):
+                column_letters(col)
         with pytest.raises(ValueError):
             column_number("A1")
 
