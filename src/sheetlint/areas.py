@@ -16,7 +16,6 @@ one structural group.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .model import Formula, SpreadsheetProgram, content_kind
 from .scl import (
@@ -31,16 +30,17 @@ from .scl import (
     normalize,
     row_major,
     skeleton,
+    value_type,
 )
 
 # Tie order when range content is evenly mixed: data kinds first.
 _KIND_PRIORITY = ("constant", "input", "formula", "label")
 
 
-@dataclass(frozen=True)
-class PhysicalArea:
+class PhysicalArea(value_type("PhysicalArea", "rect consumer function majority_type")):
     """One range argument: the rectangle, who reads it, and with what."""
 
+    __slots__ = ()
     rect: RangeRef
     consumer: CellAddress
     function: str
@@ -50,10 +50,10 @@ class PhysicalArea:
         return f"{self.function} {self.rect} -> {self.consumer}"
 
 
-@dataclass(frozen=True)
-class LogicalArea:
+class LogicalArea(value_type("LogicalArea", "members key hull")):
     """Copy-equivalent formula cells and their bounding rectangle."""
 
+    __slots__ = ()
     members: tuple[CellAddress, ...]
     key: FormulaNode
     hull: RangeRef
@@ -62,10 +62,10 @@ class LogicalArea:
         return f"{len(self.members)} copies in {self.hull}"
 
 
-@dataclass(frozen=True)
-class StructuralGroup:
+class StructuralGroup(value_type("StructuralGroup", "members key")):
     """Formula cells sharing a tree shape."""
 
+    __slots__ = ()
     members: tuple[CellAddress, ...]
     key: Skeleton
 

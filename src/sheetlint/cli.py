@@ -71,7 +71,11 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as err:
+            # One read decodes the whole file, so the offset is the file's.
+            raise SheetLintError(f"{path}: not UTF-8 text (byte {err.start})") from None
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -19,7 +19,6 @@ each flagged spot is where a representative error hides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .areas import (
@@ -47,6 +46,7 @@ from .scl import (
     column_letters,
     normalize,
     row_major,
+    value_type,
 )
 
 
@@ -66,19 +66,19 @@ class Severity(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(value_type("Diagnostic", "code severity cells message area", (None,))):
     """One finding: a code, the cells it is about, and a message.
 
     ``area`` carries the physical or logical area the finding arose
     from, when there is one.
     """
 
+    __slots__ = ()
     code: Code
     severity: Severity
     cells: tuple[CellAddress, ...]
     message: str
-    area: PhysicalArea | LogicalArea | None = None
+    area: PhysicalArea | LogicalArea | None
 
 
 def _sort_key(diag: Diagnostic):
@@ -337,23 +337,32 @@ def detect_constant_overwrite(
     return out
 
 
-def detect_copy_misreference(program: SpreadsheetProgram) -> list[Diagnostic]:
+def detect_copy_misreference(
+    program: SpreadsheetProgram, *, logical: list[LogicalArea] | None = None
+) -> list[Diagnostic]:
     """D6: a few copies deviate from the rest only in reference markers
     or literal values.
 
     Within a structural group of at least three, the strict majority
     sets the expected pattern; members that differ from it only in
-    absolute/relative markers or literals are flagged.
+    absolute/relative markers or literals are flagged.  ``logical`` is
+    the program's logical areas: a formula in one takes the area's
+    normalized tree as its own, and every other formula is normalized
+    here.
     """
+    keys = {addr: area.key for area in logical or () for addr in area.members}
     out: list[Diagnostic] = []
     for group in structural_groups(program):
         if len(group.members) < 3:
             continue
         partitions: dict[FormulaNode, list[CellAddress]] = {}
         for addr in group.members:
-            content = program.content(addr)
-            assert isinstance(content, Formula)
-            partitions.setdefault(normalize(content.ast, addr), []).append(addr)
+            key = keys.get(addr)
+            if key is None:
+                content = program.content(addr)
+                assert isinstance(content, Formula)
+                key = normalize(content.ast, addr)
+            partitions.setdefault(key, []).append(addr)
         if len(partitions) < 2:
             continue
         majority_key = max(partitions, key=lambda key: len(partitions[key]))
@@ -438,6 +447,8 @@ def detect_all(
     """
     if physical is None:
         physical = infer_physical_areas(program)
+    if logical is None:
+        logical = infer_logical_areas(program)
     # Each detector returns its findings sorted, and they are appended
     # in code order, so the whole list is sorted without a final sort.
     out: list[Diagnostic] = []
@@ -446,7 +457,7 @@ def detect_all(
     out.extend(detect_incorrect_range(program, physical=physical))
     out.extend(detect_area_mixup(program, physical=physical))
     out.extend(detect_constant_overwrite(program, logical=logical))
-    out.extend(detect_copy_misreference(program))
+    out.extend(detect_copy_misreference(program, logical=logical))
     if result is None:
         try:
             build_graph(program).topo_order()

@@ -30,7 +30,6 @@ root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
@@ -47,6 +46,7 @@ from .scl import (
     RangeArg,
     Reference,
     format_number,
+    value_type,
 )
 
 
@@ -61,23 +61,26 @@ class FaultKind(Enum):
     OVERFLOW = "overflow"
 
 
-@dataclass(frozen=True)
-class Number:
+class Number(value_type("Number", "value")):
+    __slots__ = ()
     value: float
 
 
-@dataclass(frozen=True)
-class Blank:
-    pass
+class Blank(value_type("Blank", "")):
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        # An empty tuple underneath, but a value like any other.
+        return True
 
 
-@dataclass(frozen=True)
-class Text:
+class Text(value_type("Text", "text")):
+    __slots__ = ()
     text: str
 
 
-@dataclass(frozen=True)
-class Fault:
+class Fault(value_type("Fault", "kind")):
+    __slots__ = ()
     kind: FaultKind
 
 
@@ -93,23 +96,23 @@ class NoteKind(Enum):
     TYPE_ERROR = "type_error"
 
 
-@dataclass(frozen=True)
-class RuntimeNote:
+class RuntimeNote(value_type("RuntimeNote", "kind cell subject", (None,))):
     """One noteworthy event during evaluation.
 
     ``cell`` is the formula where it surfaced; ``subject`` is the
     referenced cell that triggered it, when one did.
     """
 
+    __slots__ = ()
     kind: NoteKind
     cell: CellAddress
-    subject: CellAddress | None = None
+    subject: CellAddress | None
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(value_type("EvalResult", "values notes")):
     """Values for every non-empty cell plus notes in evaluation order."""
 
+    __slots__ = ()
     values: Mapping[CellAddress, Value]
     notes: tuple[RuntimeNote, ...]
 
@@ -126,16 +129,17 @@ class EmptyAggregate(SheetLintError):
     """A grouping function over no numeric operands at all."""
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(value_type("Interval", "lo hi")):
     """A closed interval of reals; both endpoints belong to it."""
 
+    __slots__ = ()
     lo: float
     hi: float
 
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"not an interval: lo={self.lo!r}, hi={self.hi!r}")
+    def __new__(cls, lo: float, hi: float) -> "Interval":
+        if not lo <= hi:
+            raise ValueError(f"not an interval: lo={lo!r}, hi={hi!r}")
+        return tuple.__new__(cls, (lo, hi))
 
     @classmethod
     def degenerate(cls, value: float) -> "Interval":

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
@@ -53,7 +52,7 @@ from .model import (
     _NUMBER_RE,
     strip_comment,
 )
-from .scl import CellAddress, MalformedAddress, parse_address, row_major
+from .scl import CellAddress, MalformedAddress, parse_address, row_major, value_type
 
 
 class IntervalSpecError(SheetLintError):
@@ -72,10 +71,10 @@ class NotAFormulaCell(SheetLintError):
         self.address = address
 
 
-@dataclass(frozen=True)
-class IntervalSpec:
+class IntervalSpec(value_type("IntervalSpec", "input_ranges expected")):
     """Input ranges and expectations for one program."""
 
+    __slots__ = ()
     input_ranges: Mapping[CellAddress, Interval]
     expected: Mapping[CellAddress, Interval]
 
@@ -148,10 +147,10 @@ def judge(d: Value, expected: Interval, bounding: IntervalValue) -> Verdict:
     return Verdict.SYMPTOM_BOTH
 
 
-@dataclass(frozen=True)
-class CellTest:
+class CellTest(value_type("CellTest", "cell value bounding expected verdict suspects")):
     """Outcome for one formula cell."""
 
+    __slots__ = ()
     cell: CellAddress
     value: Value
     bounding: IntervalValue
@@ -164,10 +163,10 @@ class CellTest:
         return self.verdict in SYMPTOMS
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(value_type("TestReport", "rows")):
     """One row per formula cell, in row-major order."""
 
+    __slots__ = ()
     rows: tuple[CellTest, ...]
 
     def any_symptom(self) -> bool:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
@@ -33,6 +32,7 @@ from .scl import (
     parse_formula,
     render,
     row_major,
+    value_type,
 )
 
 
@@ -72,23 +72,23 @@ class NotAnInputCell(SheetLintError):
         self.address = address
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(value_type("Constant", "value")):
+    __slots__ = ()
     value: float
 
 
-@dataclass(frozen=True)
-class Input:
+class Input(value_type("Input", "default")):
+    __slots__ = ()
     default: float
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(value_type("Formula", "ast")):
+    __slots__ = ()
     ast: FormulaNode
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(value_type("Label", "text")):
+    __slots__ = ()
     text: str
 
 

@@ -21,7 +21,6 @@ import functools
 import math
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from .errors import SheetLintError
@@ -65,6 +64,47 @@ GROUPING_FUNCTIONS = ("SUM", "AVG", "MIN", "MAX", "COUNT")
 
 
 # ---------------------------------------------------------------------------
+# Value types
+
+
+# Another tuple gets a definite answer: handed NotImplemented, it would
+# compare field by field itself.
+def _same_type_eq(self, other):
+    if type(other) is type(self):
+        return tuple.__eq__(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _same_type_ne(self, other):
+    if type(other) is type(self):
+        return tuple.__ne__(self, other)
+    return True if isinstance(other, tuple) else NotImplemented
+
+
+def _make(cls, iterable):
+    return cls(*iterable)
+
+
+def value_type(typename: str, field_names: str, defaults: tuple = ()) -> type:
+    """The base of an immutable value type: a named tuple compared by type.
+
+    Fields are read by name and hashing is tuple hashing, in C, so the
+    hash of a value is the hash of the tuple of its fields.  Equality
+    holds only between values of one type: ``Constant(3.0)`` and
+    ``Input(3.0)`` are both ``(3.0,)`` underneath but differ.
+    ``_make`` and ``_replace`` build through the subclass, so the checks
+    in its ``__new__`` still apply.  Each subclass declares
+    ``__slots__ = ()`` to stay free of an instance dict.
+    """
+    base = namedtuple(typename, field_names, defaults=defaults)
+    base.__eq__ = _same_type_eq
+    base.__ne__ = _same_type_ne
+    base.__hash__ = tuple.__hash__
+    base._make = classmethod(_make)
+    return base
+
+
+# ---------------------------------------------------------------------------
 # Addresses and references
 
 
@@ -100,6 +140,8 @@ class CellAddress(namedtuple("CellAddress", "col row")):
 
     A tuple underneath, so the hashing and equality behind every
     address-keyed map run in C.  The hash is ``hash((col, row))``.
+    Unlike the value types below, an address also equals the plain
+    ``(col, row)`` tuple.
     """
 
     __slots__ = ()
@@ -107,7 +149,7 @@ class CellAddress(namedtuple("CellAddress", "col row")):
     def __new__(cls, col: int, row: int) -> "CellAddress":
         if col < 1 or row < 1:
             raise ValueError(f"cell coordinates start at 1, got ({col}, {row})")
-        return super().__new__(cls, col, row)
+        return tuple.__new__(cls, (col, row))
 
     def __str__(self) -> str:
         return column_letters(self.col) + str(self.row)
@@ -137,22 +179,25 @@ def parse_address(text: str) -> CellAddress:
     return CellAddress(col, row)
 
 
-@dataclass(frozen=True)
-class CellRef:
+class CellRef(value_type("CellRef", "col row col_absolute row_absolute", (False, False))):
     """A reference as written in a formula.
 
     Each axis is independently relative or absolute; a '$' before the
     letters pins the column, one before the digits pins the row.
     """
 
+    __slots__ = ()
     col: int
     row: int
-    col_absolute: bool = False
-    row_absolute: bool = False
+    col_absolute: bool
+    row_absolute: bool
 
-    def __post_init__(self):
-        if self.col < 1 or self.row < 1:
-            raise ValueError(f"cell coordinates start at 1, got ({self.col}, {self.row})")
+    def __new__(
+        cls, col: int, row: int, col_absolute: bool = False, row_absolute: bool = False
+    ) -> "CellRef":
+        if col < 1 or row < 1:
+            raise ValueError(f"cell coordinates start at 1, got ({col}, {row})")
+        return tuple.__new__(cls, (col, row, col_absolute, row_absolute))
 
     def address(self) -> CellAddress:
         return CellAddress(self.col, self.row)
@@ -166,16 +211,17 @@ class CellRef:
         )
 
 
-@dataclass(frozen=True)
-class RangeRef:
+class RangeRef(value_type("RangeRef", "start end")):
     """A rectangle of cells, normalized so start is top-left."""
 
+    __slots__ = ()
     start: CellRef
     end: CellRef
 
-    def __post_init__(self):
-        if self.start.col > self.end.col or self.start.row > self.end.row:
-            raise ValueError(f"range corners out of order: {self.start}:{self.end}")
+    def __new__(cls, start: CellRef, end: CellRef) -> "RangeRef":
+        if start.col > end.col or start.row > end.row:
+            raise ValueError(f"range corners out of order: {start}:{end}")
+        return tuple.__new__(cls, (start, end))
 
     @classmethod
     def normalized(cls, a: CellRef, b: CellRef) -> "RangeRef":
@@ -224,8 +270,7 @@ class RangeRef:
         return f"{self.start}:{self.end}"
 
 
-@dataclass(frozen=True)
-class NormRef:
+class NormRef(value_type("NormRef", "col row col_absolute row_absolute", (False, False))):
     """A reference rewritten relative to its host cell.
 
     A relative axis holds the signed offset from the host; an absolute
@@ -234,10 +279,11 @@ class NormRef:
     under this rewriting.
     """
 
+    __slots__ = ()
     col: int
     row: int
-    col_absolute: bool = False
-    row_absolute: bool = False
+    col_absolute: bool
+    row_absolute: bool
 
     def __str__(self) -> str:
         c = f"${column_letters(self.col)}" if self.col_absolute else f"[{self.col:+d}]"
@@ -245,8 +291,8 @@ class NormRef:
         return c + r
 
 
-@dataclass(frozen=True)
-class NormRange:
+class NormRange(value_type("NormRange", "start end")):
+    __slots__ = ()
     start: NormRef
     end: NormRef
 
@@ -258,35 +304,35 @@ class NormRange:
 # Formula trees
 
 
-@dataclass(frozen=True)
-class NumberLiteral:
+class NumberLiteral(value_type("NumberLiteral", "value")):
+    __slots__ = ()
     value: float
 
 
-@dataclass(frozen=True)
-class Reference:
+class Reference(value_type("Reference", "ref")):
+    __slots__ = ()
     ref: Union[CellRef, NormRef]
 
 
-@dataclass(frozen=True)
-class RangeArg:
+class RangeArg(value_type("RangeArg", "rng")):
+    __slots__ = ()
     rng: Union[RangeRef, NormRange]
 
 
-@dataclass(frozen=True)
-class Negate:
+class Negate(value_type("Negate", "child")):
+    __slots__ = ()
     child: "FormulaNode"
 
 
-@dataclass(frozen=True)
-class BinaryOp:
+class BinaryOp(value_type("BinaryOp", "op left right")):
+    __slots__ = ()
     op: str
     left: "FormulaNode"
     right: "FormulaNode"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(value_type("Call", "name args")):
+    __slots__ = ()
     name: str
     args: tuple["FormulaNode", ...]
 
@@ -313,8 +359,8 @@ def iter_nodes(node: FormulaNode) -> Iterator[FormulaNode]:
 # Lexer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(value_type("_Token", "kind text pos")):
+    __slots__ = ()
     kind: str
     text: str
     pos: int

@@ -17,6 +17,8 @@ import pytest
 from sheetlint.areas import infer_logical_areas, infer_physical_areas
 from sheetlint.cli import main
 from sheetlint.dataflow import DependencyGraph
+from sheetlint.model import load_program
+from sheetlint.scl import normalize
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE.parent / "fixtures"
@@ -70,6 +72,35 @@ class TestExitCodes:
         bad.write_text("expect B12 in [1, 0]\n")
         assert main(["test", QUARTERLY, str(bad)]) == 2
         assert capsys.readouterr().err.startswith("sheetlint: error:")
+
+
+class TestNotUtf8:
+    # Byte 0xe9 is "é" in Latin-1 and starts no valid UTF-8 sequence here.
+    @pytest.mark.parametrize("command", ["check", "graph", "areas", "test"])
+    def test_sheet(self, command, tmp_path, capsys):
+        data = b'A1 = ?1\nA2 = "caf\xe9"\nA3 = =A1*2\n'
+        sheet = tmp_path / "latin1.sheet"
+        sheet.write_bytes(data)
+        spec = tmp_path / "ok.intervals"
+        spec.write_text("input A1 in [0, 2]\n")
+        argv = [command, str(sheet)] + ([str(spec)] if command == "test" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        offset = data.index(b"\xe9")
+        assert captured.err == f"sheetlint: error: {sheet}: not UTF-8 text (byte {offset})\n"
+
+    def test_intervals(self, tmp_path, capsys):
+        sheet = tmp_path / "ok.sheet"
+        sheet.write_text("A1 = ?1\nA2 = =A1*2\n")
+        data = b"input A1 in [0, 2]\n; caf\xe9\nexpect A2 in [0, 4]\n"
+        spec = tmp_path / "latin1.intervals"
+        spec.write_bytes(data)
+        assert main(["test", str(sheet), str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        offset = data.index(b"\xe9")
+        assert captured.err == f"sheetlint: error: {spec}: not UTF-8 text (byte {offset})\n"
 
 
 class TestNonFiniteNumbers:
@@ -152,6 +183,26 @@ class TestDeepFormulas:
         assert captured.out == ""
         assert captured.err == "sheetlint: error: formula nested too deeply to analyse\n"
 
+    # A 500-term chain is within reach: its trees hash in C.
+    @pytest.mark.parametrize(
+        "command, code", [("check", 1), ("graph", 0), ("areas", 0), ("test", 0)]
+    )
+    def test_five_hundred_terms_analyse(self, command, code, tmp_path, capsys):
+        sheet = tmp_path / "deep.sheet"
+        sheet.write_text("A1 = ?1\nB1 = =" + "+".join(["A1"] * 500) + "\n")
+        spec = tmp_path / "deep.intervals"
+        spec.write_text("input A1 in [0, 2]\n")
+        argv = [command, str(sheet)] + ([str(spec)] if command == "test" else [])
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == "check":
+            assert captured.out.splitlines()[1:] == [
+                "B1: warning D4_AREA_MIXUP: B1 adds 500 cells of column A one at a "
+                "time; a grouping call such as SUM(A1:A1) would name the area outright",
+                "1 warning(s), 0 error(s)",
+            ]
+
 
 class TestBuildOnce:
     """check and graph build each derived structure once per run."""
@@ -181,6 +232,9 @@ class TestBuildOnce:
             calls[entry.code] += entry.callcount
         counts = {name: calls[fn.__code__] for name, fn in self.BUILDERS.items()}
         assert counts == dict.fromkeys(self.BUILDERS, 1)
+        # D6 takes the normalized trees logical-area inference made.
+        formulas = sum(1 for _ in load_program(pathlib.Path(sheet).read_text()).formula_cells())
+        assert calls[normalize.__code__] == formulas
 
 
 class TestJsonFormat:
