@@ -7,6 +7,7 @@ from sheetlint.scl import (
     Call,
     CellAddress,
     CellRef,
+    FormulaError,
     FormulaSyntaxError,
     MalformedAddress,
     Negate,
@@ -220,6 +221,59 @@ class TestParsing:
         for text in ["", "A1+", "SUM(A1:A2", "SUM(,A1)", "A1 B2", "SUM(A1:2)"]:
             with pytest.raises(FormulaSyntaxError):
                 parse_formula(text)
+
+
+class TestParseErrors:
+    """Every raise site of the parser: class, full message, and offset."""
+
+    CASES = [
+        ("A1+%", FormulaSyntaxError, "unexpected character '%'", 3),
+        ("(A1+B1", FormulaSyntaxError, "expected ')', found 'end'", 6),
+        ("(A1 B1)", FormulaSyntaxError, "expected ')', found 'B1'", 4),
+        ("(A1,B1)", FormulaSyntaxError, "expected ')', found ','", 3),
+        ("SUM(A1,B1", FormulaSyntaxError, "expected ')', found 'end'", 9),
+        ("SUM(A1 B1)", FormulaSyntaxError, "expected ')', found 'B1'", 7),
+        ("SUM(A1:A2+1)", FormulaSyntaxError, "expected ')', found '+'", 9),
+        ("SUM(1:A2)", FormulaSyntaxError, "expected ')', found ':'", 5),
+        ("SUM(A1:A2:A3)", FormulaSyntaxError, "expected ')', found ':'", 9),
+        ("A1 B1", FormulaSyntaxError, "unexpected 'B1' after expression", 3),
+        ("A1)", FormulaSyntaxError, "unexpected ')' after expression", 2),
+        ("A1,B1", FormulaSyntaxError, "unexpected ',' after expression", 2),
+        ("(1):A1", FormulaSyntaxError, "unexpected ':' after expression", 3),
+        ("", FormulaSyntaxError, "expected a value, found 'end'", 0),
+        ("A1+", FormulaSyntaxError, "expected a value, found 'end'", 3),
+        ("--A1+", FormulaSyntaxError, "expected a value, found 'end'", 5),
+        ("SUM()", FormulaSyntaxError, "expected a value, found ')'", 4),
+        ("SUM(,A1)", FormulaSyntaxError, "expected a value, found ','", 4),
+        ("SUM(A1:2)", FormulaSyntaxError, "expected a cell after ':', found '2'", 7),
+        ("SUM(A1:)", FormulaSyntaxError, "expected a cell after ':', found ')'", 7),
+        ("SUM A1", FormulaSyntaxError, "expected '(', found 'A1'", 4),
+        ("SUM", FormulaSyntaxError, "expected '(', found 'end'", 3),
+        ("A0+1", FormulaSyntaxError, "row numbers start at 1: 'A0'", 0),
+        ("SUM(A0:A2)", FormulaSyntaxError, "row numbers start at 1: 'A0'", 4),
+        ("SUM(A1:A0)", FormulaSyntaxError, "row numbers start at 1: 'A0'", 7),
+        ("A1*1e400", FormulaSyntaxError, "number out of range: '1e400'", 3),
+        ("MEDIAN(A1:A9)", UnknownFunction, "unknown function 'MEDIAN'", 0),
+        ("x(A1)", UnknownFunction, "unknown function 'x'", 0),
+        ("A1:A9", RangeOutsideCall, "ranges are only allowed as direct call arguments", 2),
+        ("A0:A1", RangeOutsideCall, "ranges are only allowed as direct call arguments", 2),
+        ("SUM((A1:A9))", RangeOutsideCall, "ranges are only allowed as direct call arguments", 7),
+        ("SUM(-A1:A2)", RangeOutsideCall, "ranges are only allowed as direct call arguments", 7),
+    ]
+
+    @pytest.mark.parametrize("text, cls, message, position", CASES)
+    def test_raise_site(self, text, cls, message, position):
+        with pytest.raises(FormulaError) as info:
+            parse_formula(text)
+        assert type(info.value) is cls
+        assert str(info.value) == f"{message} (at offset {position})"
+        assert info.value.position == position
+
+    def test_no_reference_has_no_offset(self):
+        with pytest.raises(NoReference) as info:
+            parse_formula("1+2*SUM(3)")
+        assert str(info.value) == "formula references no cell"
+        assert info.value.position is None
 
 
 class TestNumberRange:
