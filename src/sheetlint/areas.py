@@ -22,12 +22,12 @@ from .scl import (
     Call,
     CellAddress,
     CellRef,
-    FormulaNode,
+    CopyKey,
     RangeArg,
     RangeRef,
     Skeleton,
+    copy_key,
     iter_nodes,
-    normalize,
     row_major,
     skeleton,
     value_type,
@@ -51,11 +51,11 @@ class PhysicalArea(value_type("PhysicalArea", "rect consumer function majority_t
 
 
 class LogicalArea(value_type("LogicalArea", "members key hull")):
-    """Copy-equivalent formula cells and their bounding rectangle."""
+    """Copy-equivalent formula cells, their copy key, and their hull."""
 
     __slots__ = ()
     members: tuple[CellAddress, ...]
-    key: FormulaNode
+    key: CopyKey
     hull: RangeRef
 
     def __str__(self) -> str:
@@ -89,26 +89,20 @@ def infer_physical_areas(program: SpreadsheetProgram) -> list[PhysicalArea]:
     """
     out: list[PhysicalArea] = []
     for addr, cell in program.formula_cells():
-        for node in _walk_calls(cell.ast):
+        for node in iter_nodes(cell.ast):
+            if type(node) is not Call:
+                continue
             for arg in node.args:
-                if isinstance(arg, RangeArg):
-                    rect = arg.rng
-                    assert isinstance(rect, RangeRef)
+                if type(arg) is RangeArg:
                     out.append(
                         PhysicalArea(
-                            rect=rect,
+                            rect=arg.rng,
                             consumer=addr,
                             function=node.name,
-                            majority_type=_majority_type(program, rect),
+                            majority_type=_majority_type(program, arg.rng),
                         )
                     )
     return out
-
-
-def _walk_calls(node: FormulaNode):
-    for n in iter_nodes(node):
-        if isinstance(n, Call):
-            yield n
 
 
 def _hull(members: list[CellAddress]) -> RangeRef:
@@ -124,9 +118,9 @@ def infer_logical_areas(program: SpreadsheetProgram) -> list[LogicalArea]:
     Members need not be adjacent; the hull is the bounding rectangle.
     Each formula cell belongs to at most one area.
     """
-    groups: dict[FormulaNode, list[CellAddress]] = {}
+    groups: dict[CopyKey, list[CellAddress]] = {}
     for addr, cell in program.formula_cells():
-        groups.setdefault(normalize(cell.ast, addr), []).append(addr)
+        groups.setdefault(copy_key(cell.ast, addr), []).append(addr)
     areas = [
         LogicalArea(members=tuple(members), key=key, hull=_hull(members))
         for key, members in groups.items()

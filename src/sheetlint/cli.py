@@ -167,10 +167,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"sheetlint: error: {err}", file=sys.stderr)
         return 2
-    except RecursionError:
-        # The formula walkers recurse once per nesting level.
-        print("sheetlint: error: formula nested too deeply to analyse", file=sys.stderr)
-        return 2
 
 
 def run() -> None:

@@ -63,32 +63,9 @@ class DependencyGraph:
             for target in sorted(self._dependents[source], key=row_major):
                 yield source, target
 
-    def precedents(self, addr: CellAddress, transitive: bool = False) -> set[CellAddress]:
-        """Cells an address reads, directly or through any chain."""
-        return self._reach(self._precedents, addr, transitive)
-
-    def dependents(self, addr: CellAddress, transitive: bool = False) -> set[CellAddress]:
-        """Cells that read an address, directly or through any chain."""
-        return self._reach(self._dependents, addr, transitive)
-
-    @staticmethod
-    def _reach(
-        relation: dict[CellAddress, set[CellAddress]],
-        addr: CellAddress,
-        transitive: bool,
-    ) -> set[CellAddress]:
-        direct = relation.get(addr, set())
-        if not transitive:
-            return set(direct)
-        seen: set[CellAddress] = set()
-        frontier = list(direct)
-        while frontier:
-            cell = frontier.pop()
-            if cell in seen:
-                continue
-            seen.add(cell)
-            frontier.extend(relation.get(cell, ()))
-        return seen
+    def precedents(self, addr: CellAddress) -> set[CellAddress]:
+        """Cells an address reads directly."""
+        return set(self._precedents.get(addr, ()))
 
     def topo_order(self) -> list[CellAddress]:
         """Every node, precedents before dependents.

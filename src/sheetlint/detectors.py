@@ -35,16 +35,14 @@ from .scl import (
     BinaryOp,
     CellAddress,
     CellRef,
+    CopyKey,
     FormulaNode,
-    NormRange,
     NormRef,
-    NumberLiteral,
-    Negate,
     RangeArg,
     Reference,
-    Call,
     column_letters,
-    normalize,
+    copy_key,
+    iter_nodes,
     row_major,
     value_type,
 )
@@ -285,16 +283,15 @@ def _overlapping_pairs(areas: list[PhysicalArea]) -> list[tuple[int, int, str]]:
 
 
 def _plus_chain(node: FormulaNode) -> list[CellRef] | None:
-    """The references of a pure '+' tree, or None for anything else."""
-    if isinstance(node, BinaryOp) and node.op == "+":
-        left = _plus_chain(node.left)
-        right = _plus_chain(node.right)
-        if left is None or right is None:
+    """The references of a pure '+' tree, left to right, or None for
+    anything else."""
+    refs: list[CellRef] = []
+    for n in iter_nodes(node):
+        if type(n) is Reference and type(n.ref) is CellRef:
+            refs.append(n.ref)
+        elif type(n) is not BinaryOp or n.op != "+":
             return None
-        return left + right
-    if isinstance(node, Reference) and isinstance(node.ref, CellRef):
-        return [node.ref]
-    return None
+    return refs
 
 
 def detect_constant_overwrite(
@@ -346,22 +343,21 @@ def detect_copy_misreference(
     Within a structural group of at least three, the strict majority
     sets the expected pattern; members that differ from it only in
     absolute/relative markers or literals are flagged.  ``logical`` is
-    the program's logical areas: a formula in one takes the area's
-    normalized tree as its own, and every other formula is normalized
-    here.
+    the program's logical areas: a formula in one takes the area's copy
+    key as its own, and every other formula's key is made here.
     """
     keys = {addr: area.key for area in logical or () for addr in area.members}
     out: list[Diagnostic] = []
     for group in structural_groups(program):
         if len(group.members) < 3:
             continue
-        partitions: dict[FormulaNode, list[CellAddress]] = {}
+        partitions: dict[CopyKey, list[CellAddress]] = {}
         for addr in group.members:
             key = keys.get(addr)
             if key is None:
                 content = program.content(addr)
                 assert isinstance(content, Formula)
-                key = normalize(content.ast, addr)
+                key = copy_key(content.ast, addr)
             partitions.setdefault(key, []).append(addr)
         if len(partitions) < 2:
             continue
@@ -388,35 +384,22 @@ def detect_copy_misreference(
     return out
 
 
-def _marker_or_literal_diff(a: FormulaNode, b: FormulaNode) -> bool:
-    """True when two normalized trees differ at most in absolute or
-    relative markers and in literal values."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, NumberLiteral):
-        return True
-    if isinstance(a, Reference):
-        return _ref_compatible(a.ref, b.ref)
-    if isinstance(a, RangeArg):
-        assert isinstance(a.rng, NormRange) and isinstance(b.rng, NormRange)
-        return _ref_compatible(a.rng.start, b.rng.start) and _ref_compatible(
-            a.rng.end, b.rng.end
-        )
-    if isinstance(a, Negate):
-        return _marker_or_literal_diff(a.child, b.child)
-    if isinstance(a, BinaryOp):
-        return (
-            a.op == b.op
-            and _marker_or_literal_diff(a.left, b.left)
-            and _marker_or_literal_diff(a.right, b.right)
-        )
-    if isinstance(a, Call):
-        return (
-            a.name == b.name
-            and len(a.args) == len(b.args)
-            and all(_marker_or_literal_diff(x, y) for x, y in zip(a.args, b.args))
-        )
-    return False
+def _marker_or_literal_diff(a: CopyKey, b: CopyKey) -> bool:
+    """True when the copy keys of two formulas of one shape differ at
+    most in absolute or relative markers and in literal values."""
+    # One skeleton: the keys align item by item, and inner nodes agree.
+    for x, y in zip(a, b):
+        kind = type(x)
+        if kind is Reference:
+            if not _ref_compatible(x.ref, y.ref):
+                return False
+        elif kind is RangeArg:
+            if not (
+                _ref_compatible(x.rng.start, y.rng.start)
+                and _ref_compatible(x.rng.end, y.rng.end)
+            ):
+                return False
+    return True
 
 
 def _ref_compatible(x: NormRef, y: NormRef) -> bool:

@@ -22,6 +22,12 @@ operand yields Fault(PROPAGATED).  A result with an endpoint beyond
 the floats' range yields Fault(OVERFLOW); the loaders reject
 non-finite numbers, so no operation ever sees infinity or NaN.
 
+Notes come cell by cell in evaluation order, and within one formula in
+post-order of the node that raises them: a note an operator or call
+raises about its operands follows every note raised inside them.  For
+=SUM(A1, B1+1) over empty cells, BLANK_IN_ARITHMETIC for B1 comes
+before SKIPPED_NON_NUMERIC for A1.
+
 A formula therefore never evaluates to Blank or Text.  A bare reference
 as the whole formula body goes through the same scalar coercion at the
 root.
@@ -45,6 +51,7 @@ from .scl import (
     NumberLiteral,
     RangeArg,
     Reference,
+    fold,
     format_number,
     value_type,
 )
@@ -243,53 +250,56 @@ def _operand(
 
 
 def _walk(
-    node: FormulaNode, host: CellAddress, held: _Cells, notes: list[RuntimeNote]
+    ast: FormulaNode, host: CellAddress, held: _Cells, notes: list[RuntimeNote]
 ) -> _Held:
-    if isinstance(node, NumberLiteral):
-        return Interval.degenerate(node.value)
-    if isinstance(node, Reference):
-        return held.get(node.ref.address(), BLANK)
-    if isinstance(node, Negate):
-        operand = _operand(_walk(node.child, host, held, notes), node.child, host, notes)
-        if isinstance(operand, Fault):
-            return operand
-        return iv_negate(operand)
-    if isinstance(node, BinaryOp):
-        left_raw = _walk(node.left, host, held, notes)
-        right_raw = _walk(node.right, host, held, notes)
-        left = _operand(left_raw, node.left, host, notes)
-        if isinstance(left, Fault):
-            return left
-        right = _operand(right_raw, node.right, host, notes)
-        if isinstance(right, Fault):
-            return right
-        if node.op == "/" and right.lo <= 0.0 <= right.hi:
-            if right.lo < right.hi:
-                return Fault(FaultKind.DIVISOR_CONTAINS_ZERO)
-            notes.append(RuntimeNote(NoteKind.DIV_BY_ZERO, host, _subject(node.right)))
-            return Fault(FaultKind.DIV_BY_ZERO)
-        return _finite(iv_binop(node.op, left, right))
-    if isinstance(node, Call):
-        return _aggregate(node, host, held, notes)
-    raise TypeError(f"not evaluable: {node!r}")
+    """One formula's value.  A RangeArg leaf lists its covered cells
+    with what they hold, as (address, value) pairs."""
+
+    def step(node: FormulaNode, children: list):
+        kind = type(node)
+        if kind is Reference:
+            return held.get(node.ref.address(), BLANK)
+        if kind is NumberLiteral:
+            return Interval.degenerate(node.value)
+        if kind is RangeArg:
+            return [(addr, held.get(addr, BLANK)) for addr in node.rng.cells()]
+        if kind is BinaryOp:
+            left = _operand(children[0], node.left, host, notes)
+            if isinstance(left, Fault):
+                return left
+            right = _operand(children[1], node.right, host, notes)
+            if isinstance(right, Fault):
+                return right
+            if node.op == "/" and right.lo <= 0.0 <= right.hi:
+                if right.lo < right.hi:
+                    return Fault(FaultKind.DIVISOR_CONTAINS_ZERO)
+                subject = _subject(node.right)
+                notes.append(RuntimeNote(NoteKind.DIV_BY_ZERO, host, subject))
+                return Fault(FaultKind.DIV_BY_ZERO)
+            return _finite(iv_binop(node.op, left, right))
+        if kind is Negate:
+            operand = _operand(children[0], node.child, host, notes)
+            if isinstance(operand, Fault):
+                return operand
+            return iv_negate(operand)
+        if kind is Call:
+            return _aggregate(node, children, host, notes)
+        raise TypeError(f"not evaluable: {node!r}")
+
+    return fold(ast, step)
 
 
 def _aggregate(
-    node: Call, host: CellAddress, held: _Cells, notes: list[RuntimeNote]
+    node: Call, children: list, host: CellAddress, notes: list[RuntimeNote]
 ) -> IntervalValue:
     items: list[Interval] = []
     faulted = False
-    for arg in node.args:
-        if isinstance(arg, RangeArg):
-            subjects = list(arg.rng.cells())
-            raws = [held.get(addr, BLANK) for addr in subjects]
-        else:
-            subjects = [_subject(arg)]
-            raws = [_walk(arg, host, held, notes)]
-        for subject, raw in zip(subjects, raws):
-            if isinstance(raw, Interval):
-                items.append(raw)
-            elif isinstance(raw, Fault):
+    for arg, raw in zip(node.args, children):
+        pairs = raw if type(arg) is RangeArg else ((_subject(arg), raw),)
+        for subject, value in pairs:
+            if isinstance(value, Interval):
+                items.append(value)
+            elif isinstance(value, Fault):
                 faulted = True
             else:
                 notes.append(RuntimeNote(NoteKind.SKIPPED_NON_NUMERIC, host, subject))
@@ -315,7 +325,7 @@ def evaluate(
     Constants are degenerate intervals, inputs take their range from
     ``ranges`` or else sit at their value in the instance, labels are
     Text, and formulas hold an Interval or a Fault.  Notes are appended
-    in evaluation order.
+    in evaluation order, as the module docstring sets out.
     """
     program = instance.program
     held: dict[CellAddress, _Held] = {}

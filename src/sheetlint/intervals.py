@@ -16,8 +16,7 @@ some expected values are unreachable.
 
 Interval arithmetic and the formula walker live in the evaluator, which
 computes d and B alike: d is the walker's result with every input range
-collapsed to a point, so B collapses to d by construction.  This module
-re-exports the interval arithmetic for callers that import it here.
+collapsed to a point, so B collapses to d by construction.
 """
 
 from __future__ import annotations
@@ -29,9 +28,7 @@ from typing import Mapping
 
 from .dataflow import build_graph
 from .errors import SheetLintError
-from .evaluator import (  # the interval arithmetic is re-exported from here
-    DivisorContainsZero,
-    EmptyAggregate,
+from .evaluator import (
     Fault,
     Interval,
     IntervalValue,
@@ -39,9 +36,6 @@ from .evaluator import (  # the interval arithmetic is re-exported from here
     Value,
     eval_in_order,
     evaluate,
-    iv_aggregate,
-    iv_binop,
-    iv_negate,
 )
 from .model import (
     Formula,

@@ -195,22 +195,12 @@ class SpreadsheetInstance:
             for addr, value in sorted(bindings.items(), key=lambda item: row_major(item[0]))
         }
 
-    @property
-    def bindings(self) -> Mapping[CellAddress, float]:
-        return MappingProxyType(self._bindings)
-
     def input_value(self, addr: CellAddress) -> float:
         """The effective value of an input cell."""
         content = self.program.content(addr)
         if not isinstance(content, Input):
             raise NotAnInputCell(addr)
         return self._bindings.get(addr, content.default)
-
-    def with_input(self, addr: CellAddress, value: float) -> "SpreadsheetInstance":
-        """A new instance with one input rebound; self is unchanged."""
-        updated = dict(self._bindings)
-        updated[addr] = value
-        return SpreadsheetInstance(self.program, updated)
 
     def _effective(self) -> dict[CellAddress, float]:
         return {addr: self.input_value(addr) for addr, _ in self.program.input_cells()}

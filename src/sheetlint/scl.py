@@ -21,6 +21,7 @@ import functools
 import math
 import re
 from collections import namedtuple
+from operator import attrgetter
 from typing import Callable, Iterator, Union
 
 from .errors import SheetLintError
@@ -256,16 +257,6 @@ class RangeRef(value_type("RangeRef", "start end")):
             for col in range(self.start.col, self.end.col + 1):
                 yield CellAddress(col, row)
 
-    def overlap(self, other: "RangeRef") -> "RangeRef | None":
-        """The shared rectangle of two ranges, or None when disjoint."""
-        c1 = max(self.start.col, other.start.col)
-        c2 = min(self.end.col, other.end.col)
-        r1 = max(self.start.row, other.start.row)
-        r2 = min(self.end.row, other.end.row)
-        if c1 > c2 or r1 > r2:
-            return None
-        return RangeRef(CellRef(c1, r1), CellRef(c2, r2))
-
     def __str__(self) -> str:
         return f"{self.start}:{self.end}"
 
@@ -304,6 +295,7 @@ class NormRange(value_type("NormRange", "start end")):
 # Formula trees
 
 
+
 class NumberLiteral(value_type("NumberLiteral", "value")):
     __slots__ = ()
     value: float
@@ -339,20 +331,99 @@ class Call(value_type("Call", "name args")):
 
 FormulaNode = Union[NumberLiteral, Reference, RangeArg, Negate, BinaryOp, Call]
 
+# A tree listed top-down, one item per node.  An inner node is a token
+# that fixes its arity: the operator, "neg", or (name, arity).  So a
+# key spells exactly one tree, and keys compare item by item.
 Skeleton = tuple
+CopyKey = tuple
+
+_LEAF_TOKENS = {NumberLiteral: "num", Reference: "ref", RangeArg: "range"}
+# Each inner node type's children as a tuple, read in C.
+_CHILDREN = {
+    BinaryOp: attrgetter("left", "right"),
+    Negate: tuple,  # the 1-tuple of its child
+    Call: attrgetter("args"),
+}
 
 
 def iter_nodes(node: FormulaNode) -> Iterator[FormulaNode]:
-    """Walk a tree top-down, children left to right."""
-    yield node
-    if isinstance(node, Negate):
-        yield from iter_nodes(node.child)
-    elif isinstance(node, BinaryOp):
-        yield from iter_nodes(node.left)
-        yield from iter_nodes(node.right)
-    elif isinstance(node, Call):
-        for arg in node.args:
-            yield from iter_nodes(arg)
+    """Walk a tree top-down, children left to right, at any depth."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = _CHILDREN.get(type(node))
+        if children:
+            stack.extend(reversed(children(node)))
+
+
+def fold(node: FormulaNode, fn: Callable[[FormulaNode, list], object]):
+    """Combine a tree bottom-up, at any depth.
+
+    ``fn(n, results)`` runs once per node, children before parents and
+    left to right; ``results`` holds what it returned for n's children
+    (empty for a leaf).  Returns the root's result.
+    """
+    children = _CHILDREN.get(type(node))
+    if children is None:
+        return fn(node, ())
+    # One frame per inner node on the path from the root: the node, an
+    # iterator over its children, and the results of those done so far.
+    frames = [(node, iter(children(node)), [])]
+    while True:
+        node, children, done = frames[-1]
+        for child in children:
+            grandchildren = _CHILDREN.get(type(child))
+            if grandchildren:
+                frames.append((child, iter(grandchildren(child)), []))
+                break
+            done.append(fn(child, ()))
+        else:
+            frames.pop()
+            result = fn(node, done)
+            if not frames:
+                return result
+            frames[-1][2].append(result)
+
+
+def _listing(node: FormulaNode, leaf: Callable | None = None) -> tuple:
+    """The tree top-down: inner nodes as tokens, each leaf as it is or
+    as ``leaf`` maps it."""
+    items = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is BinaryOp:
+            items.append(node.op)
+            stack += (node.right, node.left)
+        elif kind is Negate:
+            items.append("neg")
+            stack.append(node.child)
+        elif kind is Call:
+            items.append((node.name, len(node.args)))
+            stack += reversed(node.args)
+        else:
+            items.append(leaf(node) if leaf else node)
+    return tuple(items)
+
+
+# Equality of inner nodes compares flat listings, as tuple equality
+# would take one frame per level.  Hashing stays tuple hashing, in C.
+def _tree_eq(self, other):
+    if type(other) is type(self):
+        return self is other or _listing(self) == _listing(other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _tree_ne(self, other):
+    equal = _tree_eq(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
+for _inner in (Negate, BinaryOp, Call):
+    _inner.__eq__ = _tree_eq
+    _inner.__ne__ = _tree_ne
 
 
 # ---------------------------------------------------------------------------
@@ -398,121 +469,38 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Parser
 
+_BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+# Pending entries of the operator stack.  '(' ranks below every
+# operator, so reducing never passes it; open calls are lists.
+_STACKED_PRECEDENCE = {**_BINARY_PRECEDENCE, "neg": 3, "(": 0}
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
 
-    def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+def _cell_ref(tok: _Token) -> CellRef:
+    m = _REF_RE.match(tok.text)
+    row = int(m.group(4))
+    if row < 1:
+        raise FormulaSyntaxError(f"row numbers start at 1: {tok.text!r}", tok.pos)
+    return CellRef(
+        col=column_number(m.group(2)),
+        row=row,
+        col_absolute=bool(m.group(1)),
+        row_absolute=bool(m.group(3)),
+    )
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "end":
-            self.pos += 1
-        return tok
 
-    def at_symbol(self, *chars: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "symbol" and tok.text in chars
+def _found(tok: _Token) -> str:
+    return repr(tok.text or "end")
 
-    def expect_symbol(self, ch: str) -> _Token:
-        tok = self.peek()
-        if not self.at_symbol(ch):
-            raise FormulaSyntaxError(f"expected {ch!r}, found {tok.text or 'end'!r}", tok.pos)
-        return self.advance()
 
-    def parse(self) -> FormulaNode:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise FormulaSyntaxError(f"unexpected {tok.text!r} after expression", tok.pos)
-        return node
-
-    def expr(self) -> FormulaNode:
-        node = self.term()
-        while self.at_symbol("+", "-"):
-            op = self.advance().text
-            node = BinaryOp(op, node, self.term())
-        return node
-
-    def term(self) -> FormulaNode:
-        node = self.factor()
-        while self.at_symbol("*", "/"):
-            op = self.advance().text
-            node = BinaryOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> FormulaNode:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            value = float(tok.text)
-            if not math.isfinite(value):
-                raise FormulaSyntaxError(f"number out of range: {tok.text!r}", tok.pos)
-            return NumberLiteral(value)
-        if tok.kind == "ref":
-            if self.peek(1).kind == "symbol" and self.peek(1).text == ":":
-                raise RangeOutsideCall(
-                    "ranges are only allowed as direct call arguments", self.peek(1).pos
-                )
-            self.advance()
-            return Reference(self.cell_ref(tok))
-        if tok.kind == "name":
-            return self.call()
-        if self.at_symbol("("):
-            self.advance()
-            node = self.expr()
-            self.expect_symbol(")")
-            return node
-        if self.at_symbol("-"):
-            self.advance()
-            return Negate(self.factor())
-        raise FormulaSyntaxError(f"expected a value, found {tok.text or 'end'!r}", tok.pos)
-
-    def call(self) -> FormulaNode:
-        tok = self.advance()
-        name = tok.text.upper()
-        if name not in GROUPING_FUNCTIONS:
-            raise UnknownFunction(f"unknown function {tok.text!r}", tok.pos)
-        self.expect_symbol("(")
-        args = [self.arg()]
-        while self.at_symbol(","):
-            self.advance()
-            args.append(self.arg())
-        self.expect_symbol(")")
-        return Call(name, tuple(args))
-
-    def arg(self) -> FormulaNode:
-        tok = self.peek()
-        if (
-            tok.kind == "ref"
-            and self.peek(1).kind == "symbol"
-            and self.peek(1).text == ":"
-        ):
-            first = self.cell_ref(self.advance())
-            self.advance()  # the colon
-            tok2 = self.peek()
-            if tok2.kind != "ref":
-                raise FormulaSyntaxError(
-                    f"expected a cell after ':', found {tok2.text or 'end'!r}", tok2.pos
-                )
-            second = self.cell_ref(self.advance())
-            return RangeArg(RangeRef.normalized(first, second))
-        return self.expr()
-
-    def cell_ref(self, tok: _Token) -> CellRef:
-        m = _REF_RE.match(tok.text)
-        row = int(m.group(4))
-        if row < 1:
-            raise FormulaSyntaxError(f"row numbers start at 1: {tok.text!r}", tok.pos)
-        return CellRef(
-            col=column_number(m.group(2)),
-            row=row,
-            col_absolute=bool(m.group(1)),
-            row_absolute=bool(m.group(3)),
-        )
+def _reduce(ops: list, out: list, floor: int) -> None:
+    """Apply the pending operators that bind at least as tight as floor."""
+    while type(ops[-1]) is str and _STACKED_PRECEDENCE[ops[-1]] >= floor:
+        op = ops.pop()
+        if op == "neg":
+            out[-1] = Negate(out[-1])
+        else:
+            right = out.pop()
+            out[-1] = BinaryOp(op, out[-1], right)
 
 
 def parse_formula(text: str) -> FormulaNode:
@@ -521,10 +509,88 @@ def parse_formula(text: str) -> FormulaNode:
     Raises FormulaSyntaxError, UnknownFunction, or RangeOutsideCall on
     bad input, and NoReference when the formula mentions no cell.
     """
-    node = _Parser(text).parse()
-    if not any(isinstance(n, (Reference, RangeArg)) for n in iter_nodes(node)):
-        raise NoReference("formula references no cell")
-    return node
+    tokens = _tokenize(text)
+    # Operator precedence over two stacks.  ``ops`` holds pending binary
+    # operators, "neg", "(" and open calls as [name, argc], over a None
+    # that stands for the top level.
+    out: list[FormulaNode] = []
+    ops: list = [None]
+    at_arg = False  # the operand starts a call argument: a range may stand here
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        if tok.kind == "name":
+            name = tok.text.upper()
+            if name not in GROUPING_FUNCTIONS:
+                raise UnknownFunction(f"unknown function {tok.text!r}", tok.pos)
+            tok = tokens[i]
+            if tok.text != "(":
+                raise FormulaSyntaxError(f"expected '(', found {_found(tok)}", tok.pos)
+            i += 1
+            ops.append([name, 1])
+            at_arg = True
+            continue
+        if tok.text == "(" or tok.text == "-":
+            ops.append("neg" if tok.text == "-" else "(")
+            at_arg = False
+            continue
+        if tok.kind == "number":
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise FormulaSyntaxError(f"number out of range: {tok.text!r}", tok.pos)
+            out.append(NumberLiteral(value))
+        elif tok.kind != "ref":
+            raise FormulaSyntaxError(f"expected a value, found {_found(tok)}", tok.pos)
+        elif tokens[i].text != ":":
+            out.append(Reference(_cell_ref(tok)))
+        elif not at_arg:
+            raise RangeOutsideCall(
+                "ranges are only allowed as direct call arguments", tokens[i].pos
+            )
+        else:
+            first, tok = _cell_ref(tok), tokens[i + 1]
+            if tok.kind != "ref":
+                raise FormulaSyntaxError(
+                    f"expected a cell after ':', found {_found(tok)}", tok.pos
+                )
+            out.append(RangeArg(RangeRef.normalized(first, _cell_ref(tok))))
+            i += 2
+            tok = tokens[i]
+            if tok.text != "," and tok.text != ")":
+                raise FormulaSyntaxError(f"expected ')', found {_found(tok)}", tok.pos)
+
+        # After an operand: binary operators, and closers or commas.
+        while True:
+            tok = tokens[i]
+            i += 1
+            precedence = _BINARY_PRECEDENCE.get(tok.text)
+            if precedence is not None:
+                _reduce(ops, out, precedence)
+                ops.append(tok.text)
+                at_arg = False
+                break
+            _reduce(ops, out, 1)
+            opener = ops[-1]
+            if opener is None:
+                if tok.kind != "end":
+                    raise FormulaSyntaxError(
+                        f"unexpected {tok.text!r} after expression", tok.pos
+                    )
+                if not any(t.kind == "ref" for t in tokens):
+                    raise NoReference("formula references no cell")
+                return out[0]
+            if tok.text == ")":
+                ops.pop()
+                if opener != "(":
+                    name, argc = opener
+                    out[-argc:] = [Call(name, tuple(out[-argc:]))]
+            elif tok.text == "," and opener != "(":
+                opener[1] += 1
+                at_arg = True
+                break
+            else:
+                raise FormulaSyntaxError(f"expected ')', found {_found(tok)}", tok.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -543,39 +609,30 @@ def format_number(value: float) -> str:
     return repr(value)
 
 
-def _precedence(node: FormulaNode) -> int:
-    if isinstance(node, BinaryOp):
-        return _PREC_ADD if node.op in "+-" else _PREC_MUL
-    if isinstance(node, Negate):
-        return _PREC_UNARY
-    return _PREC_ATOM
-
-
-def _render(node: FormulaNode) -> str:
-    if isinstance(node, NumberLiteral):
-        return format_number(node.value)
-    if isinstance(node, Reference):
-        return str(node.ref)
-    if isinstance(node, RangeArg):
-        return str(node.rng)
-    if isinstance(node, Negate):
-        child = _render(node.child)
-        if _precedence(node.child) < _PREC_UNARY:
-            child = f"({child})"
-        return "-" + child
-    if isinstance(node, BinaryOp):
-        prec = _precedence(node)
-        left = _render(node.left)
-        if _precedence(node.left) < prec:
+def _render(node: FormulaNode, children: list) -> tuple[str, int]:
+    """One node's text and precedence, from its children's."""
+    kind = type(node)
+    if kind is NumberLiteral:
+        return format_number(node.value), _PREC_ATOM
+    if kind is Reference:
+        return str(node.ref), _PREC_ATOM
+    if kind is RangeArg:
+        return str(node.rng), _PREC_ATOM
+    if kind is Negate:
+        ((child, prec),) = children
+        return "-" + (f"({child})" if prec < _PREC_UNARY else child), _PREC_UNARY
+    if kind is BinaryOp:
+        (left, left_prec), (right, right_prec) = children
+        prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
+        if left_prec < prec:
             left = f"({left})"
-        right = _render(node.right)
         # Parenthesize an equal-precedence right operand so the tree
         # shape survives reparsing under left associativity.
-        if _precedence(node.right) <= prec:
+        if right_prec <= prec:
             right = f"({right})"
-        return f"{left}{node.op}{right}"
-    if isinstance(node, Call):
-        return f"{node.name}({','.join(_render(a) for a in node.args)})"
+        return f"{left}{node.op}{right}", prec
+    if kind is Call:
+        return f"{node.name}({','.join(text for text, _ in children)})", _PREC_ATOM
     raise TypeError(f"not a formula node: {node!r}")
 
 
@@ -585,7 +642,7 @@ def render(node: FormulaNode) -> str:
     Parentheses are emitted only where the tree shape requires them, so
     parsing the result reproduces the tree.
     """
-    return _render(node)
+    return fold(node, _render)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -604,22 +661,23 @@ def map_refs(
     literals keep their shape.
     """
 
-    def walk(n: FormulaNode) -> FormulaNode:
-        if isinstance(n, NumberLiteral):
-            return n
-        if isinstance(n, Reference):
+    def rebuild(n: FormulaNode, children: list) -> FormulaNode:
+        kind = type(n)
+        if kind is Reference:
             return Reference(ref_fn(n.ref))
-        if isinstance(n, RangeArg):
+        if kind is RangeArg:
             return RangeArg(range_fn(n.rng))
-        if isinstance(n, Negate):
-            return Negate(walk(n.child))
-        if isinstance(n, BinaryOp):
-            return BinaryOp(n.op, walk(n.left), walk(n.right))
-        if isinstance(n, Call):
-            return Call(n.name, tuple(walk(a) for a in n.args))
+        if kind is NumberLiteral:
+            return n
+        if kind is BinaryOp:
+            return BinaryOp(n.op, *children)
+        if kind is Negate:
+            return Negate(*children)
+        if kind is Call:
+            return Call(n.name, tuple(children))
         raise TypeError(f"not a formula node: {n!r}")
 
-    return walk(node)
+    return fold(node, rebuild)
 
 
 def normalize(node: FormulaNode, origin: CellAddress) -> FormulaNode:
@@ -662,19 +720,14 @@ def translate(node: FormulaNode, dcol: int, drow: int) -> FormulaNode:
     )
 
 
+def copy_key(node: FormulaNode, origin: CellAddress) -> CopyKey:
+    """normalize(node, origin) listed top-down: leaves as they are,
+    inner nodes as tokens.  Copies of one formula have equal keys."""
+    return _listing(normalize(node, origin))
+
+
 def skeleton(node: FormulaNode) -> Skeleton:
-    """Shape-only fingerprint: coordinates, markers, and literal values
-    are erased; operators, function names, and arity remain."""
-    if isinstance(node, NumberLiteral):
-        return ("num",)
-    if isinstance(node, Reference):
-        return ("ref",)
-    if isinstance(node, RangeArg):
-        return ("range",)
-    if isinstance(node, Negate):
-        return ("neg", skeleton(node.child))
-    if isinstance(node, BinaryOp):
-        return ("bin", node.op, skeleton(node.left), skeleton(node.right))
-    if isinstance(node, Call):
-        return ("call", node.name, tuple(skeleton(a) for a in node.args))
-    raise TypeError(f"not a formula node: {node!r}")
+    """Shape-only fingerprint, listed top-down: coordinates, markers,
+    and literal values are erased to "num", "ref" and "range";
+    operators, function names, and arity remain."""
+    return _listing(node, lambda leaf: _LEAF_TOKENS[type(leaf)])

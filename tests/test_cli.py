@@ -162,28 +162,147 @@ class TestCyclicPrograms:
         assert "cyclic dependency" in capsys.readouterr().err
 
 
-class TestDeepFormulas:
-    """Formulas deeper than the recursive walkers can follow."""
+def _d4_chain(host, terms):
+    return (
+        f"{host}: warning D4_AREA_MIXUP: {host} adds {terms} cells of column A one at "
+        "a time; a grouping call such as SUM(A1:A1) would name the area outright\n"
+    )
 
+
+def _dot_node(host, d4_fill):
+    return (
+        f'  "{host}" [label="{host}\\n=<body>\\nD4_AREA_MIXUP", '
+        + ('style="filled", fillcolor="#cfe8ff", ' if d4_fill else "")
+        + 'color="#cc2222", penwidth=2];\n'
+    )
+
+
+_DOT_HEAD = 'digraph sheet {\n  node [shape=box, fontname="Helvetica"];\n  "A1" [label="A1\\n?1"];\n'
+
+
+class TestDeepFormulas:
+    """Formulas far deeper than the recursion limit analyse in full."""
+
+    # Each shape: the formula cells, the formula they hold, and its
+    # text where the output shows it.
     SHAPES = {
-        "plus_chain": "=" + "+".join(["A1"] * 3000),
-        "parentheses": "=" + "(" * 2000 + "A1" + ")" * 2000,
+        "plus_chain": ("B1", "=" + "+".join(["A1"] * 3000), "+".join(["A1"] * 3000)),
+        "parentheses": ("B1", "=" + "(" * 2000 + "A1" + ")" * 2000, "A1"),
+        "copies_400": ("B1 C1", "=" + "+".join(["$A$1"] * 400), "+".join(["$A$1"] * 400)),
+        "copies_3000": (
+            "B1 C1 D1", "=" + "+".join(["$A$1"] * 3000), "+".join(["$A$1"] * 3000)
+        ),
+    }
+
+    # (shape, command) -> exit code and stdout, with <sheet>, <spec>
+    # and <body> standing for the paths and the formula text.
+    EXPECTED = {
+        ("plus_chain", "check"): (
+            1,
+            "<sheet>: 2 cells\n" + _d4_chain("B1", 3000) + "1 warning(s), 0 error(s)\n",
+        ),
+        ("plus_chain", "graph"): (
+            0,
+            _DOT_HEAD + _dot_node("B1", False) + '  "A1" -> "B1";\n}\n',
+        ),
+        ("plus_chain", "areas"): (0, "<sheet>: 0 physical area(s), 0 logical area(s)\n"),
+        ("plus_chain", "test"): (
+            0,
+            "<sheet> against <spec>\n"
+            "B1: not_judged  d=3000  B=[0, 6000]\n"
+            "0 symptom(s) in 0 judged cell(s), 1 not judged\n",
+        ),
+        ("parentheses", "check"): (0, "<sheet>: 2 cells\n0 warning(s), 0 error(s)\n"),
+        ("parentheses", "graph"): (
+            0,
+            _DOT_HEAD + '  "B1" [label="B1\\n=A1"];\n  "A1" -> "B1";\n}\n',
+        ),
+        ("parentheses", "areas"): (0, "<sheet>: 0 physical area(s), 0 logical area(s)\n"),
+        ("parentheses", "test"): (
+            0,
+            "<sheet> against <spec>\n"
+            "B1: not_judged  d=1  B=[0, 2]\n"
+            "0 symptom(s) in 0 judged cell(s), 1 not judged\n",
+        ),
+        ("copies_400", "check"): (
+            1,
+            "<sheet>: 3 cells\n"
+            + _d4_chain("B1", 400)
+            + _d4_chain("C1", 400)
+            + "2 warning(s), 0 error(s)\n",
+        ),
+        ("copies_400", "graph"): (
+            0,
+            _DOT_HEAD
+            + _dot_node("B1", True)
+            + _dot_node("C1", True)
+            + '  "A1" -> "B1";\n  "A1" -> "C1";\n}\n',
+        ),
+        ("copies_400", "areas"): (
+            0,
+            "<sheet>: 0 physical area(s), 1 logical area(s)\n"
+            "logical: 2 copies in B1:C1: B1 C1\n",
+        ),
+        ("copies_400", "test"): (
+            0,
+            "<sheet> against <spec>\n"
+            "B1: not_judged  d=400  B=[0, 800]\n"
+            "C1: not_judged  d=400  B=[0, 800]\n"
+            "0 symptom(s) in 0 judged cell(s), 2 not judged\n",
+        ),
+        ("copies_3000", "check"): (
+            1,
+            "<sheet>: 4 cells\n"
+            + _d4_chain("B1", 3000)
+            + _d4_chain("C1", 3000)
+            + _d4_chain("D1", 3000)
+            + "3 warning(s), 0 error(s)\n",
+        ),
+        ("copies_3000", "graph"): (
+            0,
+            _DOT_HEAD
+            + _dot_node("B1", True)
+            + _dot_node("C1", True)
+            + _dot_node("D1", True)
+            + '  "A1" -> "B1";\n  "A1" -> "C1";\n  "A1" -> "D1";\n}\n',
+        ),
+        ("copies_3000", "areas"): (
+            0,
+            "<sheet>: 0 physical area(s), 1 logical area(s)\n"
+            "logical: 3 copies in B1:D1: B1 C1 D1\n",
+        ),
+        ("copies_3000", "test"): (
+            0,
+            "<sheet> against <spec>\n"
+            "B1: not_judged  d=3000  B=[0, 6000]\n"
+            "C1: not_judged  d=3000  B=[0, 6000]\n"
+            "D1: not_judged  d=3000  B=[0, 6000]\n"
+            "0 symptom(s) in 0 judged cell(s), 3 not judged\n",
+        ),
     }
 
     @pytest.mark.parametrize("command", ["check", "graph", "areas", "test"])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_exits_two_with_one_error_line(self, shape, command, tmp_path, capsys):
+    def test_analyses_at_recursion_limit_200(
+        self, shape, command, tmp_path, capsys, low_recursion_limit
+    ):
+        hosts, formula, body = self.SHAPES[shape]
         sheet = tmp_path / "deep.sheet"
-        sheet.write_text(f"A1 = ?1\nB1 = {self.SHAPES[shape]}\n")
+        sheet.write_text("A1 = ?1\n" + "".join(f"{h} = {formula}\n" for h in hosts.split()))
         spec = tmp_path / "deep.intervals"
         spec.write_text("input A1 in [0, 2]\n")
         argv = [command, str(sheet)] + ([str(spec)] if command == "test" else [])
-        assert main(argv) == 2
+        code, stdout = self.EXPECTED[shape, command]
+        assert main(argv) == code
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "sheetlint: error: formula nested too deeply to analyse\n"
+        assert captured.err == ""
+        assert captured.out == (
+            stdout.replace("<sheet>", str(sheet))
+            .replace("<spec>", str(spec))
+            .replace("<body>", body)
+        )
 
-    # A 500-term chain is within reach: its trees hash in C.
+    # A 500-term chain, which the former recursive walkers could follow too.
     @pytest.mark.parametrize(
         "command, code", [("check", 1), ("graph", 0), ("areas", 0), ("test", 0)]
     )

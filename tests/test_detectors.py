@@ -370,15 +370,33 @@ class TestDetectAll:
         assert codes == sorted(codes)
 
 
+def overlap(a, b):
+    """The shared rectangle of two ranges, or None when disjoint."""
+    c1 = max(a.start.col, b.start.col)
+    c2 = min(a.end.col, b.end.col)
+    r1 = max(a.start.row, b.start.row)
+    r2 = min(a.end.row, b.end.row)
+    if c1 > c2 or r1 > r2:
+        return None
+    return RangeRef(CellRef(c1, r1), CellRef(c2, r2))
+
+
 class TestAreaMixupPairs:
     """The row sweep in D4 against the plain all-pairs loop."""
+
+    def test_overlap_oracle(self):
+        a = RangeRef(CellRef(2, 2), CellRef(2, 10))
+        b = RangeRef(CellRef(2, 8), CellRef(2, 12))
+        assert str(overlap(a, b)) == "B8:B10"
+        c = RangeRef(CellRef(3, 1), CellRef(3, 4))
+        assert overlap(a, c) is None
 
     @staticmethod
     def all_pairs(areas):
         out = []
         for i, first in enumerate(areas):
             for second in areas[i + 1 :]:
-                shared = first.rect.overlap(second.rect)
+                shared = overlap(first.rect, second.rect)
                 if shared is None:
                     continue
                 subjects = sorted({first.consumer, second.consumer}, key=row_major)

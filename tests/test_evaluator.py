@@ -150,6 +150,29 @@ class TestGroupingFunctions:
         assert value(result, "B1") == Fault(FaultKind.PROPAGATED)
 
 
+class TestNoteOrder:
+    def test_notes_follow_the_post_order_of_their_node(self):
+        # The '+' raises its note before the call, its parent, raises
+        # the notes on its arguments.
+        result = run("C1 = =SUM(A1, B1+1)\n")
+        host = parse_address("C1")
+        assert result.notes == (
+            RuntimeNote(NoteKind.BLANK_IN_ARITHMETIC, host, parse_address("B1")),
+            RuntimeNote(NoteKind.SKIPPED_NON_NUMERIC, host, parse_address("A1")),
+        )
+
+    def test_operands_then_operator(self):
+        result = run("C1 = =(A1+1)*(B1+1)/A2\n")
+        host = parse_address("C1")
+        assert [(n.kind, str(n.subject)) for n in result.notes] == [
+            (NoteKind.BLANK_IN_ARITHMETIC, "A1"),
+            (NoteKind.BLANK_IN_ARITHMETIC, "B1"),
+            (NoteKind.BLANK_IN_ARITHMETIC, "A2"),
+            (NoteKind.DIV_BY_ZERO, "A2"),
+        ]
+        assert {n.cell for n in result.notes} == {host}
+
+
 class TestRootCoercion:
     def test_bare_reference_to_constant(self):
         result = run("A1 = #5\nA2 = =A1\n")

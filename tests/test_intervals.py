@@ -2,19 +2,24 @@
 
 import pytest
 
-from sheetlint.evaluator import Fault, FaultKind, Number, eval_instance
-from sheetlint.intervals import (
+from sheetlint.evaluator import (
     DivisorContainsZero,
     EmptyAggregate,
+    Fault,
+    FaultKind,
+    Number,
+    eval_instance,
+    iv_aggregate,
+    iv_binop,
+    iv_negate,
+)
+from sheetlint.intervals import (
     Interval,
     IntervalSpec,
     IntervalSpecError,
     NotAFormulaCell,
     Verdict,
     eval_intervals,
-    iv_aggregate,
-    iv_binop,
-    iv_negate,
     judge,
     load_interval_spec,
     run_interval_test,

@@ -180,13 +180,6 @@ class TestInstance:
         inst = instantiate(prog, {parse_address("A1"): 9.0})
         assert inst.input_value(parse_address("A1")) == 9.0
 
-    def test_with_input_returns_new_instance(self):
-        prog = load_program("A1 = ?5\nA2 = =A1*2\n")
-        first = instantiate(prog)
-        second = first.with_input(parse_address("A1"), 7.0)
-        assert first.input_value(parse_address("A1")) == 5.0
-        assert second.input_value(parse_address("A1")) == 7.0
-
     def test_binding_non_input_rejected(self):
         prog = load_program("A1 = #5\nA2 = =A1*2\n")
         with pytest.raises(NotAnInputCell):
@@ -199,7 +192,7 @@ class TestInstance:
         with pytest.raises(ValueError):
             instantiate(prog, {parse_address("A1"): float("inf")})
         with pytest.raises(ValueError):
-            instantiate(prog).with_input(parse_address("A1"), float("nan"))
+            instantiate(prog, {parse_address("A1"): float("nan")})
 
     def test_equality_is_by_effective_values(self):
         prog = load_program("A1 = ?5\nA2 = =A1*2\n")
