@@ -10,14 +10,15 @@ Three nested notions of "cells that belong together":
                    offsets, markers, and literal values
 
 Logical areas refine structural groups: every logical area lies within
-one structural group.
+one structural group.  Each is built once per program, on first use,
+and shared by every later caller (see ``model.per_program``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .model import Formula, SpreadsheetProgram, content_kind
+from .model import SpreadsheetProgram, content_kind, per_program
 from .scl import (
     Call,
     CellAddress,
@@ -50,24 +51,22 @@ class PhysicalArea(value_type("PhysicalArea", "rect consumer function majority_t
         return f"{self.function} {self.rect} -> {self.consumer}"
 
 
-class LogicalArea(value_type("LogicalArea", "members key hull")):
-    """Copy-equivalent formula cells, their copy key, and their hull."""
+class LogicalArea(value_type("LogicalArea", "members hull")):
+    """Copy-equivalent formula cells and their hull."""
 
     __slots__ = ()
     members: tuple[CellAddress, ...]
-    key: CopyKey
     hull: RangeRef
 
     def __str__(self) -> str:
         return f"{len(self.members)} copies in {self.hull}"
 
 
-class StructuralGroup(value_type("StructuralGroup", "members key")):
+class StructuralGroup(value_type("StructuralGroup", "members")):
     """Formula cells sharing a tree shape."""
 
     __slots__ = ()
     members: tuple[CellAddress, ...]
-    key: Skeleton
 
 
 def _majority_type(program: SpreadsheetProgram, rect: RangeRef) -> str | None:
@@ -81,6 +80,7 @@ def _majority_type(program: SpreadsheetProgram, rect: RangeRef) -> str | None:
     return max(counts, key=lambda kind: (counts[kind], -_KIND_PRIORITY.index(kind)))
 
 
+@per_program
 def infer_physical_areas(program: SpreadsheetProgram) -> list[PhysicalArea]:
     """Every range a grouping call reads, in row-major consumer order.
 
@@ -112,6 +112,13 @@ def _hull(members: list[CellAddress]) -> RangeRef:
     )
 
 
+@per_program
+def copy_keys(program: SpreadsheetProgram) -> dict[CellAddress, CopyKey]:
+    """Each formula cell's copy key, in row-major order."""
+    return {addr: copy_key(cell.ast, addr) for addr, cell in program.formula_cells()}
+
+
+@per_program
 def infer_logical_areas(program: SpreadsheetProgram) -> list[LogicalArea]:
     """Maximal groups of two or more copy-equivalent formulas.
 
@@ -119,25 +126,26 @@ def infer_logical_areas(program: SpreadsheetProgram) -> list[LogicalArea]:
     Each formula cell belongs to at most one area.
     """
     groups: dict[CopyKey, list[CellAddress]] = {}
-    for addr, cell in program.formula_cells():
-        groups.setdefault(copy_key(cell.ast, addr), []).append(addr)
+    for addr, key in copy_keys(program).items():
+        groups.setdefault(key, []).append(addr)
     areas = [
-        LogicalArea(members=tuple(members), key=key, hull=_hull(members))
-        for key, members in groups.items()
+        LogicalArea(members=tuple(members), hull=_hull(members))
+        for members in groups.values()
         if len(members) >= 2
     ]
     areas.sort(key=lambda area: row_major(area.members[0]))
     return areas
 
 
+@per_program
 def structural_groups(program: SpreadsheetProgram) -> list[StructuralGroup]:
     """Maximal groups of two or more shape-alike formulas."""
     groups: dict[Skeleton, list[CellAddress]] = {}
     for addr, cell in program.formula_cells():
         groups.setdefault(skeleton(cell.ast), []).append(addr)
     out = [
-        StructuralGroup(members=tuple(members), key=key)
-        for key, members in groups.items()
+        StructuralGroup(members=tuple(members))
+        for members in groups.values()
         if len(members) >= 2
     ]
     out.sort(key=lambda group: row_major(group.members[0]))

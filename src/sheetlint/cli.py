@@ -124,16 +124,10 @@ def _cmd_test(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     program = load_program(_read(args.sheet))
     graph = build_graph(program)
-    physical = infer_physical_areas(program)
-    logical = infer_logical_areas(program)
-    diagnostics = detect_all(
-        program, _evaluate(program, graph), physical=physical, logical=logical
-    )
-    if args.resolution == "area":
-        text = report.area_graph_dot(program, graph, physical, logical, diagnostics)
-    else:
-        text = report.cell_graph_dot(program, graph, physical, logical, diagnostics)
-    _emit(text, args.output)
+    diagnostics = detect_all(program, _evaluate(program, graph))
+    dot = report.area_graph_dot if args.resolution == "area" else report.cell_graph_dot
+    physical, logical = infer_physical_areas(program), infer_logical_areas(program)
+    _emit(dot(program, graph, physical, logical, diagnostics), args.output)
     return 0
 
 

@@ -24,13 +24,14 @@ from enum import Enum
 from .areas import (
     LogicalArea,
     PhysicalArea,
+    copy_keys,
     infer_logical_areas,
     infer_physical_areas,
     structural_groups,
 )
 from .dataflow import CyclicDependency, build_graph, referenced_addresses
 from .evaluator import EvalResult, NoteKind
-from .model import Constant, Formula, Input, Label, SpreadsheetProgram, content_kind
+from .model import Constant, Input, Label, SpreadsheetProgram, content_kind
 from .scl import (
     BinaryOp,
     CellAddress,
@@ -41,7 +42,6 @@ from .scl import (
     RangeArg,
     Reference,
     column_letters,
-    copy_key,
     iter_nodes,
     row_major,
     value_type,
@@ -112,19 +112,14 @@ def detect_blank_ref(program: SpreadsheetProgram) -> list[Diagnostic]:
     return out
 
 
-def detect_wrong_type_in_range(
-    program: SpreadsheetProgram, *, physical: list[PhysicalArea] | None = None
-) -> list[Diagnostic]:
+def detect_wrong_type_in_range(program: SpreadsheetProgram) -> list[Diagnostic]:
     """D2: a Label sits inside a numeric grouping range.
 
     The label is skipped today, so the result looks right; if the cell
     is ever given a number, that number silently joins the aggregate.
-    ``physical`` is the program's physical areas, inferred when omitted.
     """
-    if physical is None:
-        physical = infer_physical_areas(program)
     out: list[Diagnostic] = []
-    for area in physical:
+    for area in infer_physical_areas(program):
         for addr in area.rect.cells():
             if isinstance(program.content(addr), Label):
                 out.append(
@@ -142,19 +137,14 @@ def detect_wrong_type_in_range(
     return out
 
 
-def detect_incorrect_range(
-    program: SpreadsheetProgram, *, physical: list[PhysicalArea] | None = None
-) -> list[Diagnostic]:
+def detect_incorrect_range(program: SpreadsheetProgram) -> list[Diagnostic]:
     """D3: a cell of the range's own kind adjoins it but is left out.
 
     Checked one step beyond both ends of the range's major axis; the
-    consuming formula itself does not count.  ``physical`` is the
-    program's physical areas, inferred when omitted.
+    consuming formula itself does not count.
     """
-    if physical is None:
-        physical = infer_physical_areas(program)
     out: list[Diagnostic] = []
-    for area in physical:
+    for area in infer_physical_areas(program):
         if area.majority_type is None:
             continue
         for addr in _adjoining(area):
@@ -195,21 +185,18 @@ def _adjoining(area: PhysicalArea) -> list[CellAddress]:
     return sorted(cells, key=row_major)
 
 
-def detect_area_mixup(
-    program: SpreadsheetProgram,
-    chain_threshold: int = 3,
-    *,
-    physical: list[PhysicalArea] | None = None,
-) -> list[Diagnostic]:
+# D4 names a '+' chain that adds at least this many distinct cells of a line.
+_CHAIN_MIN_CELLS = 3
+
+
+def detect_area_mixup(program: SpreadsheetProgram) -> list[Diagnostic]:
     """D4: results from distinct areas are blended.
 
     Fires when two grouping ranges overlap, and when a formula adds up
-    ``chain_threshold`` or more cells of one row or column one by one
-    instead of grouping over a range.  ``physical`` is the program's
-    physical areas, inferred when omitted.
+    three or more distinct cells of one row or column one by one
+    instead of grouping over a range.
     """
-    if physical is None:
-        physical = infer_physical_areas(program)
+    physical = infer_physical_areas(program)
     out: list[Diagnostic] = []
     # Overlaps grow with the square of the areas: spell each area once.
     spelled = [f"{area.rect} (of {area.consumer})" for area in physical]
@@ -225,25 +212,25 @@ def detect_area_mixup(
             )
         )
     for addr, cell in program.formula_cells():
-        refs = _plus_chain(cell.ast)
-        if refs is None or len(refs) < chain_threshold:
+        cells = _plus_chain(cell.ast)
+        if cells is None or len(cells) < _CHAIN_MIN_CELLS:
             continue
-        cols = {r.col for r in refs}
-        rows = {r.row for r in refs}
+        cols = {a.col for a in cells}
+        rows = {a.row for a in cells}
         if len(cols) > 1 and len(rows) > 1:
             continue
         if len(cols) == 1:
             axis = f"column {column_letters(next(iter(cols)))}"
         else:
             axis = f"row {next(iter(rows))}"
-        lo = min((r.address() for r in refs), key=row_major)
-        hi = max((r.address() for r in refs), key=row_major)
+        lo = min(cells, key=row_major)
+        hi = max(cells, key=row_major)
         out.append(
             Diagnostic(
                 Code.D4_AREA_MIXUP,
                 Severity.WARNING,
                 (addr,),
-                f"{addr} adds {len(refs)} cells of {axis} one at a time; "
+                f"{addr} adds {len(cells)} cells of {axis} one at a time; "
                 f"a grouping call such as SUM({lo}:{hi}) would name the "
                 f"area outright",
             )
@@ -282,32 +269,27 @@ def _overlapping_pairs(areas: list[PhysicalArea]) -> list[tuple[int, int, str]]:
     return hits
 
 
-def _plus_chain(node: FormulaNode) -> list[CellRef] | None:
-    """The references of a pure '+' tree, left to right, or None for
-    anything else."""
-    refs: list[CellRef] = []
+def _plus_chain(node: FormulaNode) -> set[CellAddress] | None:
+    """The distinct cells a pure '+' tree of references adds, or None
+    for anything else."""
+    cells: set[CellAddress] = set()
     for n in iter_nodes(node):
         if type(n) is Reference and type(n.ref) is CellRef:
-            refs.append(n.ref)
+            cells.add(n.ref.address())
         elif type(n) is not BinaryOp or n.op != "+":
             return None
-    return refs
+    return cells
 
 
-def detect_constant_overwrite(
-    program: SpreadsheetProgram, *, logical: list[LogicalArea] | None = None
-) -> list[Diagnostic]:
+def detect_constant_overwrite(program: SpreadsheetProgram) -> list[Diagnostic]:
     """D5: a constant interrupts a run of copies of one formula.
 
     Needs a logical area of at least three members whose hull is a
     single row or column; a Constant or Input strictly inside that hull
-    looks like a formula someone typed a number over.  ``logical`` is
-    the program's logical areas, inferred when omitted.
+    looks like a formula someone typed a number over.
     """
-    if logical is None:
-        logical = infer_logical_areas(program)
     out: list[Diagnostic] = []
-    for area in logical:
+    for area in infer_logical_areas(program):
         if len(area.members) < 3:
             continue
         hull = area.hull
@@ -334,31 +316,22 @@ def detect_constant_overwrite(
     return out
 
 
-def detect_copy_misreference(
-    program: SpreadsheetProgram, *, logical: list[LogicalArea] | None = None
-) -> list[Diagnostic]:
+def detect_copy_misreference(program: SpreadsheetProgram) -> list[Diagnostic]:
     """D6: a few copies deviate from the rest only in reference markers
     or literal values.
 
     Within a structural group of at least three, the strict majority
     sets the expected pattern; members that differ from it only in
-    absolute/relative markers or literals are flagged.  ``logical`` is
-    the program's logical areas: a formula in one takes the area's copy
-    key as its own, and every other formula's key is made here.
+    absolute/relative markers or literals are flagged.
     """
-    keys = {addr: area.key for area in logical or () for addr in area.members}
+    keys = copy_keys(program)
     out: list[Diagnostic] = []
     for group in structural_groups(program):
         if len(group.members) < 3:
             continue
         partitions: dict[CopyKey, list[CellAddress]] = {}
         for addr in group.members:
-            key = keys.get(addr)
-            if key is None:
-                content = program.content(addr)
-                assert isinstance(content, Formula)
-                key = copy_key(content.ast, addr)
-            partitions.setdefault(key, []).append(addr)
+            partitions.setdefault(keys[addr], []).append(addr)
         if len(partitions) < 2:
             continue
         majority_key = max(partitions, key=lambda key: len(partitions[key]))
@@ -415,9 +388,6 @@ def _ref_compatible(x: NormRef, y: NormRef) -> bool:
 def detect_all(
     program: SpreadsheetProgram,
     result: EvalResult | CyclicDependency | None = None,
-    *,
-    physical: list[PhysicalArea] | None = None,
-    logical: list[LogicalArea] | None = None,
 ) -> list[Diagnostic]:
     """Every detector's findings in one stable order.
 
@@ -425,22 +395,17 @@ def detect_all(
     function of the program.  ``result`` is the program's evaluation,
     or the CyclicDependency that stopped it, reported as G_CYCLE; when
     omitted, the program is checked for cycles here.  With an
-    EvalResult, divisions by zero surface as G_DIV_ZERO.  The physical
-    and logical areas are inferred when omitted.
+    EvalResult, divisions by zero surface as G_DIV_ZERO.
     """
-    if physical is None:
-        physical = infer_physical_areas(program)
-    if logical is None:
-        logical = infer_logical_areas(program)
     # Each detector returns its findings sorted, and they are appended
     # in code order, so the whole list is sorted without a final sort.
     out: list[Diagnostic] = []
     out.extend(detect_blank_ref(program))
-    out.extend(detect_wrong_type_in_range(program, physical=physical))
-    out.extend(detect_incorrect_range(program, physical=physical))
-    out.extend(detect_area_mixup(program, physical=physical))
-    out.extend(detect_constant_overwrite(program, logical=logical))
-    out.extend(detect_copy_misreference(program, logical=logical))
+    out.extend(detect_wrong_type_in_range(program))
+    out.extend(detect_incorrect_range(program))
+    out.extend(detect_area_mixup(program))
+    out.extend(detect_constant_overwrite(program))
+    out.extend(detect_copy_misreference(program))
     if result is None:
         try:
             build_graph(program).topo_order()

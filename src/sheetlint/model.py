@@ -16,10 +16,11 @@ blank are skipped.  Numbers must be finite.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import SheetLintError
 from .scl import (
@@ -134,6 +135,8 @@ class SpreadsheetProgram:
             )
         else:
             self._extent = (0, 0)
+        # What each per_program function built from this program.
+        self._memo: dict = {}
 
     @property
     def cells(self) -> Mapping[CellAddress, CellContent]:
@@ -168,6 +171,23 @@ class SpreadsheetProgram:
 
     def __repr__(self) -> str:
         return f"SpreadsheetProgram({len(self._cells)} cells, extent {self._extent})"
+
+
+def per_program(fn: Callable[[SpreadsheetProgram], object]) -> Callable:
+    """Make ``fn(program)`` build once per program: the first call keeps
+    the result on the program, and every later call returns that same
+    object, so callers must not mutate it.  A program never changes, so
+    the result never goes stale."""
+
+    # Keyed by this wrapper, which the module's name refers to, so a
+    # program still pickles after something is built from it.
+    @functools.wraps(fn)
+    def once(program: SpreadsheetProgram):
+        if once not in program._memo:
+            program._memo[once] = fn(program)
+        return program._memo[once]
+
+    return once
 
 
 class SpreadsheetInstance:

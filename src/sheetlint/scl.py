@@ -421,9 +421,27 @@ def _tree_ne(self, other):
     return equal if equal is NotImplemented else not equal
 
 
+def _repr(node: FormulaNode, children: list) -> str:
+    kind = type(node)
+    if kind is BinaryOp:
+        return f"BinaryOp(op={node.op!r}, left={children[0]}, right={children[1]})"
+    if kind is Negate:
+        return f"Negate(child={children[0]})"
+    if kind is Call:
+        args = ", ".join(children) + ("," if len(children) == 1 else "")
+        return f"Call(name={node.name!r}, args=({args}))"
+    return repr(node)
+
+
+# The named tuple's repr takes one frame per level; this one folds.
+def _tree_repr(self) -> str:
+    return fold(self, _repr)
+
+
 for _inner in (Negate, BinaryOp, Call):
     _inner.__eq__ = _tree_eq
     _inner.__ne__ = _tree_ne
+    _inner.__repr__ = _tree_repr
 
 
 # ---------------------------------------------------------------------------

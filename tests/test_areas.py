@@ -1,11 +1,17 @@
 """Area inference tests: physical ranges, copy groups, shape groups."""
 
+import pickle
+
+import pytest
+
 from sheetlint.areas import (
+    copy_keys,
     infer_logical_areas,
     infer_physical_areas,
     structural_groups,
 )
 from sheetlint.model import load_program
+from sheetlint.scl import CellAddress, copy_key
 
 ONE_COLUMN_SUBTOTALS = (
     "H3 = #500\nH4 = #1000\nH5 = #900\nH6 = =SUM(H3:H5)\n"
@@ -132,3 +138,35 @@ class TestStructuralGroups:
         areas = infer_logical_areas(prog)
         assert len(areas) == 1
         assert addrs(areas[0].members) == ["C1", "C2"]
+
+
+class TestCopyKeys:
+    def test_one_key_per_formula_cell(self):
+        prog = load_program(ONE_COLUMN_SUBTOTALS)
+        keys = copy_keys(prog)
+        assert addrs(keys) == ["H6", "H10", "H14", "H15"]
+        assert keys[CellAddress(8, 15)] == copy_key(
+            prog.content(CellAddress(8, 15)).ast, CellAddress(8, 15)
+        )
+
+
+@pytest.mark.parametrize(
+    "build", [infer_physical_areas, infer_logical_areas, structural_groups, copy_keys]
+)
+class TestBuiltOncePerProgram:
+    def test_second_call_returns_the_same_object(self, build):
+        prog = load_program(ONE_COLUMN_SUBTOTALS)
+        assert build(prog) is build(prog)
+
+    def test_equal_program_builds_its_own(self, build):
+        prog, other = load_program(ONE_COLUMN_SUBTOTALS), load_program(ONE_COLUMN_SUBTOTALS)
+        assert prog == other
+        first = build(prog)
+        assert build(other) is not first
+        assert build(other) == first
+
+    def test_program_pickles_after_building(self, build):
+        prog = load_program(ONE_COLUMN_SUBTOTALS)
+        first = build(prog)
+        copy = pickle.loads(pickle.dumps(prog))
+        assert copy == prog and build(copy) == first

@@ -14,7 +14,12 @@ from collections import Counter
 import jsonschema
 import pytest
 
-from sheetlint.areas import infer_logical_areas, infer_physical_areas
+from sheetlint.areas import (
+    copy_keys,
+    infer_logical_areas,
+    infer_physical_areas,
+    structural_groups,
+)
 from sheetlint.cli import main
 from sheetlint.dataflow import DependencyGraph
 from sheetlint.model import load_program
@@ -162,18 +167,11 @@ class TestCyclicPrograms:
         assert "cyclic dependency" in capsys.readouterr().err
 
 
-def _d4_chain(host, terms):
+def _dot_node(host, fill):
     return (
-        f"{host}: warning D4_AREA_MIXUP: {host} adds {terms} cells of column A one at "
-        "a time; a grouping call such as SUM(A1:A1) would name the area outright\n"
-    )
-
-
-def _dot_node(host, d4_fill):
-    return (
-        f'  "{host}" [label="{host}\\n=<body>\\nD4_AREA_MIXUP", '
-        + ('style="filled", fillcolor="#cfe8ff", ' if d4_fill else "")
-        + 'color="#cc2222", penwidth=2];\n'
+        f'  "{host}" [label="{host}\\n=<body>"'
+        + (', style="filled", fillcolor="#cfe8ff"' if fill else "")
+        + "];\n"
     )
 
 
@@ -197,10 +195,8 @@ class TestDeepFormulas:
     # (shape, command) -> exit code and stdout, with <sheet>, <spec>
     # and <body> standing for the paths and the formula text.
     EXPECTED = {
-        ("plus_chain", "check"): (
-            1,
-            "<sheet>: 2 cells\n" + _d4_chain("B1", 3000) + "1 warning(s), 0 error(s)\n",
-        ),
+        # A chain that adds one cell over and over names no area.
+        ("plus_chain", "check"): (0, "<sheet>: 2 cells\n0 warning(s), 0 error(s)\n"),
         ("plus_chain", "graph"): (
             0,
             _DOT_HEAD + _dot_node("B1", False) + '  "A1" -> "B1";\n}\n',
@@ -224,13 +220,7 @@ class TestDeepFormulas:
             "B1: not_judged  d=1  B=[0, 2]\n"
             "0 symptom(s) in 0 judged cell(s), 1 not judged\n",
         ),
-        ("copies_400", "check"): (
-            1,
-            "<sheet>: 3 cells\n"
-            + _d4_chain("B1", 400)
-            + _d4_chain("C1", 400)
-            + "2 warning(s), 0 error(s)\n",
-        ),
+        ("copies_400", "check"): (0, "<sheet>: 3 cells\n0 warning(s), 0 error(s)\n"),
         ("copies_400", "graph"): (
             0,
             _DOT_HEAD
@@ -250,14 +240,7 @@ class TestDeepFormulas:
             "C1: not_judged  d=400  B=[0, 800]\n"
             "0 symptom(s) in 0 judged cell(s), 2 not judged\n",
         ),
-        ("copies_3000", "check"): (
-            1,
-            "<sheet>: 4 cells\n"
-            + _d4_chain("B1", 3000)
-            + _d4_chain("C1", 3000)
-            + _d4_chain("D1", 3000)
-            + "3 warning(s), 0 error(s)\n",
-        ),
+        ("copies_3000", "check"): (0, "<sheet>: 4 cells\n0 warning(s), 0 error(s)\n"),
         ("copies_3000", "graph"): (
             0,
             _DOT_HEAD
@@ -304,7 +287,7 @@ class TestDeepFormulas:
 
     # A 500-term chain, which the former recursive walkers could follow too.
     @pytest.mark.parametrize(
-        "command, code", [("check", 1), ("graph", 0), ("areas", 0), ("test", 0)]
+        "command, code", [("check", 0), ("graph", 0), ("areas", 0), ("test", 0)]
     )
     def test_five_hundred_terms_analyse(self, command, code, tmp_path, capsys):
         sheet = tmp_path / "deep.sheet"
@@ -316,44 +299,80 @@ class TestDeepFormulas:
         captured = capsys.readouterr()
         assert captured.err == ""
         if command == "check":
-            assert captured.out.splitlines()[1:] == [
-                "B1: warning D4_AREA_MIXUP: B1 adds 500 cells of column A one at a "
-                "time; a grouping call such as SUM(A1:A1) would name the area outright",
-                "1 warning(s), 0 error(s)",
-            ]
+            assert captured.out.splitlines()[1:] == ["0 warning(s), 0 error(s)"]
 
 
 class TestBuildOnce:
-    """check and graph build each derived structure once per run."""
+    """Each command builds each derived structure at most once per run."""
 
+    # Counted per code object, as pstats merges functions that share a
+    # file, line and name; a per_program function by the one it wraps,
+    # which runs only when the program's memo misses.
     BUILDERS = {
-        "DependencyGraph.__init__": DependencyGraph.__init__,
-        "DependencyGraph.topo_order": DependencyGraph.topo_order,
-        "infer_physical_areas": infer_physical_areas,
-        "infer_logical_areas": infer_logical_areas,
+        "DependencyGraph.__init__": DependencyGraph.__init__.__code__,
+        "DependencyGraph.topo_order": DependencyGraph.topo_order.__code__,
+        "infer_physical_areas": infer_physical_areas.__wrapped__.__code__,
+        "infer_logical_areas": infer_logical_areas.__wrapped__.__code__,
+        "structural_groups": structural_groups.__wrapped__.__code__,
+        "copy_keys": copy_keys.__wrapped__.__code__,
     }
+    # What each command builds; it builds nothing else.
+    BUILT = {
+        "check": set(BUILDERS),
+        "graph": set(BUILDERS),
+        "areas": {"infer_physical_areas", "infer_logical_areas", "copy_keys"},
+        "test": {"DependencyGraph.__init__", "DependencyGraph.topo_order"},
+    }
+    # B4 lies outside the logical area B1:B3, but in D6's group with it.
+    DEVIANT = (
+        "A1 = ?1\nA2 = ?2\nA3 = ?3\nA4 = ?4\n"
+        "B1 = =A1*2\nB2 = =A2*2\nB3 = =A3*2\nB4 = =$A$4*2\n"
+    )
+
+    @staticmethod
+    def calls(argv):
+        profile = cProfile.Profile()
+        with contextlib.redirect_stdout(io.StringIO()):
+            profile.runcall(main, argv)
+        calls = Counter()
+        for entry in profile.getstats():
+            calls[entry.code] += entry.callcount
+        return calls
 
     # On the cyclic sheet the cycle that stops evaluation is reported
     # as G_CYCLE without building the graph again.
     @pytest.mark.parametrize(
-        "command, sheet",
-        [("check", RUNNING), ("graph", RUNNING), ("check", CYCLIC), ("graph", CYCLIC)],
-        ids=["check", "graph", "check-cyclic", "graph-cyclic"],
+        "argv",
+        [
+            ["check", RUNNING],
+            ["graph", RUNNING],
+            ["check", CYCLIC],
+            ["graph", CYCLIC],
+            ["areas", RUNNING],
+            ["test", QUARTERLY, QUARTERLY_IV],
+        ],
+        ids=["check", "graph", "check-cyclic", "graph-cyclic", "areas", "test"],
     )
-    def test_each_structure_built_once(self, command, sheet):
-        profile = cProfile.Profile()
-        with contextlib.redirect_stdout(io.StringIO()):
-            profile.runcall(main, [command, sheet])
-        # Counted per code object, as pstats merges functions that
-        # share a file, line and name.
-        calls = Counter()
-        for entry in profile.getstats():
-            calls[entry.code] += entry.callcount
-        counts = {name: calls[fn.__code__] for name, fn in self.BUILDERS.items()}
-        assert counts == dict.fromkeys(self.BUILDERS, 1)
-        # D6 takes the normalized trees logical-area inference made.
-        formulas = sum(1 for _ in load_program(pathlib.Path(sheet).read_text()).formula_cells())
-        assert calls[normalize.__code__] == formulas
+    def test_each_structure_built_once(self, argv):
+        calls = self.calls(argv)
+        built = self.BUILT[argv[0]]
+        counts = {name: calls[code] for name, code in self.BUILDERS.items()}
+        assert counts == {name: int(name in built) for name in self.BUILDERS}
+        # D6 takes the copy keys logical-area inference made.
+        formulas = sum(1 for _ in load_program(pathlib.Path(argv[1]).read_text()).formula_cells())
+        assert calls[normalize.__code__] == (formulas if "copy_keys" in built else 0)
+
+    @pytest.mark.parametrize(
+        "sheet", sorted(p.name for p in FIXTURES.glob("*.sheet")) + ["deviant"]
+    )
+    def test_normalize_once_per_formula(self, sheet, tmp_path):
+        if sheet == "deviant":
+            path = tmp_path / "deviant.sheet"
+            path.write_text(self.DEVIANT)
+        else:
+            path = FIXTURES / sheet
+        formulas = sum(1 for _ in load_program(path.read_text()).formula_cells())
+        assert self.calls(["check", str(path)])[normalize.__code__] == formulas
 
 
 class TestJsonFormat:

@@ -162,10 +162,32 @@ class TestAreaMixup:
         )
         assert detect_area_mixup(prog) == []
 
-    def test_chain_threshold_is_configurable(self):
-        prog = load_program(ONE_COLUMN_SUBTOTALS)
-        assert detect_area_mixup(prog, chain_threshold=4) == []
-        assert len(detect_area_mixup(prog, chain_threshold=3)) == 1
+    # A chain names an area once it adds three distinct cells of one
+    # column; adding a cell again does not count it twice.
+    @pytest.mark.parametrize(
+        "chain, message",
+        [
+            ("A1+A2", None),
+            ("A1+A2+A1+A2", None),
+            ("A1+A3+A2", "B1 adds 3 cells of column A one at a time; "
+             "a grouping call such as SUM(A1:A3) would name the area outright"),
+            ("A2+A1+A2+A3+A1", "B1 adds 3 cells of column A one at a time; "
+             "a grouping call such as SUM(A1:A3) would name the area outright"),
+        ],
+        ids=["two-cells", "two-cells-repeated", "three-cells", "three-cells-repeated"],
+    )
+    def test_chain_counts_distinct_cells(self, chain, message):
+        prog = load_program(f"A1 = #1\nA2 = #2\nA3 = #3\nB1 = ={chain}\n")
+        diags = detect_area_mixup(prog)
+        assert [d.message for d in diags] == ([message] if message else [])
+
+    def test_deep_chain_of_distinct_cells(self, low_recursion_limit):
+        chain = "+".join(f"A{row}" for row in range(3000, 0, -1))
+        diags = detect_area_mixup(load_program(f"B1 = ={chain}\n"))
+        assert [d.message for d in diags] == [
+            "B1 adds 3000 cells of column A one at a time; "
+            "a grouping call such as SUM(A1:A3000) would name the area outright"
+        ]
 
     def test_row_chain_names_the_row(self):
         prog = load_program("A1 = #1\nB1 = #2\nC1 = #3\nA3 = =A1+B1+C1\n")
@@ -442,18 +464,26 @@ class TestAreaMixupPairs:
             )
         return areas
 
+    @staticmethod
+    def program_of(areas):
+        """A program whose physical areas are ``areas``: each consumer's
+        formula has one term per area it reads, in the order given."""
+        terms = {}
+        for area in areas:
+            terms.setdefault(area.consumer, []).append(f"{area.function}({area.rect})")
+        return load_program(
+            "".join(f"{consumer} = ={'+'.join(t)}\n" for consumer, t in terms.items())
+        )
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_all_pairs(self, seed):
         rng = random.Random(seed)
         areas = self.random_areas(rng, rng.randint(0, 40))
-        got = detect_area_mixup(load_program(""), physical=areas)
-        assert got == self.all_pairs(areas)
-        assert [d.area for d in got] == [d.area for d in self.all_pairs(areas)]
-
-    def test_given_areas_match_inferred(self):
-        prog = load_program(
-            "A1 = #1\nA2 = #2\nA3 = #3\nB1 = =SUM(A1:A2)+AVG(A1:A3)\nB2 = =SUM(A2:A3)\n"
-        )
+        prog = self.program_of(areas)
         physical = infer_physical_areas(prog)
-        assert detect_area_mixup(prog, physical=physical) == detect_area_mixup(prog)
-        assert len(detect_area_mixup(prog)) == 3
+        # Inference lists the areas by consumer, row-major, and keeps
+        # each consumer's own order.
+        assert physical == sorted(areas, key=lambda area: row_major(area.consumer))
+        got = detect_area_mixup(prog)
+        assert got == self.all_pairs(physical)
+        assert [d.area for d in got] == [d.area for d in self.all_pairs(physical)]

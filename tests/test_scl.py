@@ -293,6 +293,20 @@ class TestRendering:
         assert render(parse_formula("(A1+B1)*C1")) == "(A1+B1)*C1"
         assert render(parse_formula("$B$2+B$2")) == "$B$2+B$2"
 
+    def test_repr_spells_every_field(self):
+        assert repr(parse_formula("SUM(A1:B2)+-3*$C$4")) == (
+            "BinaryOp(op='+', left=Call(name='SUM', args=(RangeArg(rng=RangeRef("
+            "start=CellRef(col=1, row=1, col_absolute=False, row_absolute=False), "
+            "end=CellRef(col=2, row=2, col_absolute=False, row_absolute=False))),)), "
+            "right=BinaryOp(op='*', left=Negate(child=NumberLiteral(value=3.0)), "
+            "right=Reference(ref=CellRef(col=3, row=4, col_absolute=True, "
+            "row_absolute=True))))"
+        )
+        assert repr(Call("MAX", (ref(1, 1), NumberLiteral(2.0)))) == (
+            "Call(name='MAX', args=(Reference(ref=CellRef(col=1, row=1, "
+            "col_absolute=False, row_absolute=False)), NumberLiteral(value=2.0)))"
+        )
+
     def test_render_preserves_tree_shape_at_equal_precedence(self):
         node = BinaryOp("-", ref(1, 1), BinaryOp("-", ref(2, 1), ref(3, 1)))
         assert render(node) == "A1-(B1-C1)"
@@ -349,6 +363,11 @@ class TestAnyDepth:
         origin = CellAddress(9, 9)
         assert normalize(tree, origin) != normalize(other, origin)
         assert len(skeleton(tree)) == 9001  # one item per node
+
+    def test_repr_at_depth(self):
+        chain = parse_formula("+".join(["A1"] * 3000))
+        leaf = "Reference(ref=CellRef(col=1, row=1, col_absolute=False, row_absolute=False))"
+        assert repr(chain) == "BinaryOp(op='+', left=" * 2999 + leaf + f", right={leaf})" * 2999
 
     def test_keys_at_depth(self):
         tree = parse_formula("+".join(["$A$1"] * 5000))
