@@ -155,10 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SheetLintError as err:
-        print(f"sheetlint: error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (SheetLintError, OSError) as err:
         print(f"sheetlint: error: {err}", file=sys.stderr)
         return 2
 

@@ -21,13 +21,14 @@ class CyclicDependency(SheetLintError):
     """Formulas form a reference cycle.
 
     ``cycle`` lists the cells once around the loop, starting at the
-    row-major smallest member, each cell followed by one it references.
+    row-major smallest member, each cell followed by one it references;
+    ``path`` spells the loop, back to its first cell.
     """
 
     def __init__(self, cycle: list[CellAddress]):
         self.cycle = list(cycle)
-        shown = " -> ".join(str(a) for a in self.cycle + self.cycle[:1])
-        super().__init__(f"cyclic dependency: {shown}")
+        self.path = " -> ".join(str(a) for a in self.cycle + self.cycle[:1])
+        super().__init__(f"cyclic dependency: {self.path}")
 
 
 def referenced_addresses(ast: FormulaNode) -> Iterator[CellAddress]:

@@ -13,13 +13,16 @@ zero or more diagnostics:
 Two further codes surface evaluation facts when an EvalResult is given
 to detect_all: G_CYCLE for reference loops (an error, since nothing can
 be computed) and G_DIV_ZERO for divisions by zero under the current
-inputs.  All D codes are warnings; the sheet may still be right, but
-each flagged spot is where a representative error hides.
+inputs.  Every other code is a warning (see ``Code.severity``): the
+sheet may still be right, but each flagged spot is where a
+representative error hides.
 """
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
+from typing import Callable, Iterable, Iterator
 
 from .areas import (
     LogicalArea,
@@ -58,6 +61,10 @@ class Code(Enum):
     G_CYCLE = "G_CYCLE"
     G_DIV_ZERO = "G_DIV_ZERO"
 
+    @property
+    def severity(self) -> Severity:
+        return Severity.ERROR if self is Code.G_CYCLE else Severity.WARNING
+
 
 class Severity(Enum):
     WARNING = "warning"
@@ -79,6 +86,10 @@ class Diagnostic(value_type("Diagnostic", "code severity cells message area", (N
     area: PhysicalArea | LogicalArea | None
 
 
+# What a detector found: the subject cells, the message, and the area.
+Finding = tuple[tuple[CellAddress, ...], str, PhysicalArea | LogicalArea | None]
+
+
 def _sort_key(diag: Diagnostic):
     return (
         diag.code.value,
@@ -87,63 +98,67 @@ def _sort_key(diag: Diagnostic):
     )
 
 
-def detect_blank_ref(program: SpreadsheetProgram) -> list[Diagnostic]:
+def _diagnostics(code: Code, findings: Iterable[Finding]) -> list[Diagnostic]:
+    """One code's findings as Diagnostics of its severity, sorted."""
+    severity = code.severity
+    out = [Diagnostic(code, severity, cells, message, area) for cells, message, area in findings]
+    out.sort(key=_sort_key)
+    return out
+
+
+def _detector(code: Code):
+    """Make a generator of findings ``find(program)`` return the sorted
+    list of ``code``'s Diagnostics."""
+
+    def wrap(find: Callable[[SpreadsheetProgram], Iterable[Finding]]):
+        @functools.wraps(find)
+        def detect(program: SpreadsheetProgram) -> list[Diagnostic]:
+            return _diagnostics(code, find(program))
+
+        return detect
+
+    return wrap
+
+
+@_detector(Code.D1_BLANK_REF)
+def detect_blank_ref(program: SpreadsheetProgram) -> Iterator[Finding]:
     """D1: a formula reads a cell with nothing in it.
 
     One warning per (formula, empty cell) pair, whether the read is a
     direct reference or range coverage.
     """
-    out: list[Diagnostic] = []
     for addr, cell in program.formula_cells():
-        seen: set[CellAddress] = set()
-        for source in referenced_addresses(cell.ast):
-            if source in seen or program.content(source) is not None:
-                continue
-            seen.add(source)
-            out.append(
-                Diagnostic(
-                    Code.D1_BLANK_REF,
-                    Severity.WARNING,
-                    (source,),
-                    f"{addr} reads empty cell {source}",
-                )
-            )
-    out.sort(key=_sort_key)
-    return out
+        for source in dict.fromkeys(referenced_addresses(cell.ast)):
+            if program.content(source) is None:
+                yield (source,), f"{addr} reads empty cell {source}", None
 
 
-def detect_wrong_type_in_range(program: SpreadsheetProgram) -> list[Diagnostic]:
+@_detector(Code.D2_WRONG_TYPE_IN_RANGE)
+def detect_wrong_type_in_range(program: SpreadsheetProgram) -> Iterator[Finding]:
     """D2: a Label sits inside a numeric grouping range.
 
     The label is skipped today, so the result looks right; if the cell
     is ever given a number, that number silently joins the aggregate.
     """
-    out: list[Diagnostic] = []
     for area in infer_physical_areas(program):
         for addr in area.rect.cells():
             if isinstance(program.content(addr), Label):
-                out.append(
-                    Diagnostic(
-                        Code.D2_WRONG_TYPE_IN_RANGE,
-                        Severity.WARNING,
-                        (addr,),
-                        f"label at {addr} lies inside {area.function} range "
-                        f"{area.rect} of {area.consumer}; a number typed there "
-                        f"would silently join the aggregate",
-                        area=area,
-                    )
+                yield (
+                    (addr,),
+                    f"label at {addr} lies inside {area.function} range "
+                    f"{area.rect} of {area.consumer}; a number typed there "
+                    f"would silently join the aggregate",
+                    area,
                 )
-    out.sort(key=_sort_key)
-    return out
 
 
-def detect_incorrect_range(program: SpreadsheetProgram) -> list[Diagnostic]:
+@_detector(Code.D3_INCORRECT_RANGE)
+def detect_incorrect_range(program: SpreadsheetProgram) -> Iterator[Finding]:
     """D3: a cell of the range's own kind adjoins it but is left out.
 
     Checked one step beyond both ends of the range's major axis; the
     consuming formula itself does not count.
     """
-    out: list[Diagnostic] = []
     for area in infer_physical_areas(program):
         if area.majority_type is None:
             continue
@@ -152,44 +167,37 @@ def detect_incorrect_range(program: SpreadsheetProgram) -> list[Diagnostic]:
             if content is None or addr == area.consumer:
                 continue
             if content_kind(content) == area.majority_type:
-                out.append(
-                    Diagnostic(
-                        Code.D3_INCORRECT_RANGE,
-                        Severity.WARNING,
-                        (addr,),
-                        f"{addr} adjoins {area.function} range {area.rect} of "
-                        f"{area.consumer} and holds the same kind of content, "
-                        f"but the range leaves it out",
-                        area=area,
-                    )
+                yield (
+                    (addr,),
+                    f"{addr} adjoins {area.function} range {area.rect} of "
+                    f"{area.consumer} and holds the same kind of content, "
+                    f"but the range leaves it out",
+                    area,
                 )
-    out.sort(key=_sort_key)
-    return out
 
 
-def _adjoining(area: PhysicalArea) -> list[CellAddress]:
+def _adjoining(area: PhysicalArea) -> Iterator[CellAddress]:
     rect = area.rect
-    cells: list[CellAddress] = []
     if rect.height() >= rect.width():
         before, after = rect.start.row - 1, rect.end.row + 1
         for col in range(rect.start.col, rect.end.col + 1):
             if before >= 1:
-                cells.append(CellAddress(col, before))
-            cells.append(CellAddress(col, after))
+                yield CellAddress(col, before)
+            yield CellAddress(col, after)
     else:
         before, after = rect.start.col - 1, rect.end.col + 1
         for row in range(rect.start.row, rect.end.row + 1):
             if before >= 1:
-                cells.append(CellAddress(before, row))
-            cells.append(CellAddress(after, row))
-    return sorted(cells, key=row_major)
+                yield CellAddress(before, row)
+            yield CellAddress(after, row)
 
 
 # D4 names a '+' chain that adds at least this many distinct cells of a line.
 _CHAIN_MIN_CELLS = 3
 
 
-def detect_area_mixup(program: SpreadsheetProgram) -> list[Diagnostic]:
+@_detector(Code.D4_AREA_MIXUP)
+def detect_area_mixup(program: SpreadsheetProgram) -> Iterator[Finding]:
     """D4: results from distinct areas are blended.
 
     Fires when two grouping ranges overlap, and when a formula adds up
@@ -197,19 +205,14 @@ def detect_area_mixup(program: SpreadsheetProgram) -> list[Diagnostic]:
     instead of grouping over a range.
     """
     physical = infer_physical_areas(program)
-    out: list[Diagnostic] = []
     # Overlaps grow with the square of the areas: spell each area once.
     spelled = [f"{area.rect} (of {area.consumer})" for area in physical]
     for i, j, shared in _overlapping_pairs(physical):
         subjects = {physical[i].consumer, physical[j].consumer}
-        out.append(
-            Diagnostic(
-                Code.D4_AREA_MIXUP,
-                Severity.WARNING,
-                tuple(sorted(subjects, key=row_major)),
-                f"ranges {spelled[i]} and {spelled[j]} overlap at {shared}",
-                area=physical[i],
-            )
+        yield (
+            tuple(sorted(subjects, key=row_major)),
+            f"ranges {spelled[i]} and {spelled[j]} overlap at {shared}",
+            physical[i],
         )
     for addr, cell in program.formula_cells():
         cells = _plus_chain(cell.ast)
@@ -225,18 +228,13 @@ def detect_area_mixup(program: SpreadsheetProgram) -> list[Diagnostic]:
             axis = f"row {next(iter(rows))}"
         lo = min(cells, key=row_major)
         hi = max(cells, key=row_major)
-        out.append(
-            Diagnostic(
-                Code.D4_AREA_MIXUP,
-                Severity.WARNING,
-                (addr,),
-                f"{addr} adds {len(cells)} cells of {axis} one at a time; "
-                f"a grouping call such as SUM({lo}:{hi}) would name the "
-                f"area outright",
-            )
+        yield (
+            (addr,),
+            f"{addr} adds {len(cells)} cells of {axis} one at a time; "
+            f"a grouping call such as SUM({lo}:{hi}) would name the "
+            f"area outright",
+            None,
         )
-    out.sort(key=_sort_key)
-    return out
 
 
 def _overlapping_pairs(areas: list[PhysicalArea]) -> list[tuple[int, int, str]]:
@@ -281,14 +279,14 @@ def _plus_chain(node: FormulaNode) -> set[CellAddress] | None:
     return cells
 
 
-def detect_constant_overwrite(program: SpreadsheetProgram) -> list[Diagnostic]:
+@_detector(Code.D5_CONSTANT_OVERWRITE)
+def detect_constant_overwrite(program: SpreadsheetProgram) -> Iterator[Finding]:
     """D5: a constant interrupts a run of copies of one formula.
 
     Needs a logical area of at least three members whose hull is a
     single row or column; a Constant or Input strictly inside that hull
     looks like a formula someone typed a number over.
     """
-    out: list[Diagnostic] = []
     for area in infer_logical_areas(program):
         if len(area.members) < 3:
             continue
@@ -302,21 +300,16 @@ def detect_constant_overwrite(program: SpreadsheetProgram) -> list[Diagnostic]:
                 continue
             content = program.content(addr)
             if isinstance(content, (Constant, Input)):
-                out.append(
-                    Diagnostic(
-                        Code.D5_CONSTANT_OVERWRITE,
-                        Severity.WARNING,
-                        (addr,),
-                        f"{addr} holds a fixed number inside {hull}, a run of "
-                        f"{len(area.members)} copies of one formula",
-                        area=area,
-                    )
+                yield (
+                    (addr,),
+                    f"{addr} holds a fixed number inside {hull}, a run of "
+                    f"{len(area.members)} copies of one formula",
+                    area,
                 )
-    out.sort(key=_sort_key)
-    return out
 
 
-def detect_copy_misreference(program: SpreadsheetProgram) -> list[Diagnostic]:
+@_detector(Code.D6_COPY_MISREFERENCE)
+def detect_copy_misreference(program: SpreadsheetProgram) -> Iterator[Finding]:
     """D6: a few copies deviate from the rest only in reference markers
     or literal values.
 
@@ -325,7 +318,6 @@ def detect_copy_misreference(program: SpreadsheetProgram) -> list[Diagnostic]:
     absolute/relative markers or literals are flagged.
     """
     keys = copy_keys(program)
-    out: list[Diagnostic] = []
     for group in structural_groups(program):
         if len(group.members) < 3:
             continue
@@ -344,17 +336,12 @@ def detect_copy_misreference(program: SpreadsheetProgram) -> list[Diagnostic]:
             if not _marker_or_literal_diff(majority_key, key):
                 continue
             for addr in members:
-                out.append(
-                    Diagnostic(
-                        Code.D6_COPY_MISREFERENCE,
-                        Severity.WARNING,
-                        (addr,),
-                        f"{addr} deviates from {len(majority)} agreeing copies "
-                        f"only in reference markers or literal values",
-                    )
+                yield (
+                    (addr,),
+                    f"{addr} deviates from {len(majority)} agreeing copies "
+                    f"only in reference markers or literal values",
+                    None,
                 )
-    out.sort(key=_sort_key)
-    return out
 
 
 def _marker_or_literal_diff(a: CopyKey, b: CopyKey) -> bool:
@@ -385,6 +372,16 @@ def _ref_compatible(x: NormRef, y: NormRef) -> bool:
     return True
 
 
+_DETECTORS = (
+    detect_blank_ref,
+    detect_wrong_type_in_range,
+    detect_incorrect_range,
+    detect_area_mixup,
+    detect_constant_overwrite,
+    detect_copy_misreference,
+)
+
+
 def detect_all(
     program: SpreadsheetProgram,
     result: EvalResult | CyclicDependency | None = None,
@@ -397,42 +394,21 @@ def detect_all(
     omitted, the program is checked for cycles here.  With an
     EvalResult, divisions by zero surface as G_DIV_ZERO.
     """
-    # Each detector returns its findings sorted, and they are appended
-    # in code order, so the whole list is sorted without a final sort.
-    out: list[Diagnostic] = []
-    out.extend(detect_blank_ref(program))
-    out.extend(detect_wrong_type_in_range(program))
-    out.extend(detect_incorrect_range(program))
-    out.extend(detect_area_mixup(program))
-    out.extend(detect_constant_overwrite(program))
-    out.extend(detect_copy_misreference(program))
+    # Each code's findings come sorted, in code order, so the whole
+    # list is sorted without a final sort.
+    out = [diag for detect in _DETECTORS for diag in detect(program)]
     if result is None:
         try:
             build_graph(program).topo_order()
         except CyclicDependency as err:
             result = err
     if isinstance(result, CyclicDependency):
-        shown = " -> ".join(str(a) for a in result.cycle + result.cycle[:1])
-        out.append(
-            Diagnostic(
-                Code.G_CYCLE,
-                Severity.ERROR,
-                tuple(result.cycle),
-                f"formulas form a reference cycle: {shown}",
-            )
-        )
+        message = f"formulas form a reference cycle: {result.path}"
+        out += _diagnostics(Code.G_CYCLE, [(tuple(result.cycle), message, None)])
     elif result is not None:
-        offenders = sorted(
-            {note.cell for note in result.notes if note.kind is NoteKind.DIV_BY_ZERO},
-            key=row_major,
+        offenders = {note.cell for note in result.notes if note.kind is NoteKind.DIV_BY_ZERO}
+        out += _diagnostics(
+            Code.G_DIV_ZERO,
+            [((a,), f"{a} divides by zero under the current inputs", None) for a in offenders],
         )
-        for addr in offenders:
-            out.append(
-                Diagnostic(
-                    Code.G_DIV_ZERO,
-                    Severity.WARNING,
-                    (addr,),
-                    f"{addr} divides by zero under the current inputs",
-                )
-            )
     return out

@@ -40,6 +40,7 @@ from .evaluator import (
 from .model import (
     Formula,
     Input,
+    LoadError,
     NotAnInputCell,
     SpreadsheetInstance,
     SpreadsheetProgram,
@@ -49,12 +50,8 @@ from .model import (
 from .scl import CellAddress, MalformedAddress, parse_address, row_major, value_type
 
 
-class IntervalSpecError(SheetLintError):
-    """An .intervals file could not be read; carries the 1-based line."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class IntervalSpecError(LoadError):
+    """An .intervals file could not be read."""
 
 
 class NotAFormulaCell(SheetLintError):

@@ -38,7 +38,8 @@ from .scl import (
 
 
 class LoadError(SheetLintError):
-    """A .sheet file could not be read; carries the 1-based line."""
+    """A .sheet or .intervals file could not be read; carries the
+    1-based line."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")

@@ -359,11 +359,9 @@ def area_graph_dot(
         for addr in area.members:
             group_of.setdefault(addr, gid)
 
-    used_groups: list[str] = []
-    for addr in sorted(graph.nodes, key=row_major):
-        gid = group_of.get(addr)
-        if gid is not None and gid not in used_groups:
-            used_groups.append(gid)
+    nodes = sorted(graph.nodes, key=row_major)
+    # Each group once, in the order of its first node.
+    used_groups = dict.fromkeys(group_of[addr] for addr in nodes if addr in group_of)
 
     group_codes: dict[str, list[str]] = {}
     for addr, cell_codes in codes.items():
@@ -392,7 +390,7 @@ def area_graph_dot(
             attrs.append(f'color="{_OUTLINE}"')
             attrs.append("penwidth=2")
         lines.append(f'  "{gid}" [{", ".join(attrs)}];')
-    for addr in sorted(graph.nodes, key=row_major):
+    for addr in nodes:
         if addr in group_of:
             continue
         attrs = _node_attrs(program, addr, None, codes.get(addr))

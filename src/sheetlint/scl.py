@@ -245,12 +245,6 @@ class RangeRef(value_type("RangeRef", "start end")):
     def height(self) -> int:
         return self.end.row - self.start.row + 1
 
-    def contains(self, addr: CellAddress) -> bool:
-        return (
-            self.start.col <= addr.col <= self.end.col
-            and self.start.row <= addr.row <= self.end.row
-        )
-
     def cells(self) -> Iterator[CellAddress]:
         """All covered addresses in row-major order."""
         for row in range(self.start.row, self.end.row + 1):

@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from sheetlint.detectors import (
     Code,
     Diagnostic,
     Severity,
+    _DETECTORS,
     _sort_key,
     detect_all,
     detect_area_mixup,
@@ -31,6 +33,7 @@ QUARTERLY = (
 )
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 ONE_COLUMN_SUBTOTALS = (
     "H3 = #500\nH4 = #1000\nH5 = #900\nH6 = =SUM(H3:H5)\n"
@@ -310,6 +313,22 @@ class TestCopyMisreference:
         ]
 
 
+class TestSeverity:
+    @pytest.mark.parametrize("code", list(Code), ids=lambda code: code.value)
+    def test_only_a_cycle_is_an_error(self, code):
+        expected = Severity.ERROR if code is Code.G_CYCLE else Severity.WARNING
+        assert code.severity is expected
+
+    def test_readme_table_matches_codes(self):
+        rows = re.findall(r"^\| `(\w+)` \| (\w+) \|", README.read_text(), re.M)
+        assert rows == [(code.value, code.severity.value) for code in Code]
+
+    def test_every_finding_carries_its_codes_severity(self):
+        prog = load_program(TestDetectAll.running_totals(60))
+        for diag in detect_all(prog, eval_instance(instantiate(prog))):
+            assert diag.severity is diag.code.severity
+
+
 class TestDetectAll:
     def test_pinned_set_for_the_quarterly_sheet(self):
         diags = detect_all(load_program(QUARTERLY))
@@ -380,6 +399,10 @@ class TestDetectAll:
             result = err
         for given in (None, result):
             diags = detect_all(prog, given)
+            assert diags == sorted(diags, key=_sort_key)
+        for detect in _DETECTORS:
+            diags = detect(prog)
+            assert isinstance(diags, list)
             assert diags == sorted(diags, key=_sort_key)
 
     def test_codes_sort_before_cells(self):

@@ -24,7 +24,7 @@ from sheetlint.intervals import (
     load_interval_spec,
     run_interval_test,
 )
-from sheetlint.model import NotAnInputCell, instantiate, load_program
+from sheetlint.model import LoadError, NotAnInputCell, instantiate, load_program
 from sheetlint.scl import parse_address
 
 
@@ -326,6 +326,8 @@ class TestLoadIntervalSpec:
             with pytest.raises(IntervalSpecError) as info:
                 load_interval_spec("; lead-in\n" + bad + "\n", self.PROGRAM)
             assert info.value.line == 2
+            assert isinstance(info.value, LoadError)
+            assert str(info.value).startswith("line 2: ")
 
     def test_non_finite_endpoints_rejected_with_line(self):
         for bad in ["input A1 in [0, 1e400]", "expect B1 in [-1e999, 0]"]:
