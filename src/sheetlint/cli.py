@@ -12,6 +12,7 @@ be loaded.  Output for the same inputs is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import codecs
 import sys
 
 from .areas import infer_logical_areas, infer_physical_areas
@@ -70,12 +71,14 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as err:
-            # One read decodes the whole file, so the offset is the file's.
-            raise SheetLintError(f"{path}: not UTF-8 text (byte {err.start})") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as err:
+        # The codec counts from after a byte-order mark; report the file's offset.
+        bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+        raise SheetLintError(f"{path}: not UTF-8 text (byte {bom + err.start})") from None
 
 
 def _emit(text: str, output: str | None) -> None:

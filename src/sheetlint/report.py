@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Mapping
+from itertools import groupby
 
 from . import __version__
 from .areas import LogicalArea, PhysicalArea
 from .dataflow import DependencyGraph
 from .detectors import Diagnostic
 from .evaluator import Blank, Fault, Number, Text, Value
-from .intervals import Interval, IntervalValue, TestReport
+from .intervals import Interval, TestReport
 from .model import SpreadsheetProgram, content_kind, render_content
 from .scl import CellAddress, format_number, row_major
 
@@ -43,9 +43,11 @@ def to_json(payload: dict) -> str:
 # JSON pieces
 
 
-def _value_json(value: Value) -> dict:
+def _value_json(value: Value | Interval) -> dict:
     if isinstance(value, Number):
         return {"kind": "number", "value": value.value}
+    if isinstance(value, Interval):
+        return {"kind": "interval", "lo": value.lo, "hi": value.hi}
     if isinstance(value, Fault):
         return {"kind": "fault", "fault": value.kind.value}
     if isinstance(value, Text):
@@ -53,12 +55,6 @@ def _value_json(value: Value) -> dict:
     if isinstance(value, Blank):
         return {"kind": "blank"}
     raise TypeError(f"not a value: {value!r}")
-
-
-def _interval_json(value: IntervalValue) -> dict:
-    if isinstance(value, Interval):
-        return {"kind": "interval", "lo": value.lo, "hi": value.hi}
-    return _value_json(value)
 
 
 def _program_json(program: SpreadsheetProgram) -> dict:
@@ -118,7 +114,7 @@ def test_json(
             {
                 "cell": str(row.cell),
                 "value": _value_json(row.value),
-                "bounding": _interval_json(row.bounding),
+                "bounding": _value_json(row.bounding),
                 "expected": (
                     {"lo": row.expected.lo, "hi": row.expected.hi}
                     if row.expected is not None
@@ -166,20 +162,16 @@ def areas_json(
 # Text rendering
 
 
-def _value_text(value: Value) -> str:
+def _value_text(value: Value | Interval) -> str:
     if isinstance(value, Number):
         return format_number(value.value)
+    if isinstance(value, Interval):
+        return str(value)
     if isinstance(value, Fault):
         return f"fault({value.kind.value})"
     if isinstance(value, Text):
         return f'"{value.text}"'
     return "(blank)"
-
-
-def _interval_text(value: IntervalValue) -> str:
-    if isinstance(value, Interval):
-        return str(value)
-    return _value_text(value)
 
 
 def check_text(
@@ -204,7 +196,7 @@ def test_text(report: TestReport, sheet_path: str, intervals_path: str) -> str:
         if row.expected is not None:
             judged += 1
             parts.append(f"E={row.expected}")
-        parts.append(f"B={_interval_text(row.bounding)}")
+        parts.append(f"B={_value_text(row.bounding)}")
         if row.suspects:
             parts.append("suspects: " + " ".join(str(a) for a in row.suspects))
         lines.append("  ".join(parts))
@@ -232,51 +224,59 @@ def areas_text(
 # ---------------------------------------------------------------------------
 # DOT rendering
 
-_PALETTE = ("#cfe8ff", "#d8f5d8", "#fff2cc", "#f3d9f2", "#e2e2e2", "#ffd9cc")
 _OUTLINE = "#cc2222"
+_DASHED = 'style="dashed"'
+_FILLS = tuple(
+    f'style="filled", fillcolor="{color}"'
+    for color in ("#cfe8ff", "#d8f5d8", "#fff2cc", "#f3d9f2", "#e2e2e2", "#ffd9cc")
+)
 
 
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _cell_label(program: SpreadsheetProgram, addr: CellAddress) -> str:
-    content = program.content(addr)
-    if content is None:
-        return f"{addr}\\n(empty)"
-    return f"{addr}\\n{_dot_escape(render_content(content))}"
-
-
-def _diag_codes(diagnostics: list[Diagnostic]) -> Mapping[CellAddress, list[str]]:
-    by_cell: dict[CellAddress, list[str]] = {}
+def _diag_codes(diagnostics: list[Diagnostic]) -> dict[CellAddress, set[str]]:
+    by_cell: dict[CellAddress, set[str]] = {}
     for diag in diagnostics:
         for addr in diag.cells:
-            codes = by_cell.setdefault(addr, [])
-            if diag.code.value not in codes:
-                codes.append(diag.code.value)
-    return {addr: sorted(codes) for addr, codes in by_cell.items()}
+            by_cell.setdefault(addr, set()).add(diag.code.value)
+    return by_cell
 
 
-def _node_attrs(
+def _attrs(label: str, style: str | None, codes: set[str] | None) -> str:
+    """A node's attributes; diagnostic codes join the label and outline it."""
+    if codes:
+        label += "\\n" + ",".join(sorted(codes))
+    attrs = f'label="{label}"'
+    if style:
+        attrs += ", " + style
+    if codes:
+        attrs += f', color="{_OUTLINE}", penwidth=2'
+    return attrs
+
+
+def _cell_attrs(
     program: SpreadsheetProgram,
     addr: CellAddress,
-    fill: str | None,
-    codes: list[str] | None,
+    style: str | None,
+    codes: set[str] | None,
 ) -> str:
-    label = _cell_label(program, addr)
-    attrs = []
-    if codes:
-        label += "\\n" + ",".join(codes)
-    attrs.append(f'label="{label}"')
-    if program.content(addr) is None:
-        attrs.append('style="dashed"')
-    elif fill:
-        attrs.append('style="filled"')
-        attrs.append(f'fillcolor="{fill}"')
-    if codes:
-        attrs.append(f'color="{_OUTLINE}"')
-        attrs.append("penwidth=2")
-    return ", ".join(attrs)
+    content = program.content(addr)
+    if content is None:
+        return _attrs(f"{addr}\\n(empty)", _DASHED, codes)
+    return _attrs(f"{addr}\\n{_dot_escape(render_content(content))}", style, codes)
+
+
+def _claims(graph: DependencyGraph, physical: list[PhysicalArea]) -> dict[CellAddress, int]:
+    """Each graph node a physical area covers, mapped to the first such
+    area's index; keys run area by area, row-major within each."""
+    claimed: dict[CellAddress, int] = {}
+    for i, area in enumerate(physical):
+        for addr in area.rect.cells():
+            if addr in graph.nodes and addr not in claimed:
+                claimed[addr] = i
+    return claimed
 
 
 def cell_graph_dot(
@@ -292,36 +292,25 @@ def cell_graph_dot(
     fill: dict[CellAddress, str] = {}
     for i, area in enumerate(logical):
         for addr in area.members:
-            fill.setdefault(addr, _PALETTE[i % len(_PALETTE)])
-
-    claimed: dict[CellAddress, int] = {}
-    for i, area in enumerate(physical):
-        for addr in area.rect.cells():
-            if addr in graph.nodes and addr not in claimed:
-                claimed[addr] = i
-    clusters: dict[int, list[CellAddress]] = {}
-    for addr, i in claimed.items():
-        clusters.setdefault(i, []).append(addr)
+            fill.setdefault(addr, _FILLS[i % len(_FILLS)])
+    claimed = _claims(graph, physical)
 
     lines = [
         "digraph sheet {",
         '  node [shape=box, fontname="Helvetica"];',
     ]
-    for i, area in enumerate(physical):
-        members = sorted(clusters.get(i, ()), key=row_major)
-        if not members:
-            continue
+    for i, members in groupby(claimed, key=claimed.__getitem__):
         lines.append(f"  subgraph cluster_{i} {{")
-        lines.append(f'    label="{_dot_escape(str(area))}";')
+        lines.append(f'    label="{_dot_escape(str(physical[i]))}";')
         lines.append('    color="#888888";')
         for addr in members:
-            attrs = _node_attrs(program, addr, fill.get(addr), codes.get(addr))
+            attrs = _cell_attrs(program, addr, fill.get(addr), codes.get(addr))
             lines.append(f'    "{addr}" [{attrs}];')
         lines.append("  }")
     for addr in sorted(graph.nodes, key=row_major):
         if addr in claimed:
             continue
-        attrs = _node_attrs(program, addr, fill.get(addr), codes.get(addr))
+        attrs = _cell_attrs(program, addr, fill.get(addr), codes.get(addr))
         lines.append(f'  "{addr}" [{attrs}];')
     for source, target in graph.edges():
         lines.append(f'  "{source}" -> "{target}";')
@@ -343,70 +332,39 @@ def area_graph_dot(
     cells are lifted to their groups; edges inside one group vanish.
     """
     codes = _diag_codes(diagnostics)
-    group_of: dict[CellAddress, str] = {}
-    group_label: dict[str, str] = {}
-    group_fill: dict[str, str] = {}
-    for i, area in enumerate(physical):
-        gid = f"p{i}"
-        group_label[gid] = str(area)
-        for addr in area.rect.cells():
-            if addr in graph.nodes:
-                group_of.setdefault(addr, gid)
+    ids = [f"p{i}" for i in range(len(physical))]
+    group_of = {addr: ids[i] for addr, i in _claims(graph, physical).items()}
+    groups = {gid: (str(area), None) for gid, area in zip(ids, physical)}
     for i, area in enumerate(logical):
         gid = f"l{i}"
-        group_label[gid] = str(area)
-        group_fill[gid] = _PALETTE[i % len(_PALETTE)]
+        groups[gid] = (str(area), _FILLS[i % len(_FILLS)])
         for addr in area.members:
-            group_of.setdefault(addr, gid)
+            if addr not in group_of:
+                group_of[addr] = gid
 
     nodes = sorted(graph.nodes, key=row_major)
-    # Each group once, in the order of its first node.
-    used_groups = dict.fromkeys(group_of[addr] for addr in nodes if addr in group_of)
-
-    group_codes: dict[str, list[str]] = {}
+    # Each group once, in the order of its first node, with its cells' codes.
+    marks = dict.fromkeys((group_of[addr] for addr in nodes if addr in group_of), frozenset())
     for addr, cell_codes in codes.items():
-        gid = group_of.get(addr)
-        if gid is None:
-            continue
-        merged = group_codes.setdefault(gid, [])
-        for code in cell_codes:
-            if code not in merged:
-                merged.append(code)
+        if addr in group_of:
+            marks[group_of[addr]] |= cell_codes
 
     lines = [
         "digraph sheet_areas {",
         '  node [shape=box, fontname="Helvetica"];',
     ]
-    for gid in used_groups:
-        label = _dot_escape(group_label[gid])
-        marks = sorted(group_codes.get(gid, []))
-        if marks:
-            label += "\\n" + ",".join(marks)
-        attrs = [f'label="{label}"']
-        if gid in group_fill:
-            attrs.append('style="filled"')
-            attrs.append(f'fillcolor="{group_fill[gid]}"')
-        if marks:
-            attrs.append(f'color="{_OUTLINE}"')
-            attrs.append("penwidth=2")
-        lines.append(f'  "{gid}" [{", ".join(attrs)}];')
+    for gid, gathered in marks.items():
+        label, style = groups[gid]
+        lines.append(f'  "{gid}" [{_attrs(_dot_escape(label), style, gathered)}];')
     for addr in nodes:
-        if addr in group_of:
-            continue
-        attrs = _node_attrs(program, addr, None, codes.get(addr))
-        lines.append(f'  "{addr}" [{attrs}];')
+        if addr not in group_of:
+            lines.append(f'  "{addr}" [{_cell_attrs(program, addr, None, codes.get(addr))}];')
 
-    def node_id(addr: CellAddress) -> str:
-        return group_of.get(addr, str(addr))
-
-    emitted: set[tuple[str, str]] = set()
-    edge_lines: list[str] = []
-    for source, target in graph.edges():
-        pair = (node_id(source), node_id(target))
-        if pair[0] == pair[1] or pair in emitted:
-            continue
-        emitted.add(pair)
-        edge_lines.append(f'  "{pair[0]}" -> "{pair[1]}";')
-    lines.extend(sorted(edge_lines))
+    pairs = set()
+    for target in nodes:
+        head = group_of.get(target, target)
+        for source in graph.precedents(target):
+            pairs.add((group_of.get(source, source), head))
+    lines.extend(sorted(f'  "{tail}" -> "{head}";' for tail, head in pairs if tail != head))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -108,6 +108,40 @@ class TestNotUtf8:
         assert captured.err == f"sheetlint: error: {spec}: not UTF-8 text (byte {offset})\n"
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark is skipped; reported offsets stay the file's."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_files_with_a_mark_load(self, tmp_path, capsys):
+        sheet = tmp_path / "bom.sheet"
+        sheet.write_bytes(self.BOM + b"A1 = ?1\nA2 = =A1*2\n")
+        spec = tmp_path / "bom.intervals"
+        spec.write_bytes(self.BOM + b"input A1 in [0, 2]\nexpect A2 in [0, 4]\n")
+        assert main(["test", str(sheet), str(spec)]) == 0
+        captured = capsys.readouterr()
+        assert "A2: no_symptom  d=2  E=[0, 4]  B=[0, 4]" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("kind", ["sheet", "intervals"])
+    def test_bad_byte_after_a_mark(self, kind, tmp_path, capsys):
+        texts = {"sheet": b"A1 = ?1\nA2 = =A1*2\n", "intervals": b"input A1 in [0, 2]\n"}
+        texts[kind] = self.BOM + (
+            b'A1 = ?1\nA2 = "caf\xe9"\n' if kind == "sheet" else b"; caf\xe9\n"
+        )
+        paths = {}
+        for name, data in texts.items():
+            paths[name] = tmp_path / f"file.{name}"
+            paths[name].write_bytes(data)
+        assert main(["test", str(paths["sheet"]), str(paths["intervals"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        offset = texts[kind].index(b"\xe9")
+        assert captured.err == (
+            f"sheetlint: error: {paths[kind]}: not UTF-8 text (byte {offset})\n"
+        )
+
+
 class TestNonFiniteNumbers:
     def test_overflow_is_a_fault_not_a_crash(self, tmp_path, capsys):
         sheet = tmp_path / "big.sheet"
@@ -346,12 +380,13 @@ class TestBuildOnce:
         [
             ["check", RUNNING],
             ["graph", RUNNING],
+            ["graph", RUNNING, "--resolution", "area"],
             ["check", CYCLIC],
             ["graph", CYCLIC],
             ["areas", RUNNING],
             ["test", QUARTERLY, QUARTERLY_IV],
         ],
-        ids=["check", "graph", "check-cyclic", "graph-cyclic", "areas", "test"],
+        ids=["check", "graph", "graph-area", "check-cyclic", "graph-cyclic", "areas", "test"],
     )
     def test_each_structure_built_once(self, argv):
         calls = self.calls(argv)

@@ -7,13 +7,16 @@ import pathlib
 import jsonschema
 import pytest
 
+import corpus
+import injection
 from sheetlint.areas import infer_logical_areas, infer_physical_areas
-from sheetlint.dataflow import build_graph
+from sheetlint.dataflow import CyclicDependency, build_graph
 from sheetlint.detectors import detect_all
-from sheetlint.evaluator import eval_instance
+from sheetlint.evaluator import eval_in_order, eval_instance
 from sheetlint.intervals import load_interval_spec, run_interval_test
-from sheetlint.model import instantiate, load_program
+from sheetlint.model import instantiate, load_program, render_content
 from sheetlint import report
+from sheetlint.scl import row_major
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE.parent / "fixtures"
@@ -270,6 +273,123 @@ class TestAreaGraphDot:
         )
         edges = [l for l in dot.splitlines() if "->" in l]
         assert len(edges) == len(set(edges))
+
+
+def dot_inputs(program):
+    """What `sheetlint graph` hands a DOT renderer, cyclic sheets included."""
+    graph = build_graph(program)
+    try:
+        result = eval_in_order(instantiate(program), graph.topo_order())
+    except CyclicDependency as err:
+        result = err
+    physical, logical = infer_physical_areas(program), infer_logical_areas(program)
+    return program, graph, physical, logical, detect_all(program, result)
+
+
+class TestAreaGraphOracle:
+    """The quotient view against the former renderer, which re-ran the
+    cell view's claim loop and lifted the row-major sorted edge list."""
+
+    PALETTE = ("#cfe8ff", "#d8f5d8", "#fff2cc", "#f3d9f2", "#e2e2e2", "#ffd9cc")
+
+    # A4 is empty and A3 a label inside C1's range: one group gathers
+    # D1 and D2.  The copies B1:B2 lie inside C2's range, which claims them.
+    CRAFTED = (
+        'A1 = #1\nA2 = #2\nA3 = "x"\nA5 = #5\n'
+        "B1 = =A1*2\nB2 = =A2*2\nC1 = =SUM(A1:A5)\nC2 = =SUM(B1:B2)\n"
+        "D1 = =C1*3\nD2 = =C2*3\n"
+    )
+
+    @classmethod
+    def oracle(cls, program, graph, physical, logical, diagnostics):
+        codes = {}
+        for diag in diagnostics:
+            for addr in diag.cells:
+                cell_codes = codes.setdefault(addr, [])
+                if diag.code.value not in cell_codes:
+                    cell_codes.append(diag.code.value)
+        group_of, group_label, group_fill = {}, {}, {}
+        for i, area in enumerate(physical):
+            group_label[f"p{i}"] = str(area)
+            for addr in area.rect.cells():
+                if addr in graph.nodes:
+                    group_of.setdefault(addr, f"p{i}")
+        for i, area in enumerate(logical):
+            group_label[f"l{i}"] = str(area)
+            group_fill[f"l{i}"] = cls.PALETTE[i % len(cls.PALETTE)]
+            for addr in area.members:
+                group_of.setdefault(addr, f"l{i}")
+        nodes = sorted(graph.nodes, key=row_major)
+        used_groups = dict.fromkeys(group_of[a] for a in nodes if a in group_of)
+        group_codes = {}
+        for addr, cell_codes in codes.items():
+            if addr in group_of:
+                merged = group_codes.setdefault(group_of[addr], [])
+                merged.extend(c for c in cell_codes if c not in merged)
+
+        def attrs(label, fill, marks, dashed=False):
+            if marks:
+                label += "\\n" + ",".join(marks)
+            out = [f'label="{label}"']
+            if dashed:
+                out.append('style="dashed"')
+            elif fill:
+                out += ['style="filled"', f'fillcolor="{fill}"']
+            if marks:
+                out += ['color="#cc2222"', "penwidth=2"]
+            return ", ".join(out)
+
+        lines = ["digraph sheet_areas {", '  node [shape=box, fontname="Helvetica"];']
+        for gid in used_groups:
+            label = report._dot_escape(group_label[gid])
+            marks = sorted(group_codes.get(gid, []))
+            lines.append(f'  "{gid}" [{attrs(label, group_fill.get(gid), marks)}];')
+        for addr in nodes:
+            if addr in group_of:
+                continue
+            content = program.content(addr)
+            if content is None:
+                label = f"{addr}\\n(empty)"
+            else:
+                label = f"{addr}\\n{report._dot_escape(render_content(content))}"
+            marks = sorted(codes.get(addr, []))
+            lines.append(f'  "{addr}" [{attrs(label, None, marks, content is None)}];')
+        emitted, edge_lines = set(), []
+        for source, target in graph.edges():
+            pair = (group_of.get(source, str(source)), group_of.get(target, str(target)))
+            if pair[0] != pair[1] and pair not in emitted:
+                emitted.add(pair)
+                edge_lines.append(f'  "{pair[0]}" -> "{pair[1]}";')
+        return "\n".join(lines + sorted(edge_lines) + ["}"]) + "\n"
+
+    def assert_same(self, program):
+        inputs = dot_inputs(program)
+        assert report.area_graph_dot(*inputs) == self.oracle(*inputs)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.sheet")))
+    def test_fixtures(self, name):
+        self.assert_same(load_program(fixture_text(name)))
+
+    def test_corpus(self):
+        for cp in corpus.corpus(300):
+            self.assert_same(cp.program)
+
+    def test_injection_sheets(self):
+        for case in injection.cases(20):
+            self.assert_same(load_program(case.clean))
+            self.assert_same(load_program(case.faulty))
+
+    def test_crafted(self):
+        program = load_program(self.CRAFTED)
+        self.assert_same(program)
+        dot = report.area_graph_dot(*dot_inputs(program))
+        assert (
+            '  "p0" [label="SUM A1:A5 -> C1\\nD1_BLANK_REF,D2_WRONG_TYPE_IN_RANGE", '
+            'color="#cc2222", penwidth=2];\n'
+        ) in dot
+        assert '  "p1" [label="SUM B1:B2 -> C2"];\n' in dot
+        assert '"l0"' not in dot
+        assert '  "p0" -> "p1";\n' in dot
 
 
 class TestDeterminism:
