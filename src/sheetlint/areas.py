@@ -16,9 +16,7 @@ and shared by every later caller (see ``model.per_program``).
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .model import SpreadsheetProgram, content_kind, per_program
+from .model import SpreadsheetProgram, cell_index, per_program
 from .scl import (
     Call,
     CellAddress,
@@ -70,14 +68,11 @@ class StructuralGroup(value_type("StructuralGroup", "members")):
 
 
 def _majority_type(program: SpreadsheetProgram, rect: RangeRef) -> str | None:
-    counts: Counter[str] = Counter()
-    for addr in rect.cells():
-        content = program.content(addr)
-        if content is not None:
-            counts[content_kind(content)] += 1
-    if not counts:
-        return None
-    return max(counts, key=lambda kind: (counts[kind], -_KIND_PRIORITY.index(kind)))
+    index = cell_index(program)
+    counts = {kind: index.count(rect, kind) for kind in _KIND_PRIORITY}
+    # max keeps the first of equal counts, so ties go by priority.
+    kind = max(_KIND_PRIORITY, key=counts.__getitem__)
+    return kind if counts[kind] else None
 
 
 @per_program

@@ -1,20 +1,26 @@
 """Data dependencies between cells and their evaluation order.
 
-An edge runs from a referenced cell to the formula that reads it, so a
-topological order lists every cell after all of its precedents.  Ranges
-contribute one edge per covered address, including addresses that are
-empty; a formula depends on the cell, not on whether something is
-there yet.
+An edge runs from a referenced cell to the formula that reads it.  A
+formula reads the cells it references directly and every address its
+ranges cover, including addresses that are empty; a formula depends
+on the cell, not on whether something is there yet.
+
+The graph keeps each range as one rectangle.  Only formulas need
+ranking: every other cell has no precedents.  So the edges between
+formulas are found through the program's occupied-cell index, and the
+cell-level nodes, edges and precedents are derived from the rectangles
+when asked for.  A topological order lists the non-empty cells only.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from typing import Iterator
 
 from .errors import SheetLintError
-from .model import Formula, SpreadsheetProgram
-from .scl import CellAddress, FormulaNode, RangeArg, Reference, iter_nodes, row_major
+from .model import Formula, SpreadsheetProgram, cell_index
+from .scl import CellAddress, FormulaNode, RangeArg, RangeRef, Reference, iter_nodes, row_major
 
 
 class CyclicDependency(SheetLintError):
@@ -31,67 +37,106 @@ class CyclicDependency(SheetLintError):
         super().__init__(f"cyclic dependency: {self.path}")
 
 
-def referenced_addresses(ast: FormulaNode) -> Iterator[CellAddress]:
-    """Every address a formula reads, ranges expanded, in source order.
-
-    Addresses referenced more than once appear more than once.
-    """
+def reads(ast: FormulaNode) -> tuple[list[CellAddress], list[RangeRef]]:
+    """The addresses a formula references directly and the rectangles
+    its ranges cover, each in source order, repeats kept."""
+    refs: list[CellAddress] = []
+    rects: list[RangeRef] = []
     for node in iter_nodes(ast):
-        if isinstance(node, Reference):
-            yield node.ref.address()
-        elif isinstance(node, RangeArg):
-            yield from node.rng.cells()
+        if type(node) is Reference:
+            refs.append(node.ref.address())
+        elif type(node) is RangeArg:
+            rects.append(node.rng)
+    return refs, rects
 
 
 class DependencyGraph:
     """Reads-from relation over one program's cells."""
 
     def __init__(self, program: SpreadsheetProgram):
-        self._precedents: dict[CellAddress, set[CellAddress]] = {}
-        self._dependents: dict[CellAddress, set[CellAddress]] = {}
-        self.nodes: set[CellAddress] = set(program.cells)
-        for addr, content in program.cells.items():
-            if not isinstance(content, Formula):
+        self._program = program
+        self._index = index = cell_index(program)
+        cells = program.cells
+        # Formula -> (direct references, range rectangles).
+        self._reads: dict[CellAddress, tuple[list[CellAddress], list[RangeRef]]] = {}
+        # Formula -> the formulas it reads; formula -> those reading it.
+        self._formula_precedents: dict[CellAddress, set[CellAddress]] = {}
+        self._formula_dependents: dict[CellAddress, set[CellAddress]] = {}
+        for addr, content in cells.items():
+            if type(content) is not Formula:
                 continue
-            for source in referenced_addresses(content.ast):
-                self.nodes.add(source)
-                self._precedents.setdefault(addr, set()).add(source)
-                self._dependents.setdefault(source, set()).add(addr)
+            refs, rects = self._reads[addr] = reads(content.ast)
+            sources = {ref for ref in refs if type(cells.get(ref)) is Formula}
+            for rect in rects:
+                sources.update(index.occupied(rect, "formula"))
+            self._formula_precedents[addr] = sources
+            for source in sources:
+                self._formula_dependents.setdefault(source, set()).add(addr)
+        self._cells_read_cache: dict[CellAddress, frozenset[CellAddress]] = {}
+
+    @functools.cached_property
+    def nodes(self) -> set[CellAddress]:
+        """Every non-empty cell and every address a formula reads."""
+        nodes = set(self._program.cells)
+        for refs, rects in self._reads.values():
+            nodes.update(refs)
+            for rect in rects:
+                nodes.update(self._index.empty(rect))
+        return nodes
 
     def edges(self) -> Iterator[tuple[CellAddress, CellAddress]]:
         """All (referenced, referencing) pairs in row-major order."""
-        for source in sorted(self._dependents, key=row_major):
-            for target in sorted(self._dependents[source], key=row_major):
-                yield source, target
+        pairs = [
+            (source, target) for target in self._reads for source in self._cells_read(target)
+        ]
+        pairs.sort(key=lambda pair: (pair[0].row, pair[0].col, pair[1].row, pair[1].col))
+        return iter(pairs)
 
     def precedents(self, addr: CellAddress) -> set[CellAddress]:
         """Cells an address reads directly."""
-        return set(self._precedents.get(addr, ()))
+        return set(self._cells_read(addr))
+
+    def _cells_read(self, addr: CellAddress) -> frozenset[CellAddress]:
+        # Built once per formula, on first use.
+        found = self._cells_read_cache.get(addr)
+        if found is None:
+            found = frozenset()
+            if addr in self._reads:
+                refs, rects = self._reads[addr]
+                cells = set(refs)
+                for rect in rects:
+                    cells.update(self._index.occupied(rect))
+                    cells.update(self._index.empty(rect))
+                found = frozenset(cells)
+            self._cells_read_cache[addr] = found
+        return found
 
     def topo_order(self) -> list[CellAddress]:
-        """Every node, precedents before dependents.
+        """Every non-empty cell, precedents before dependents.
 
-        Ties break row-major, so the order is a pure function of the
-        program.  Raises CyclicDependency with a witness cycle.
+        Cells other than formulas read nothing, so they come first in
+        row-major order; the formulas follow, each after the formulas
+        it reads, ties broken row-major.  The order is a pure function
+        of the program.  Raises CyclicDependency with a witness cycle.
         """
-        indegree = {node: len(self._precedents.get(node, ())) for node in self.nodes}
-        ready = [(row_major(node), node) for node, deg in indegree.items() if deg == 0]
+        order = [addr for addr in self._program.cells if addr not in self._reads]
+        indegree = {addr: len(sources) for addr, sources in self._formula_precedents.items()}
+        ready = [(row_major(addr), addr) for addr, deg in indegree.items() if deg == 0]
         heapq.heapify(ready)
-        order: list[CellAddress] = []
         while ready:
             _, node = heapq.heappop(ready)
             order.append(node)
-            for dependent in self._dependents.get(node, ()):
+            for dependent in self._formula_dependents.get(node, ()):
                 indegree[dependent] -= 1
                 if indegree[dependent] == 0:
                     heapq.heappush(ready, (row_major(dependent), dependent))
-        if len(order) < len(self.nodes):
-            raise CyclicDependency(self._witness_cycle(set(self.nodes) - set(order)))
+        if len(order) < len(self._program.cells):
+            raise CyclicDependency(self._witness_cycle(set(self._reads) - set(order)))
         return order
 
     def _witness_cycle(self, remaining: set[CellAddress]) -> list[CellAddress]:
-        # Every remaining node keeps at least one precedent within the
-        # remainder, so walking precedents must loop.
+        # Every remaining formula keeps at least one formula precedent
+        # within the remainder, so walking precedents must loop.
         start = min(remaining, key=row_major)
         path: list[CellAddress] = []
         index: dict[CellAddress, int] = {}
@@ -99,7 +144,7 @@ class DependencyGraph:
         while cell not in index:
             index[cell] = len(path)
             path.append(cell)
-            cell = min(self._precedents[cell] & remaining, key=row_major)
+            cell = min(self._formula_precedents[cell] & remaining, key=row_major)
         cycle = path[index[cell]:]
         pivot = cycle.index(min(cycle, key=row_major))
         return cycle[pivot:] + cycle[:pivot]

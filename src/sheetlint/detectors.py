@@ -32,9 +32,9 @@ from .areas import (
     infer_physical_areas,
     structural_groups,
 )
-from .dataflow import CyclicDependency, build_graph, referenced_addresses
+from .dataflow import CyclicDependency, build_graph, reads
 from .evaluator import EvalResult, NoteKind
-from .model import Constant, Input, Label, SpreadsheetProgram, content_kind
+from .model import Constant, Input, SpreadsheetProgram, cell_index, content_kind
 from .scl import (
     BinaryOp,
     CellAddress,
@@ -127,10 +127,14 @@ def detect_blank_ref(program: SpreadsheetProgram) -> Iterator[Finding]:
     One warning per (formula, empty cell) pair, whether the read is a
     direct reference or range coverage.
     """
+    index = cell_index(program)
     for addr, cell in program.formula_cells():
-        for source in dict.fromkeys(referenced_addresses(cell.ast)):
-            if program.content(source) is None:
-                yield (source,), f"{addr} reads empty cell {source}", None
+        refs, rects = reads(cell.ast)
+        empty = dict.fromkeys(ref for ref in refs if program.content(ref) is None)
+        for rect in rects:
+            empty.update(dict.fromkeys(index.empty(rect)))
+        for source in empty:
+            yield (source,), f"{addr} reads empty cell {source}", None
 
 
 @_detector(Code.D2_WRONG_TYPE_IN_RANGE)
@@ -140,16 +144,16 @@ def detect_wrong_type_in_range(program: SpreadsheetProgram) -> Iterator[Finding]
     The label is skipped today, so the result looks right; if the cell
     is ever given a number, that number silently joins the aggregate.
     """
+    index = cell_index(program)
     for area in infer_physical_areas(program):
-        for addr in area.rect.cells():
-            if isinstance(program.content(addr), Label):
-                yield (
-                    (addr,),
-                    f"label at {addr} lies inside {area.function} range "
-                    f"{area.rect} of {area.consumer}; a number typed there "
-                    f"would silently join the aggregate",
-                    area,
-                )
+        for addr in index.occupied(area.rect, "label"):
+            yield (
+                (addr,),
+                f"label at {addr} lies inside {area.function} range "
+                f"{area.rect} of {area.consumer}; a number typed there "
+                f"would silently join the aggregate",
+                area,
+            )
 
 
 @_detector(Code.D3_INCORRECT_RANGE)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from bisect import bisect_left, bisect_right
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
@@ -28,6 +29,7 @@ from .scl import (
     FormulaError,
     FormulaNode,
     MalformedAddress,
+    RangeRef,
     format_number,
     parse_address,
     parse_formula,
@@ -96,18 +98,15 @@ class Label(value_type("Label", "text")):
 
 CellContent = Union[Constant, Input, Formula, Label]
 
+_KINDS = {Constant: "constant", Input: "input", Formula: "formula", Label: "label"}
+
 
 def content_kind(content: CellContent) -> str:
     """The state name of a non-empty cell."""
-    if isinstance(content, Constant):
-        return "constant"
-    if isinstance(content, Input):
-        return "input"
-    if isinstance(content, Formula):
-        return "formula"
-    if isinstance(content, Label):
-        return "label"
-    raise TypeError(f"not cell content: {content!r}")
+    try:
+        return _KINDS[type(content)]
+    except KeyError:
+        raise TypeError(f"not cell content: {content!r}") from None
 
 
 def render_content(content: CellContent) -> str:
@@ -189,6 +188,67 @@ def per_program(fn: Callable[[SpreadsheetProgram], object]) -> Callable:
         return program._memo[once]
 
     return once
+
+
+class CellIndex:
+    """Where a program's content is: for each column, the sorted rows of
+    its non-empty cells, overall and per content kind.
+
+    A rectangle's occupied and empty cells are found by bisecting these
+    lists, so the cost follows the cells there are, not the addresses a
+    rectangle covers.
+    """
+
+    def __init__(self, program: SpreadsheetProgram):
+        # kind (None for any) -> column -> rows, ascending
+        self._rows: dict[str | None, dict[int, list[int]]] = {None: {}}
+        self._rows.update((kind, {}) for kind in _KINDS.values())
+        anything = self._rows[None]
+        # The cells run row-major, so every list is built in order.
+        for (col, row), content in program.cells.items():
+            anything.setdefault(col, []).append(row)
+            self._rows[_KINDS[type(content)]].setdefault(col, []).append(row)
+        self._cols = {kind: sorted(rows) for kind, rows in self._rows.items()}
+
+    def _spans(self, rect: RangeRef, kind: str | None) -> Iterator[tuple[int, list[int]]]:
+        """Each column of ``rect`` holding ``kind``, with its rows there."""
+        cols = self._cols[kind]
+        top, bottom = rect.start.row, rect.end.row
+        first = bisect_left(cols, rect.start.col)
+        for col in cols[first:bisect_right(cols, rect.end.col, first)]:
+            rows = self._rows[kind][col]
+            lo = bisect_left(rows, top)
+            yield col, rows[lo:bisect_right(rows, bottom, lo)]
+
+    def count(self, rect: RangeRef, kind: str | None = None) -> int:
+        """How many cells of ``rect`` hold content, of ``kind`` if given."""
+        return sum(len(rows) for _, rows in self._spans(rect, kind))
+
+    def occupied(self, rect: RangeRef, kind: str | None = None) -> list[CellAddress]:
+        """The cells of ``rect`` that hold content, of ``kind`` if given,
+        column by column and top-down within each."""
+        return [CellAddress(col, row) for col, rows in self._spans(rect, kind) for row in rows]
+
+    def empty(self, rect: RangeRef) -> Iterator[CellAddress]:
+        """The cells of ``rect`` with nothing in them, column by column
+        and top-down within each."""
+        top, bottom = rect.start.row, rect.end.row
+        full = dict(self._spans(rect, None))
+        for col in range(rect.start.col, rect.end.col + 1):
+            rows = full.get(col, ())
+            if len(rows) == bottom - top + 1:
+                continue
+            row = top
+            for filled in (*rows, bottom + 1):
+                for gap in range(row, filled):
+                    yield CellAddress(col, gap)
+                row = filled + 1
+
+
+@per_program
+def cell_index(program: SpreadsheetProgram) -> CellIndex:
+    """The program's occupied-cell index."""
+    return CellIndex(program)
 
 
 class SpreadsheetInstance:

@@ -259,13 +259,14 @@ def _attrs(label: str, style: str | None, codes: set[str] | None) -> str:
 def _cell_attrs(
     program: SpreadsheetProgram,
     addr: CellAddress,
+    name: str,
     style: str | None,
     codes: set[str] | None,
 ) -> str:
     content = program.content(addr)
     if content is None:
-        return _attrs(f"{addr}\\n(empty)", _DASHED, codes)
-    return _attrs(f"{addr}\\n{_dot_escape(render_content(content))}", style, codes)
+        return _attrs(f"{name}\\n(empty)", _DASHED, codes)
+    return _attrs(f"{name}\\n{_dot_escape(render_content(content))}", style, codes)
 
 
 def _claims(graph: DependencyGraph, physical: list[PhysicalArea]) -> dict[CellAddress, int]:
@@ -294,6 +295,12 @@ def cell_graph_dot(
         for addr in area.members:
             fill.setdefault(addr, _FILLS[i % len(_FILLS)])
     claimed = _claims(graph, physical)
+    # Each node spelled once, for its own line and for its edges.
+    names = {addr: str(addr) for addr in sorted(graph.nodes, key=row_major)}
+
+    def node_line(addr: CellAddress) -> str:
+        name = names[addr]
+        return f'"{name}" [{_cell_attrs(program, addr, name, fill.get(addr), codes.get(addr))}];'
 
     lines = [
         "digraph sheet {",
@@ -303,17 +310,10 @@ def cell_graph_dot(
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="{_dot_escape(str(physical[i]))}";')
         lines.append('    color="#888888";')
-        for addr in members:
-            attrs = _cell_attrs(program, addr, fill.get(addr), codes.get(addr))
-            lines.append(f'    "{addr}" [{attrs}];')
+        lines.extend(f"    {node_line(addr)}" for addr in members)
         lines.append("  }")
-    for addr in sorted(graph.nodes, key=row_major):
-        if addr in claimed:
-            continue
-        attrs = _cell_attrs(program, addr, fill.get(addr), codes.get(addr))
-        lines.append(f'  "{addr}" [{attrs}];')
-    for source, target in graph.edges():
-        lines.append(f'  "{source}" -> "{target}";')
+    lines.extend(f"  {node_line(addr)}" for addr in names if addr not in claimed)
+    lines.extend(f'  "{names[source]}" -> "{names[target]}";' for source, target in graph.edges())
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -358,7 +358,8 @@ def area_graph_dot(
         lines.append(f'  "{gid}" [{_attrs(_dot_escape(label), style, gathered)}];')
     for addr in nodes:
         if addr not in group_of:
-            lines.append(f'  "{addr}" [{_cell_attrs(program, addr, None, codes.get(addr))}];')
+            name = str(addr)
+            lines.append(f'  "{name}" [{_cell_attrs(program, addr, name, None, codes.get(addr))}];')
 
     pairs = set()
     for target in nodes:

@@ -22,7 +22,7 @@ from sheetlint.areas import (
 )
 from sheetlint.cli import main
 from sheetlint.dataflow import DependencyGraph
-from sheetlint.model import load_program
+from sheetlint.model import cell_index, load_program
 from sheetlint.scl import normalize
 
 HERE = pathlib.Path(__file__).parent
@@ -349,13 +349,14 @@ class TestBuildOnce:
         "infer_logical_areas": infer_logical_areas.__wrapped__.__code__,
         "structural_groups": structural_groups.__wrapped__.__code__,
         "copy_keys": copy_keys.__wrapped__.__code__,
+        "cell_index": cell_index.__wrapped__.__code__,
     }
     # What each command builds; it builds nothing else.
     BUILT = {
         "check": set(BUILDERS),
         "graph": set(BUILDERS),
-        "areas": {"infer_physical_areas", "infer_logical_areas", "copy_keys"},
-        "test": {"DependencyGraph.__init__", "DependencyGraph.topo_order"},
+        "areas": {"infer_physical_areas", "infer_logical_areas", "copy_keys", "cell_index"},
+        "test": {"DependencyGraph.__init__", "DependencyGraph.topo_order", "cell_index"},
     }
     # B4 lies outside the logical area B1:B3, but in D6's group with it.
     DEVIANT = (

@@ -2,9 +2,10 @@
 
 import pytest
 
-from sheetlint.dataflow import CyclicDependency, build_graph, referenced_addresses
+from sheetlint.dataflow import CyclicDependency, build_graph
+from sheetlint.detectors import detect_blank_ref
 from sheetlint.model import load_program
-from sheetlint.scl import parse_address, parse_formula
+from sheetlint.scl import parse_address
 
 DIAMOND = "A1 = ?1\nB1 = =A1+1\nB2 = =A1*2\nC1 = =B1+B2\n"
 
@@ -14,17 +15,31 @@ def addrs(items):
 
 
 class TestReferencedAddresses:
-    def test_scalar_and_range_references(self):
-        got = referenced_addresses(parse_formula("A1+SUM(B1:B3)"))
-        assert addrs(got) == ["A1", "B1", "B2", "B3"]
+    """What a formula reads: its direct references and every address
+    its ranges cover, as the graph's precedents and D1 see it."""
 
-    def test_duplicates_preserved_in_source_order(self):
-        got = referenced_addresses(parse_formula("SUM(A1:A2,A1)"))
-        assert addrs(got) == ["A1", "A2", "A1"]
+    @staticmethod
+    def reads(formula, others=""):
+        program = load_program(others + "Z9 = =" + formula + "\n")
+        graph = build_graph(program)
+        blank = [d.message for d in detect_blank_ref(program)]
+        return sorted(addrs(graph.precedents(parse_address("Z9")))), blank
+
+    def test_scalar_and_range_references(self):
+        precedents, blank = self.reads("A1+SUM(B1:B3)", "B2 = #1\n")
+        assert precedents == ["A1", "B1", "B2", "B3"]
+        assert blank == ["Z9 reads empty cell A1", "Z9 reads empty cell B1",
+                         "Z9 reads empty cell B3"]
+
+    def test_address_read_twice_counts_once(self):
+        precedents, blank = self.reads("SUM(A1:A2,A1)")
+        assert precedents == ["A1", "A2"]
+        assert blank == ["Z9 reads empty cell A1", "Z9 reads empty cell A2"]
 
     def test_absolute_markers_do_not_matter(self):
-        got = referenced_addresses(parse_formula("$A$1+A1"))
-        assert addrs(got) == ["A1", "A1"]
+        precedents, blank = self.reads("$A$1+A1")
+        assert precedents == ["A1"]
+        assert blank == ["Z9 reads empty cell A1"]
 
 
 class TestGraph:
