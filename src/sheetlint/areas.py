@@ -16,17 +16,15 @@ and shared by every later caller (see ``model.per_program``).
 
 from __future__ import annotations
 
+from .dataflow import formula_reads
 from .model import SpreadsheetProgram, cell_index, per_program
 from .scl import (
-    Call,
     CellAddress,
     CellRef,
     CopyKey,
-    RangeArg,
     RangeRef,
     Skeleton,
     copy_key,
-    iter_nodes,
     row_major,
     skeleton,
     value_type,
@@ -82,22 +80,11 @@ def infer_physical_areas(program: SpreadsheetProgram) -> list[PhysicalArea]:
     A formula with two range arguments yields two areas; the same
     rectangle read by two formulas yields one area per consumer.
     """
-    out: list[PhysicalArea] = []
-    for addr, cell in program.formula_cells():
-        for node in iter_nodes(cell.ast):
-            if type(node) is not Call:
-                continue
-            for arg in node.args:
-                if type(arg) is RangeArg:
-                    out.append(
-                        PhysicalArea(
-                            rect=arg.rng,
-                            consumer=addr,
-                            function=node.name,
-                            majority_type=_majority_type(program, arg.rng),
-                        )
-                    )
-    return out
+    return [
+        PhysicalArea(rect, consumer, function, _majority_type(program, rect))
+        for consumer, (_, ranges) in formula_reads(program).items()
+        for function, rect in ranges
+    ]
 
 
 def _hull(members: list[CellAddress]) -> RangeRef:

@@ -10,6 +10,10 @@ ranking: every other cell has no precedents.  So the edges between
 formulas are found through the program's occupied-cell index, and the
 cell-level nodes, edges and precedents are derived from the rectangles
 when asked for.  A topological order lists the non-empty cells only.
+
+What each formula reads is listed once per program, in one walk of its
+tree, by ``formula_reads``; the graph, D1, the physical areas and D4
+all read that table.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import heapq
 from typing import Iterator
 
 from .errors import SheetLintError
-from .model import Formula, SpreadsheetProgram, cell_index
-from .scl import CellAddress, FormulaNode, RangeArg, RangeRef, Reference, iter_nodes, row_major
+from .model import Formula, SpreadsheetProgram, cell_index, per_program
+from .scl import CellAddress, Call, RangeArg, RangeRef, Reference, iter_nodes, row_major
 
 
 class CyclicDependency(SheetLintError):
@@ -37,17 +41,28 @@ class CyclicDependency(SheetLintError):
         super().__init__(f"cyclic dependency: {self.path}")
 
 
-def reads(ast: FormulaNode) -> tuple[list[CellAddress], list[RangeRef]]:
-    """The addresses a formula references directly and the rectangles
-    its ranges cover, each in source order, repeats kept."""
-    refs: list[CellAddress] = []
-    rects: list[RangeRef] = []
-    for node in iter_nodes(ast):
-        if type(node) is Reference:
-            refs.append(node.ref.address())
-        elif type(node) is RangeArg:
-            rects.append(node.rng)
-    return refs, rects
+@per_program
+def formula_reads(
+    program: SpreadsheetProgram,
+) -> dict[CellAddress, tuple[list[CellAddress], list[tuple[str, RangeRef]]]]:
+    """Each formula cell, row-major, mapped to what it reads: the
+    addresses it references directly, in source order with repeats
+    kept, and one (function, rectangle) pair per range argument, by
+    call top-down and then argument left to right."""
+    table = {}
+    for addr, content in program.cells.items():
+        if type(content) is not Formula:
+            continue
+        refs, ranges = table[addr] = [], []
+        for node in iter_nodes(content.ast):
+            kind = type(node)
+            if kind is Reference:
+                refs.append(node.ref.address())
+            elif kind is Call:
+                for arg in node.args:
+                    if type(arg) is RangeArg:
+                        ranges.append((node.name, arg.rng))
+    return table
 
 
 class DependencyGraph:
@@ -57,17 +72,13 @@ class DependencyGraph:
         self._program = program
         self._index = index = cell_index(program)
         cells = program.cells
-        # Formula -> (direct references, range rectangles).
-        self._reads: dict[CellAddress, tuple[list[CellAddress], list[RangeRef]]] = {}
+        self._reads = formula_reads(program)
         # Formula -> the formulas it reads; formula -> those reading it.
         self._formula_precedents: dict[CellAddress, set[CellAddress]] = {}
         self._formula_dependents: dict[CellAddress, set[CellAddress]] = {}
-        for addr, content in cells.items():
-            if type(content) is not Formula:
-                continue
-            refs, rects = self._reads[addr] = reads(content.ast)
+        for addr, (refs, ranges) in self._reads.items():
             sources = {ref for ref in refs if type(cells.get(ref)) is Formula}
-            for rect in rects:
+            for _, rect in ranges:
                 sources.update(index.occupied(rect, "formula"))
             self._formula_precedents[addr] = sources
             for source in sources:
@@ -78,9 +89,9 @@ class DependencyGraph:
     def nodes(self) -> set[CellAddress]:
         """Every non-empty cell and every address a formula reads."""
         nodes = set(self._program.cells)
-        for refs, rects in self._reads.values():
+        for refs, ranges in self._reads.values():
             nodes.update(refs)
-            for rect in rects:
+            for _, rect in ranges:
                 nodes.update(self._index.empty(rect))
         return nodes
 
@@ -102,9 +113,9 @@ class DependencyGraph:
         if found is None:
             found = frozenset()
             if addr in self._reads:
-                refs, rects = self._reads[addr]
+                refs, ranges = self._reads[addr]
                 cells = set(refs)
-                for rect in rects:
+                for _, rect in ranges:
                     cells.update(self._index.occupied(rect))
                     cells.update(self._index.empty(rect))
                 found = frozenset(cells)

@@ -32,20 +32,16 @@ from .areas import (
     infer_physical_areas,
     structural_groups,
 )
-from .dataflow import CyclicDependency, build_graph, reads
+from .dataflow import CyclicDependency, build_graph, formula_reads
 from .evaluator import EvalResult, NoteKind
-from .model import Constant, Input, SpreadsheetProgram, cell_index, content_kind
+from .model import SpreadsheetProgram, cell_index, content_kind
 from .scl import (
-    BinaryOp,
     CellAddress,
-    CellRef,
     CopyKey,
-    FormulaNode,
     NormRef,
     RangeArg,
     Reference,
     column_letters,
-    iter_nodes,
     row_major,
     value_type,
 )
@@ -128,10 +124,9 @@ def detect_blank_ref(program: SpreadsheetProgram) -> Iterator[Finding]:
     direct reference or range coverage.
     """
     index = cell_index(program)
-    for addr, cell in program.formula_cells():
-        refs, rects = reads(cell.ast)
+    for addr, (refs, ranges) in formula_reads(program).items():
         empty = dict.fromkeys(ref for ref in refs if program.content(ref) is None)
-        for rect in rects:
+        for _, rect in ranges:
             empty.update(dict.fromkeys(index.empty(rect)))
         for source in empty:
             yield (source,), f"{addr} reads empty cell {source}", None
@@ -218,9 +213,13 @@ def detect_area_mixup(program: SpreadsheetProgram) -> Iterator[Finding]:
             f"ranges {spelled[i]} and {spelled[j]} overlap at {shared}",
             physical[i],
         )
-    for addr, cell in program.formula_cells():
-        cells = _plus_chain(cell.ast)
-        if cells is None or len(cells) < _CHAIN_MIN_CELLS:
+    # A '+' chain's copy key lists only '+' tokens and references.
+    keys = copy_keys(program)
+    for addr, (refs, _) in formula_reads(program).items():
+        cells = set(refs)
+        if len(cells) < _CHAIN_MIN_CELLS or any(
+            type(item) is not Reference and item != "+" for item in keys[addr]
+        ):
             continue
         cols = {a.col for a in cells}
         rows = {a.row for a in cells}
@@ -271,18 +270,6 @@ def _overlapping_pairs(areas: list[PhysicalArea]) -> list[tuple[int, int, str]]:
     return hits
 
 
-def _plus_chain(node: FormulaNode) -> set[CellAddress] | None:
-    """The distinct cells a pure '+' tree of references adds, or None
-    for anything else."""
-    cells: set[CellAddress] = set()
-    for n in iter_nodes(node):
-        if type(n) is Reference and type(n.ref) is CellRef:
-            cells.add(n.ref.address())
-        elif type(n) is not BinaryOp or n.op != "+":
-            return None
-    return cells
-
-
 @_detector(Code.D5_CONSTANT_OVERWRITE)
 def detect_constant_overwrite(program: SpreadsheetProgram) -> Iterator[Finding]:
     """D5: a constant interrupts a run of copies of one formula.
@@ -291,25 +278,21 @@ def detect_constant_overwrite(program: SpreadsheetProgram) -> Iterator[Finding]:
     single row or column; a Constant or Input strictly inside that hull
     looks like a formula someone typed a number over.
     """
+    index = cell_index(program)
     for area in infer_logical_areas(program):
         if len(area.members) < 3:
             continue
         hull = area.hull
         if hull.width() != 1 and hull.height() != 1:
             continue
-        line = list(hull.cells())
-        members = set(area.members)
-        for addr in line[1:-1]:
-            if addr in members:
-                continue
-            content = program.content(addr)
-            if isinstance(content, (Constant, Input)):
-                yield (
-                    (addr,),
-                    f"{addr} holds a fixed number inside {hull}, a run of "
-                    f"{len(area.members)} copies of one formula",
-                    area,
-                )
+        # The hull's two ends are members, so every such cell is inside.
+        for addr in index.occupied(hull, "constant") + index.occupied(hull, "input"):
+            yield (
+                (addr,),
+                f"{addr} holds a fixed number inside {hull}, a run of "
+                f"{len(area.members)} copies of one formula",
+                area,
+            )
 
 
 @_detector(Code.D6_COPY_MISREFERENCE)

@@ -10,6 +10,7 @@ from sheetlint.areas import (
     infer_physical_areas,
     structural_groups,
 )
+from sheetlint.cli import main
 from sheetlint.model import load_program
 from sheetlint.scl import CellAddress, copy_key
 
@@ -45,6 +46,21 @@ class TestPhysicalAreas:
         areas = infer_physical_areas(prog)
         assert [str(a.rect) for a in areas] == ["A1:A2", "B1:B2"]
         assert all(str(a.consumer) == "C1" for a in areas)
+
+    def test_nested_calls_list_by_call_then_argument(self, tmp_path, capsys):
+        # Calls top-down, each call's range arguments left to right: the
+        # inner SUM comes after MAX's own range, though it is written first.
+        sheet = tmp_path / "nested.sheet"
+        sheet.write_text(
+            "A1 = ?1\nB1 = ?2\nC1 = ?3\nZ1 = =SUM(A1:A3)+MAX(SUM(B1:B2),C1:C4)\n"
+        )
+        assert main(["areas", str(sheet)]) == 0
+        assert capsys.readouterr().out == (
+            f"{sheet}: 3 physical area(s), 0 logical area(s)\n"
+            "physical: SUM A1:A3 -> Z1 (mostly input)\n"
+            "physical: MAX C1:C4 -> Z1 (mostly input)\n"
+            "physical: SUM B1:B2 -> Z1 (mostly input)\n"
+        )
 
     def test_shared_rectangle_yields_one_area_per_consumer(self):
         prog = load_program(

@@ -21,9 +21,9 @@ from sheetlint.areas import (
     structural_groups,
 )
 from sheetlint.cli import main
-from sheetlint.dataflow import DependencyGraph
+from sheetlint.dataflow import DependencyGraph, formula_reads
 from sheetlint.model import cell_index, load_program
-from sheetlint.scl import normalize
+from sheetlint.scl import RangeRef, normalize
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE.parent / "fixtures"
@@ -336,6 +336,56 @@ class TestDeepFormulas:
             assert captured.out.splitlines()[1:] == ["0 warning(s), 0 error(s)"]
 
 
+class TestFarApartCopies:
+    """A run of copies whose ends lie millions of rows apart is checked
+    through the occupied cells, never address by address."""
+
+    SHEET = "B1 = =A1+1\nB2 = =A2+1\nB5 = #7\nB3000000 = =A3000000+1\n"
+    EXPECTED = {
+        "check": (
+            1,
+            "<sheet>: 4 cells\n"
+            "A1: warning D1_BLANK_REF: B1 reads empty cell A1\n"
+            "A2: warning D1_BLANK_REF: B2 reads empty cell A2\n"
+            "A3000000: warning D1_BLANK_REF: B3000000 reads empty cell A3000000\n"
+            "B5: warning D5_CONSTANT_OVERWRITE: B5 holds a fixed number inside "
+            "B1:B3000000, a run of 3 copies of one formula\n"
+            "4 warning(s), 0 error(s)\n",
+        ),
+        "graph": (
+            0,
+            'digraph sheet {\n  node [shape=box, fontname="Helvetica"];\n'
+            '  "A1" [label="A1\\n(empty)\\nD1_BLANK_REF", style="dashed", '
+            'color="#cc2222", penwidth=2];\n'
+            '  "B1" [label="B1\\n=A1+1", style="filled", fillcolor="#cfe8ff"];\n'
+            '  "A2" [label="A2\\n(empty)\\nD1_BLANK_REF", style="dashed", '
+            'color="#cc2222", penwidth=2];\n'
+            '  "B2" [label="B2\\n=A2+1", style="filled", fillcolor="#cfe8ff"];\n'
+            '  "B5" [label="B5\\n#7\\nD5_CONSTANT_OVERWRITE", color="#cc2222", '
+            "penwidth=2];\n"
+            '  "A3000000" [label="A3000000\\n(empty)\\nD1_BLANK_REF", style="dashed", '
+            'color="#cc2222", penwidth=2];\n'
+            '  "B3000000" [label="B3000000\\n=A3000000+1", style="filled", '
+            'fillcolor="#cfe8ff"];\n'
+            '  "A1" -> "B1";\n  "A2" -> "B2";\n  "A3000000" -> "B3000000";\n}\n',
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED))
+    def test_hull_is_not_walked(self, command, tmp_path, capsys, monkeypatch):
+        def walked(rect):
+            raise AssertionError(f"walked every address of {rect}")
+
+        monkeypatch.setattr(RangeRef, "cells", walked)
+        sheet = tmp_path / "far.sheet"
+        sheet.write_text(self.SHEET)
+        code, stdout = self.EXPECTED[command]
+        assert main([command, str(sheet)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == stdout.replace("<sheet>", str(sheet))
+
+
 class TestBuildOnce:
     """Each command builds each derived structure at most once per run."""
 
@@ -350,13 +400,20 @@ class TestBuildOnce:
         "structural_groups": structural_groups.__wrapped__.__code__,
         "copy_keys": copy_keys.__wrapped__.__code__,
         "cell_index": cell_index.__wrapped__.__code__,
+        "formula_reads": formula_reads.__wrapped__.__code__,
     }
     # What each command builds; it builds nothing else.
     BUILT = {
         "check": set(BUILDERS),
         "graph": set(BUILDERS),
-        "areas": {"infer_physical_areas", "infer_logical_areas", "copy_keys", "cell_index"},
-        "test": {"DependencyGraph.__init__", "DependencyGraph.topo_order", "cell_index"},
+        "areas": {
+            "infer_physical_areas", "infer_logical_areas", "copy_keys", "cell_index",
+            "formula_reads",
+        },
+        "test": {
+            "DependencyGraph.__init__", "DependencyGraph.topo_order", "cell_index",
+            "formula_reads",
+        },
     }
     # B4 lies outside the logical area B1:B3, but in D6's group with it.
     DEVIANT = (

@@ -6,6 +6,8 @@ import re
 
 import pytest
 
+import corpus
+import injection
 from sheetlint.areas import LogicalArea, PhysicalArea, infer_physical_areas
 from sheetlint.dataflow import CyclicDependency
 from sheetlint.detectors import (
@@ -24,7 +26,16 @@ from sheetlint.detectors import (
 )
 from sheetlint.evaluator import eval_instance
 from sheetlint.model import instantiate, load_program
-from sheetlint.scl import CellAddress, CellRef, RangeRef, row_major
+from sheetlint.scl import (
+    BinaryOp,
+    CellAddress,
+    CellRef,
+    RangeRef,
+    Reference,
+    column_letters,
+    iter_nodes,
+    row_major,
+)
 
 QUARTERLY = (
     'B2 = "1. Quarter"\nB4 = #140\nB5 = #200\nB6 = #170\n'
@@ -208,6 +219,76 @@ class TestAreaMixup:
             "H15 = =H6-H10-H14\nH16 = =H6+H10+H14*2\n"
         )
         assert detect_area_mixup(prog) == []
+
+
+def plus_chain(node):
+    """The distinct cells a pure '+' tree of references adds, or None
+    for anything else, found by walking the tree as D4 did before it
+    read the copy keys."""
+    cells = set()
+    for n in iter_nodes(node):
+        if type(n) is Reference and type(n.ref) is CellRef:
+            cells.add(n.ref.address())
+        elif type(n) is not BinaryOp or n.op != "+":
+            return None
+    return cells
+
+
+def chain_findings(program):
+    """D4's one-at-a-time findings as (cells, message), by the oracle."""
+    out = []
+    for addr, cell in program.formula_cells():
+        cells = plus_chain(cell.ast)
+        if cells is None or len(cells) < 3:
+            continue
+        cols = {a.col for a in cells}
+        rows = {a.row for a in cells}
+        if len(cols) > 1 and len(rows) > 1:
+            continue
+        axis = f"column {column_letters(min(cols))}" if len(cols) == 1 else f"row {min(rows)}"
+        lo, hi = min(cells, key=row_major), max(cells, key=row_major)
+        out.append(((addr,), f"{addr} adds {len(cells)} cells of {axis} one at a time; "
+                             f"a grouping call such as SUM({lo}:{hi}) would name the "
+                             f"area outright"))
+    return out
+
+
+CHAIN_FORMULAS = [
+    "A1+A1+A2", "A1+A2+3", "-A1+A2+A3", "(A1+A2)+A3", "A1+A2-A3",
+    "SUM(A1:A1)+A2+A3", "$A$1+A2+A$3", "A1+B1+C1", "A1+(A2+(A3+A1))",
+]
+
+
+def _chain_sources():
+    cells = "A1 = #1\nA2 = #2\nA3 = #3\nB1 = #4\nC1 = #5\n"
+    injected = []
+    for k, case in enumerate(injection.cases(20)):
+        injected.append((f"{case.code}-{k}-clean", load_program(case.clean)))
+        injected.append((f"{case.code}-{k}-faulty", load_program(case.faulty)))
+    return {
+        "corpus": [(f"corpus-{cp.seed}", cp.program) for cp in corpus.corpus(300)],
+        "injection": injected,
+        "fixtures": [(p.name, load_program(p.read_text())) for p in sorted(FIXTURES.glob("*.sheet"))],
+        "crafted": [(f"={f}", load_program(f"{cells}E9 = ={f}\n")) for f in CHAIN_FORMULAS],
+    }
+
+
+CHAIN_SOURCES = _chain_sources()
+
+
+class TestPlusChainOracle:
+    """D4 tells a '+' chain from its copy key and reference list; the
+    oracle walks the tree.  Both must name the same formulas."""
+
+    @pytest.mark.parametrize("source", sorted(CHAIN_SOURCES))
+    def test_matches_the_tree_walk(self, source):
+        for name, program in CHAIN_SOURCES[source]:
+            got = [(d.cells, d.message) for d in detect_area_mixup(program) if d.area is None]
+            assert got == chain_findings(program), name
+
+    def test_crafted_formulas_that_chain(self):
+        named = [name for name, program in CHAIN_SOURCES["crafted"] if detect_area_mixup(program)]
+        assert named == ["=(A1+A2)+A3", "=$A$1+A2+A$3", "=A1+B1+C1", "=A1+(A2+(A3+A1))"]
 
 
 class TestConstantOverwrite:
