@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import gc
 import sys
 
 from .areas import infer_logical_areas, infer_physical_areas
@@ -164,6 +165,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    """The console entry: runs ``main`` in a process of its own."""
+    # A run makes no reference cycles of its own, so the cyclic
+    # collector would only trace live objects; tests/test_cli.py's
+    # TestNoCyclicGarbage guards this.  In-process callers of ``main``
+    # keep their collector.
+    gc.disable()
+    # Labels and paths may be non-ASCII; stdout writes UTF-8 whatever
+    # the locale, as --output does.
+    sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(main())
 
 

@@ -10,8 +10,9 @@ validates it.
 from __future__ import annotations
 
 import hashlib
-import json
+import math
 from itertools import groupby
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .areas import LogicalArea, PhysicalArea
@@ -36,7 +37,70 @@ def file_digest(path: str) -> str:
 
 
 def to_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The payload as canonical JSON, with a trailing newline.
+
+    Byte-identical to ``json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``, in about half the time of the
+    pure-Python encoder that ``indent`` makes it use.  Payloads hold
+    only dict, list, str, int, float, bool and None; any other value,
+    and a key that is not a str, is a TypeError.  A non-finite float
+    is a ValueError.
+    """
+    out: list[str] = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, pad: str, out: list[str]) -> None:
+    """Append ``value`` to ``out``; ``pad`` starts a line at its depth."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            # Most values are strings: written here, without a call.
+            if type(item) is str:
+                out += (sep, _quote(key), ": ", _quote(item))
+            else:
+                out += (sep, _quote(key), ": ")
+                _write(item, inner, out)
+            sep = comma
+        out.append(pad + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if all(type(item) is str for item in value):
+            out += ("[", inner, ("," + inner).join(map(_quote, value)), pad, "]")
+            return
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = comma
+        out.append(pad + "]")
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is int:
+        out.append(repr(value))
+    elif kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out.append(repr(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

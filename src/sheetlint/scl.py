@@ -432,10 +432,35 @@ def _tree_repr(self) -> str:
     return fold(self, _repr)
 
 
+# Pickle and deepcopy take one frame per level of what a value's
+# reduction hands them, so a tree reduces to its flat listing.
+def _tree_reduce(self) -> tuple:
+    return _rebuild, (_listing(self),)
+
+
+def _rebuild(listing: tuple) -> FormulaNode:
+    """The tree a ``_listing`` spells.  Read from the end, each inner
+    token finds its children built on top of the stack, first child
+    topmost."""
+    built = []
+    for item in reversed(listing):
+        kind = type(item)
+        if kind is str:
+            first = built.pop()
+            built.append(Negate(first) if item == "neg" else BinaryOp(item, first, built.pop()))
+        elif kind is tuple:
+            name, arity = item
+            built.append(Call(name, tuple(built.pop() for _ in range(arity))))
+        else:
+            built.append(item)
+    return built.pop()
+
+
 for _inner in (Negate, BinaryOp, Call):
     _inner.__eq__ = _tree_eq
     _inner.__ne__ = _tree_ne
     _inner.__repr__ = _tree_repr
+    _inner.__reduce__ = _tree_reduce
 
 
 # ---------------------------------------------------------------------------

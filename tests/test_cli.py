@@ -2,6 +2,7 @@
 
 import contextlib
 import cProfile
+import gc
 import io
 import json
 import os
@@ -9,21 +10,24 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import types
 from collections import Counter
 
 import jsonschema
 import pytest
 
+import corpus
 from sheetlint.areas import (
     copy_keys,
     infer_logical_areas,
     infer_physical_areas,
     structural_groups,
 )
+from sheetlint import cli
 from sheetlint.cli import main
 from sheetlint.dataflow import DependencyGraph, formula_reads
-from sheetlint.model import cell_index, load_program
-from sheetlint.scl import RangeRef, normalize
+from sheetlint.model import cell_index, load_program, render_program
+from sheetlint.scl import RangeRef, format_number, normalize
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE.parent / "fixtures"
@@ -513,22 +517,28 @@ class TestOutputFile:
         assert target.read_text() == capsys.readouterr().out
 
 
-class TestDeterminism:
-    def all_invocations(self):
-        for sheet in sorted(FIXTURES.glob("*.sheet")):
-            yield ["check", str(sheet)]
-            yield ["check", str(sheet), "--format", "json"]
-            yield ["areas", str(sheet)]
-            yield ["areas", str(sheet), "--format", "json"]
-            yield ["graph", str(sheet)]
-            yield ["graph", str(sheet), "--resolution", "area"]
-            spec = sheet.with_suffix(".intervals")
-            if spec.exists():
-                yield ["test", str(sheet), str(spec)]
-                yield ["test", str(sheet), str(spec), "--format", "json"]
+def invocations(sheet, spec=None):
+    """Every command in every format on one sheet."""
+    yield ["check", str(sheet)]
+    yield ["check", str(sheet), "--format", "json"]
+    yield ["areas", str(sheet)]
+    yield ["areas", str(sheet), "--format", "json"]
+    yield ["graph", str(sheet)]
+    yield ["graph", str(sheet), "--resolution", "area"]
+    if spec is not None:
+        yield ["test", str(sheet), str(spec)]
+        yield ["test", str(sheet), str(spec), "--format", "json"]
 
+
+def fixture_invocations():
+    for sheet in sorted(FIXTURES.glob("*.sheet")):
+        spec = sheet.with_suffix(".intervals")
+        yield from invocations(sheet, spec if spec.exists() else None)
+
+
+class TestDeterminism:
     def test_every_invocation_is_byte_stable(self, capsys):
-        for argv in self.all_invocations():
+        for argv in fixture_invocations():
             first_code = main(argv)
             first = capsys.readouterr().out
             second_code = main(argv)
@@ -536,6 +546,120 @@ class TestDeterminism:
             assert first_code == second_code, argv
             assert first == second, argv
             assert first.endswith("\n"), argv
+
+
+def corpus_invocations(tmp_path, count):
+    """Every command on ``count`` generated programs, each with its
+    input ranges as an .intervals file."""
+    for cp in corpus.corpus(count):
+        sheet = tmp_path / f"corpus-{cp.seed}.sheet"
+        sheet.write_text(render_program(cp.program), encoding="utf-8")
+        spec = tmp_path / f"corpus-{cp.seed}.intervals"
+        spec.write_text(
+            "".join(
+                f"input {addr} in [{format_number(iv.lo)}, {format_number(iv.hi)}]\n"
+                for addr, iv in cp.input_ranges.items()
+            ),
+            encoding="utf-8",
+        )
+        yield from invocations(sheet, spec)
+
+
+def _origin(obj) -> str:
+    """Where an object was defined: a function's own module and name,
+    any other object's type's."""
+    owner = obj if isinstance(obj, types.FunctionType) else type(obj)
+    return f"{getattr(owner, '__module__', None)}.{owner.__qualname__}"
+
+
+class TestNoCyclicGarbage:
+    """The console process runs without the cyclic collector
+    (``cli.run``), which frees nothing as long as a run makes no
+    reference cycle of sheetlint objects."""
+
+    @staticmethod
+    def cyclic_garbage(argvs) -> list[str]:
+        """The package's objects the runs leave only the collector could free."""
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                for argv in argvs:
+                    main(argv)
+            gc.collect()
+            return sorted({o for o in map(_origin, gc.garbage) if o.startswith("sheetlint.")})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+    def test_fixtures(self, tmp_path):
+        # Error paths too: a missing file, a cycle that stops `test`,
+        # and an expectation on a cell that is not a formula.
+        cycle_spec = tmp_path / "cyclic.intervals"
+        cycle_spec.write_text("expect C1 in [0, 100]\n")
+        argvs = list(fixture_invocations())
+        argvs += [
+            ["check", str(FIXTURES / "no_such.sheet")],
+            ["test", CYCLIC, str(cycle_spec)],
+            ["test", CYCLIC, QUARTERLY_IV],
+        ]
+        assert self.cyclic_garbage(argvs) == []
+
+    def test_corpus(self, tmp_path):
+        assert self.cyclic_garbage(corpus_invocations(tmp_path, 50)) == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_found(self, enabled, capsys):
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert main(["check", QUARTERLY]) == 1
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_run_turns_the_collector_off(self, monkeypatch):
+        codes = []
+        out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "argv", ["sheetlint", "check", CLEAN])
+        monkeypatch.setattr(sys, "exit", codes.append)
+        monkeypatch.setattr(sys, "stdout", out)
+        was = gc.isenabled()
+        try:
+            cli.run()
+            assert not gc.isenabled()
+        finally:
+            gc.enable() if was else gc.disable()
+        assert codes == [0]
+        assert out.encoding == "utf-8"
+
+
+class TestUtf8Stdout:
+    """stdout is UTF-8 whatever the locale says, as --output is."""
+
+    LABELLED = 'A1 = "Überschuss"\nA2 = #1\nA3 = =SUM(A1:A2)\n'
+    CLEAN_SUM = "A1 = ?1\nA2 = ?2\nA3 = =SUM(A1:A2)\n"
+
+    @pytest.mark.parametrize(
+        "argv, name, text",
+        [
+            (["graph"], "labelled.sheet", LABELLED),
+            (["check"], "Überschuss.sheet", CLEAN_SUM),
+        ],
+        ids=["graph-label", "check-path"],
+    )
+    def test_ascii_locale(self, argv, name, text, tmp_path):
+        sheet = tmp_path / name
+        sheet.write_text(text, encoding="utf-8")
+        target = tmp_path / "report.out"
+        env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src"), "PYTHONIOENCODING": "ascii"}
+        command = [sys.executable, "-m", "sheetlint.cli", *argv, str(sheet)]
+        proc = subprocess.run(command, capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        saved = subprocess.run([*command, "--output", str(target)], capture_output=True, env=env)
+        assert saved.returncode == 0
+        assert proc.stdout == target.read_bytes()
+        assert "Überschuss".encode("utf-8") in proc.stdout
 
 
 class TestEntryPoints:

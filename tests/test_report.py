@@ -1,7 +1,10 @@
 """JSON, text, and DOT report rendering."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import pathlib
 
 import jsonschema
@@ -9,7 +12,9 @@ import pytest
 
 import corpus
 import injection
+import json_oracle
 from sheetlint.areas import infer_logical_areas, infer_physical_areas
+from sheetlint.cli import main
 from sheetlint.dataflow import CyclicDependency, build_graph
 from sheetlint.detectors import detect_all
 from sheetlint.evaluator import eval_in_order, eval_instance
@@ -37,6 +42,47 @@ class TestCanonicalJson:
     def test_sorted_keys_indent_and_trailing_newline(self):
         text = report.to_json({"b": 1, "a": {"d": 2, "c": 3}})
         assert text == '{\n  "a": {\n    "c": 3,\n    "d": 2\n  },\n  "b": 1\n}\n'
+
+    def test_random_payloads_match_json_dumps(self):
+        assert json_oracle.mismatches(3000) == []
+
+    def test_fixture_payloads_match_json_dumps(self, monkeypatch):
+        payloads = []
+        write = report.to_json
+
+        def keep(payload):
+            payloads.append(payload)
+            return write(payload)
+
+        monkeypatch.setattr(report, "to_json", keep)
+        for sheet in sorted(FIXTURES.glob("*.sheet")):
+            spec = sheet.with_suffix(".intervals")
+            argvs = [["check", str(sheet)], ["areas", str(sheet)]]
+            if spec.exists():
+                argvs.append(["test", str(sheet), str(spec)])
+            for argv in argvs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    main(argv + ["--format", "json"])
+        assert {payload["command"] for payload in payloads} == {"check", "areas", "test"}
+        for payload in payloads:
+            assert write(payload) == json_oracle.expected(payload)
+
+    @pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_is_a_value_error(self, number):
+        payload = {"a": [1, {"b": number}]}
+        with pytest.raises(ValueError):
+            json_oracle.expected(payload)
+        with pytest.raises(ValueError):
+            report.to_json(payload)
+
+    # json.dumps would spell the key 1 as "1", and a tuple as a list;
+    # no payload holds either, so the writer refuses them.
+    @pytest.mark.parametrize(
+        "payload", [{1: 2}, {"a": {None: 1}}, {"a": (1, 2)}, {"a": {1}}, {"a": b"x"}]
+    )
+    def test_other_types_are_a_type_error(self, payload):
+        with pytest.raises(TypeError):
+            report.to_json(payload)
 
     def test_file_digest_is_sha256_of_bytes(self, tmp_path):
         path = tmp_path / "probe.sheet"

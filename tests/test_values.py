@@ -1,5 +1,6 @@
 """The value-type contract: immutable named tuples compared by type."""
 
+import copy
 import math
 import os
 import pathlib
@@ -23,7 +24,7 @@ from sheetlint.evaluator import (
     Text,
 )
 from sheetlint import intervals
-from sheetlint.model import Constant, Input, Label
+from sheetlint.model import Constant, Input, Label, load_program
 from sheetlint.scl import (
     BinaryOp,
     CellAddress,
@@ -136,6 +137,23 @@ class TestImmutability:
     def test_pickle_round_trip(self):
         tree = parse_formula("SUM($A1:B$2)/-C3")
         assert pickle.loads(pickle.dumps(tree)) == tree
+
+
+class TestDeepTrees:
+    """Pickle and deepcopy of a tree take no frame per level, as the
+    loader accepts chains of any length."""
+
+    @pytest.mark.parametrize("terms", [3000, 100_000])
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_program_round_trips(self, terms, round_trip, low_recursion_limit):
+        chain = "+".join(["-SUM(A1:A2)*2", "MAX(A1,-(A2/4))"] + ["A1"] * (terms - 2))
+        program = load_program(f"A1 = ?1\nA2 = #2\nB1 = ={chain}\n")
+        copied = round_trip(program)
+        assert copied is not program and copied == program
 
 
 class TestRepr:
