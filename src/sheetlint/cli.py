@@ -171,9 +171,10 @@ def run() -> None:
     # TestNoCyclicGarbage guards this.  In-process callers of ``main``
     # keep their collector.
     gc.disable()
-    # Labels and paths may be non-ASCII; stdout writes UTF-8 whatever
-    # the locale, as --output does.
+    # Labels and paths may be non-ASCII; stdout and the error line on
+    # stderr write UTF-8 whatever the locale, as --output does.
     sys.stdout.reconfigure(encoding="utf-8")
+    sys.stderr.reconfigure(encoding="utf-8")
     sys.exit(main())
 
 

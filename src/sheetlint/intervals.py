@@ -241,7 +241,7 @@ def load_interval_spec(text: str, program: SpreadsheetProgram) -> IntervalSpec:
     input_ranges: dict[CellAddress, Interval] = {}
     expected: dict[CellAddress, Interval] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = strip_comment(raw).strip()
+        line = (strip_comment(raw) if ";" in raw else raw).strip()
         if not line:
             continue
         m = _SPEC_LINE_RE.match(line)

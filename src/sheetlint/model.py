@@ -11,7 +11,8 @@ cell holds exactly one of four things:
 Absence from the map is the fifth state, the empty cell.  A .sheet file
 gives one cell per line as ``ADDR = CONTENT``.  A ';' outside a quoted
 label starts a comment that runs to the end of the line; lines left
-blank are skipped.  Numbers must be finite.
+blank are skipped.  Numbers must be finite, and their digits, like an
+address's, are the ASCII digits 0-9.
 """
 
 from __future__ import annotations
@@ -126,8 +127,9 @@ class SpreadsheetProgram:
     """An immutable sheet: the template without any input overrides."""
 
     def __init__(self, cells: Mapping[CellAddress, CellContent]):
-        ordered = sorted(cells.items(), key=lambda item: row_major(item[0]))
-        self._cells: dict[CellAddress, CellContent] = dict(ordered)
+        self._cells: dict[CellAddress, CellContent] = {
+            addr: cells[addr] for addr in sorted(cells, key=row_major)
+        }
         if self._cells:
             self._extent = (
                 max(a.col for a in self._cells),
@@ -310,35 +312,44 @@ def instantiate(
 # ---------------------------------------------------------------------------
 # The .sheet format
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?\Z")
+# ASCII digits only, as in formulas: \d would also take other scripts'.
+_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
 
 
 def strip_comment(line: str) -> str:
     """The line up to its first ';' that is not inside double quotes."""
-    semi = line.find(";")
-    while semi >= 0:
-        if line.count('"', 0, semi) % 2 == 0:
+    # One pass: the quotes before each ';' are counted from where the
+    # last count stopped, and a quoted ';' resumes past its closing quote.
+    start = 0
+    while True:
+        semi = line.find(";", start)
+        if semi < 0:
+            return line
+        if line.count('"', start, semi) % 2 == 0:
             return line[:semi]
-        semi = line.find(";", semi + 1)
-    return line
+        close = line.find('"', semi)
+        if close < 0:
+            return line
+        start = close + 1
 
 
 def _parse_content(text: str, addr: CellAddress, lineno: int) -> CellContent:
-    if text[:1] in ("#", "?"):
-        what = "constant" if text[0] == "#" else "input default"
+    first = text[:1]
+    if first == "=":
+        try:
+            return Formula(parse_formula(text[1:]))
+        except FormulaError as err:
+            raise CellFormulaError(addr, lineno, err) from err
+    if first == "#" or first == "?":
+        what = "constant" if first == "#" else "input default"
         body = text[1:].strip()
         if not _NUMBER_RE.match(body):
             raise MalformedLine(f"bad number in {what}: {body!r}", lineno)
         value = float(body)
         if not math.isfinite(value):
             raise MalformedLine(f"number out of range in {what}: {body!r}", lineno)
-        return Constant(value) if text[0] == "#" else Input(value)
-    if text.startswith("="):
-        try:
-            return Formula(parse_formula(text[1:]))
-        except FormulaError as err:
-            raise CellFormulaError(addr, lineno, err) from err
-    if text.startswith('"'):
+        return Constant(value) if first == "#" else Input(value)
+    if first == '"':
         if len(text) < 2 or not text.endswith('"'):
             raise MalformedLine(f"unterminated label: {text!r}", lineno)
         return Label(text[1:-1])
@@ -353,7 +364,7 @@ def load_program(text: str) -> SpreadsheetProgram:
     """
     cells: dict[CellAddress, CellContent] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = strip_comment(raw).strip()
+        line = (strip_comment(raw) if ";" in raw else raw).strip()
         if not line:
             continue
         addr_text, sep, content_text = line.partition("=")

@@ -12,7 +12,8 @@ Formulas follow a small expression grammar over cell references:
 '+' and '-' bind weakest, '*' and '/' bind tighter, unary '-' binds
 tightest.  Operators of equal precedence associate to the left.  Ranges
 are only legal as direct arguments of a grouping function call.
-Whitespace between tokens carries no meaning.
+Whitespace between tokens carries no meaning.  Digits, in numbers and
+references alike, are the ASCII digits 0-9.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import functools
 import math
 import re
 from collections import namedtuple
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Union
 
 from .errors import SheetLintError
@@ -126,8 +127,13 @@ def column_letters(col: int) -> str:
     return "".join(reversed(out))
 
 
+@functools.lru_cache(maxsize=4096)
 def column_number(letters: str) -> int:
-    """Decode a column spelled in letters back to its 1-based number."""
+    """Decode a column spelled in letters back to its 1-based number.
+
+    Memoized, as every address and reference read from a file comes
+    through here; a bad letter raises each time.
+    """
     n = 0
     for ch in letters.upper():
         if not "A" <= ch <= "Z":
@@ -156,9 +162,9 @@ class CellAddress(namedtuple("CellAddress", "col row")):
         return column_letters(self.col) + str(self.row)
 
 
-def row_major(addr: CellAddress) -> tuple[int, int]:
-    """Sort key that orders addresses by row, then by column."""
-    return (addr.row, addr.col)
+# Sort key that orders addresses by row, then by column: an address's
+# (row, col), read in C.
+row_major: Callable[[CellAddress], tuple[int, int]] = itemgetter(1, 0)
 
 
 _ADDRESS_RE = re.compile(r"([A-Za-z]+)([0-9]+)\Z")
@@ -173,11 +179,12 @@ def parse_address(text: str) -> CellAddress:
     m = _ADDRESS_RE.match(text)
     if m is None:
         raise MalformedAddress(f"not a cell address: {text!r}")
-    col = column_number(m.group(1))
-    row = int(m.group(2))
+    letters, digits = m.groups()
+    row = int(digits)
     if row < 1:
         raise MalformedAddress(f"row numbers start at 1: {text!r}")
-    return CellAddress(col, row)
+    # Letters decode to a column of 1 or more, so no check is left.
+    return tuple.__new__(CellAddress, (column_number(letters), row))
 
 
 class CellRef(value_type("CellRef", "col row col_absolute row_absolute", (False, False))):
@@ -466,41 +473,54 @@ for _inner in (Negate, BinaryOp, Call):
 # ---------------------------------------------------------------------------
 # Lexer
 
-
-class _Token(value_type("_Token", "kind text pos")):
-    __slots__ = ()
-    kind: str
-    text: str
-    pos: int
-
-
+# One token after any whitespace (\s, which agrees with str.isspace).
+# A reference's column marker, letters, row marker and digits are
+# groups 3 to 6.  Digits are ASCII only: \d would also take the digits
+# of other scripts.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
-    | (?P<ref>\$?[A-Za-z]+\$?\d+)
+    r"""\s*(?:
+      (?P<number>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (?P<ref>(\$?)([A-Za-z]+)(\$?)([0-9]+))
     | (?P<name>[A-Za-z]+)
     | (?P<symbol>[-+*/(),:])
-    """,
+    | (?P<end>\Z)
+    )""",
     re.VERBOSE,
 )
 
-_REF_RE = re.compile(r"(\$?)([A-Za-z]+)(\$?)(\d+)\Z")
 
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
+    """The formula's tokens as ``(kind, text, pos, ref)``, the last of
+    kind "end" at the text's length.  ``ref`` is a "ref" token's
+    CellRef; for a row of 0 it is None, and for a row of more digits
+    than ``int`` reads, the ValueError that raised.  The parser raises
+    either where it takes the reference, so an error met earlier in
+    the formula is the one reported."""
     tokens = []
+    match = _TOKEN_RE.match
     i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
+    while True:
+        m = match(text, i)
         if m is None:
+            i = len(text) - len(text[i:].lstrip())
             raise FormulaSyntaxError(f"unexpected character {text[i]!r}", position=i)
-        tokens.append(_Token(m.lastgroup, m.group(), i))
-        i = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
+        kind = m.lastgroup
+        pos, i = m.span(kind)
+        ref = None
+        if kind == "ref":
+            col_mark, letters, row_mark, digits = m.group(3, 4, 5, 6)
+            try:
+                row = int(digits)
+            except ValueError as err:
+                ref = err
+            else:
+                if row >= 1:  # letters decode to a column of 1 or more
+                    ref = tuple.__new__(
+                        CellRef, (column_number(letters), row, col_mark == "$", row_mark == "$")
+                    )
+        tokens.append((kind, text[pos:i], pos, ref))
+        if kind == "end":
+            return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -512,21 +532,19 @@ _BINARY_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 _STACKED_PRECEDENCE = {**_BINARY_PRECEDENCE, "neg": 3, "(": 0}
 
 
-def _cell_ref(tok: _Token) -> CellRef:
-    m = _REF_RE.match(tok.text)
-    row = int(m.group(4))
-    if row < 1:
-        raise FormulaSyntaxError(f"row numbers start at 1: {tok.text!r}", tok.pos)
-    return CellRef(
-        col=column_number(m.group(2)),
-        row=row,
-        col_absolute=bool(m.group(1)),
-        row_absolute=bool(m.group(3)),
-    )
+def _found(tok: tuple) -> str:
+    return repr(tok[1] or "end")
 
 
-def _found(tok: _Token) -> str:
-    return repr(tok.text or "end")
+def _taken(tok: tuple) -> CellRef:
+    """A "ref" token's reference, or its row's error, once the parser
+    takes it."""
+    ref = tok[3]
+    if ref is None:
+        raise FormulaSyntaxError(f"row numbers start at 1: {tok[1]!r}", tok[2])
+    if type(ref) is ValueError:
+        raise ref
+    return ref
 
 
 def _reduce(ops: list, out: list, floor: int) -> None:
@@ -553,81 +571,84 @@ def parse_formula(text: str) -> FormulaNode:
     out: list[FormulaNode] = []
     ops: list = [None]
     at_arg = False  # the operand starts a call argument: a range may stand here
+    referenced = False
     i = 0
     while True:
         tok = tokens[i]
+        kind, word, pos, _ = tok
         i += 1
-        if tok.kind == "name":
-            name = tok.text.upper()
+        if kind == "name":
+            name = word.upper()
             if name not in GROUPING_FUNCTIONS:
-                raise UnknownFunction(f"unknown function {tok.text!r}", tok.pos)
+                raise UnknownFunction(f"unknown function {word!r}", pos)
             tok = tokens[i]
-            if tok.text != "(":
-                raise FormulaSyntaxError(f"expected '(', found {_found(tok)}", tok.pos)
+            if tok[1] != "(":
+                raise FormulaSyntaxError(f"expected '(', found {_found(tok)}", tok[2])
             i += 1
             ops.append([name, 1])
             at_arg = True
             continue
-        if tok.text == "(" or tok.text == "-":
-            ops.append("neg" if tok.text == "-" else "(")
+        if word == "(" or word == "-":
+            ops.append("neg" if word == "-" else "(")
             at_arg = False
             continue
-        if tok.kind == "number":
-            value = float(tok.text)
+        if kind == "number":
+            value = float(word)
             if not math.isfinite(value):
-                raise FormulaSyntaxError(f"number out of range: {tok.text!r}", tok.pos)
+                raise FormulaSyntaxError(f"number out of range: {word!r}", pos)
             out.append(NumberLiteral(value))
-        elif tok.kind != "ref":
-            raise FormulaSyntaxError(f"expected a value, found {_found(tok)}", tok.pos)
-        elif tokens[i].text != ":":
-            out.append(Reference(_cell_ref(tok)))
+        elif kind != "ref":
+            raise FormulaSyntaxError(f"expected a value, found {_found(tok)}", pos)
+        elif tokens[i][1] != ":":
+            out.append(Reference(_taken(tok)))
+            referenced = True
         elif not at_arg:
             raise RangeOutsideCall(
-                "ranges are only allowed as direct call arguments", tokens[i].pos
+                "ranges are only allowed as direct call arguments", tokens[i][2]
             )
         else:
-            first, tok = _cell_ref(tok), tokens[i + 1]
-            if tok.kind != "ref":
+            first, tok = _taken(tok), tokens[i + 1]
+            if tok[0] != "ref":
                 raise FormulaSyntaxError(
-                    f"expected a cell after ':', found {_found(tok)}", tok.pos
+                    f"expected a cell after ':', found {_found(tok)}", tok[2]
                 )
-            out.append(RangeArg(RangeRef.normalized(first, _cell_ref(tok))))
+            out.append(RangeArg(RangeRef.normalized(first, _taken(tok))))
+            referenced = True
             i += 2
             tok = tokens[i]
-            if tok.text != "," and tok.text != ")":
-                raise FormulaSyntaxError(f"expected ')', found {_found(tok)}", tok.pos)
+            if tok[1] != "," and tok[1] != ")":
+                raise FormulaSyntaxError(f"expected ')', found {_found(tok)}", tok[2])
 
         # After an operand: binary operators, and closers or commas.
         while True:
             tok = tokens[i]
+            word = tok[1]
             i += 1
-            precedence = _BINARY_PRECEDENCE.get(tok.text)
+            precedence = _BINARY_PRECEDENCE.get(word)
             if precedence is not None:
                 _reduce(ops, out, precedence)
-                ops.append(tok.text)
+                ops.append(word)
                 at_arg = False
                 break
             _reduce(ops, out, 1)
             opener = ops[-1]
             if opener is None:
-                if tok.kind != "end":
-                    raise FormulaSyntaxError(
-                        f"unexpected {tok.text!r} after expression", tok.pos
-                    )
-                if not any(t.kind == "ref" for t in tokens):
+                if tok[0] != "end":
+                    raise FormulaSyntaxError(f"unexpected {word!r} after expression", tok[2])
+                if not referenced:
                     raise NoReference("formula references no cell")
                 return out[0]
-            if tok.text == ")":
+            if word == ")":
                 ops.pop()
                 if opener != "(":
                     name, argc = opener
                     out[-argc:] = [Call(name, tuple(out[-argc:]))]
-            elif tok.text == "," and opener != "(":
+            elif word == "," and opener != "(":
                 opener[1] += 1
                 at_arg = True
                 break
             else:
-                raise FormulaSyntaxError(f"expected ')', found {_found(tok)}", tok.pos)
+                raise FormulaSyntaxError(f"expected ')', found {_found(tok)}", tok[2])
 
 
 # ---------------------------------------------------------------------------
@@ -722,20 +743,10 @@ def normalize(node: FormulaNode, origin: CellAddress) -> FormulaNode:
 
     Relative axes become signed offsets from ``origin``; absolute axes
     keep their coordinate and marker.  Copies of one formula pasted at
-    different cells normalize to equal trees.
+    different cells normalize to equal trees: the tree ``copy_key``
+    spells.
     """
-
-    def norm_ref(ref: CellRef) -> NormRef:
-        return NormRef(
-            col=ref.col if ref.col_absolute else ref.col - origin.col,
-            row=ref.row if ref.row_absolute else ref.row - origin.row,
-            col_absolute=ref.col_absolute,
-            row_absolute=ref.row_absolute,
-        )
-
-    return map_refs(
-        node, norm_ref, lambda rng: NormRange(norm_ref(rng.start), norm_ref(rng.end))
-    )
+    return _rebuild(copy_key(node, origin))
 
 
 def translate(node: FormulaNode, dcol: int, drow: int) -> FormulaNode:
@@ -758,9 +769,33 @@ def translate(node: FormulaNode, dcol: int, drow: int) -> FormulaNode:
 
 
 def copy_key(node: FormulaNode, origin: CellAddress) -> CopyKey:
-    """normalize(node, origin) listed top-down: leaves as they are,
-    inner nodes as tokens.  Copies of one formula have equal keys."""
-    return _listing(normalize(node, origin))
+    """The tree listed top-down, inner nodes as tokens, with each leaf
+    as ``normalize`` rewrites it: a reference's relative axes as offsets
+    from ``origin``.  Copies of one formula have equal keys.  Leaves are
+    rewritten as they are listed, with no tree built in between.
+    """
+    ocol, orow = origin
+
+    def norm_ref(ref: CellRef) -> NormRef:
+        col, row, col_absolute, row_absolute = ref
+        return tuple.__new__(NormRef, (
+            col if col_absolute else col - ocol,
+            row if row_absolute else row - orow,
+            col_absolute,
+            row_absolute,
+        ))
+
+    def norm_leaf(leaf: FormulaNode) -> FormulaNode:
+        kind = type(leaf)
+        if kind is Reference:
+            return tuple.__new__(Reference, (norm_ref(leaf.ref),))
+        if kind is RangeArg:
+            start, end = leaf.rng
+            rng = tuple.__new__(NormRange, (norm_ref(start), norm_ref(end)))
+            return tuple.__new__(RangeArg, (rng,))
+        return leaf
+
+    return _listing(node, norm_leaf)
 
 
 def skeleton(node: FormulaNode) -> Skeleton:

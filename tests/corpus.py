@@ -29,6 +29,7 @@ class CorpusProgram:
     seed: int
     program: SpreadsheetProgram
     input_ranges: dict
+    text: str  # the .sheet text the program was loaded from
 
     def spec(self) -> IntervalSpec:
         return IntervalSpec(dict(self.input_ranges), {})
@@ -192,8 +193,8 @@ class _Builder:
     def build(self, seed: int) -> CorpusProgram:
         self.data_block()
         self.tier_two(self.tier_one())
-        program = load_program("\n".join(self.lines) + "\n")
-        return CorpusProgram(seed, program, self.input_ranges)
+        text = "\n".join(self.lines) + "\n"
+        return CorpusProgram(seed, load_program(text), self.input_ranges, text)
 
 
 def make_program(seed: int) -> CorpusProgram:

@@ -27,7 +27,7 @@ from sheetlint import cli
 from sheetlint.cli import main
 from sheetlint.dataflow import DependencyGraph, formula_reads
 from sheetlint.model import cell_index, load_program, render_program
-from sheetlint.scl import RangeRef, format_number, normalize
+from sheetlint.scl import RangeRef, copy_key, format_number
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE.parent / "fixtures"
@@ -457,7 +457,7 @@ class TestBuildOnce:
         assert counts == {name: int(name in built) for name in self.BUILDERS}
         # D6 takes the copy keys logical-area inference made.
         formulas = sum(1 for _ in load_program(pathlib.Path(argv[1]).read_text()).formula_cells())
-        assert calls[normalize.__code__] == (formulas if "copy_keys" in built else 0)
+        assert calls[copy_key.__code__] == (formulas if "copy_keys" in built else 0)
 
     @pytest.mark.parametrize(
         "sheet", sorted(p.name for p in FIXTURES.glob("*.sheet")) + ["deviant"]
@@ -469,7 +469,8 @@ class TestBuildOnce:
         else:
             path = FIXTURES / sheet
         formulas = sum(1 for _ in load_program(path.read_text()).formula_cells())
-        assert self.calls(["check", str(path)])[normalize.__code__] == formulas
+        # copy_key normalizes each formula's leaves as it lists them.
+        assert self.calls(["check", str(path)])[copy_key.__code__] == formulas
 
 
 class TestJsonFormat:
@@ -660,6 +661,24 @@ class TestUtf8Stdout:
         assert saved.returncode == 0
         assert proc.stdout == target.read_bytes()
         assert "Überschuss".encode("utf-8") in proc.stdout
+
+
+class TestUtf8Stderr:
+    """The error line names a non-ASCII path in UTF-8 whatever the
+    locale, as stdout does."""
+
+    def test_ascii_locale(self, tmp_path):
+        sheet = tmp_path / "Überschuss_bad.sheet"
+        sheet.write_bytes(b'A1 = "\xff"\n')
+        env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src"), "PYTHONIOENCODING": "ascii"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sheetlint.cli", "check", str(sheet)],
+            capture_output=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        expected = f"sheetlint: error: {sheet}: not UTF-8 text (byte 6)\n"
+        assert proc.stderr == expected.encode("utf-8")
 
 
 class TestEntryPoints:

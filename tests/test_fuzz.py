@@ -7,7 +7,11 @@ or 2 within five seconds; exit 2 prints exactly one stderr line,
 ``sheetlint: error: ...``, and the other exits print nothing there.
 
 Random insertions are single characters, so a range written in a
-fixture grows by at most a factor of ten per mutation.  Far addresses
+fixture grows by at most a factor of ten per mutation.  They include
+digits of other scripts, which are not digits of the formats, and a
+non-breaking space, which is whitespace.  One mutation puts a long run
+of ';' inside a label, where it is text: a comment scan that looks back
+over the line for every ';' would read there as a hang.  Far addresses
 come in whole, as a cell's own address or a direct reference: a range
 stretched over millions of rows still costs time in proportion to the
 addresses it covers (ROADMAP, "Huge or far-apart ranges do not
@@ -33,6 +37,10 @@ LIMIT_S = 5
 
 # Inserted at random offsets.
 CHARACTERS = list("$:();\"=#?,+-*/.e ") + list("0179") + ["\n", "\t", "\ufeff"]
+# Arabic-Indic one and three, and a non-breaking space.
+CHARACTERS += ["\u0661", "\u0663", "\u00a0"]
+# The length of the run of ';' put inside a label.
+SEMICOLONS = 200_000
 # Whole addresses far from the fixtures' cells, and a few that are not
 # addresses at all.
 FAR = ["A1048577", "XFD1", "ZZZ99999999", "AB123456", "B99999999"]
@@ -55,7 +63,7 @@ def _mutate(text: str, rng: random.Random) -> str:
     for _ in range(rng.randint(1, 3)):
         lines = text.splitlines(keepends=True) or [""]
         i = rng.randrange(len(lines))
-        kind = rng.randrange(5)
+        kind = rng.randrange(6)
         if kind == 0:
             at = rng.randint(0, len(text))
             text = text[:at] + rng.choice(CHARACTERS) + text[at:]
@@ -71,7 +79,7 @@ def _mutate(text: str, rng: random.Random) -> str:
             # A far address on the left of a line.
             lines[i] = _far(rng) + " " + lines[i].partition(" ")[2]
             text = "".join(lines)
-        else:
+        elif kind == 4:
             # A far address read directly by a formula.
             formulas = [k for k, line in enumerate(lines) if "= =" in line]
             if formulas:
@@ -79,6 +87,17 @@ def _mutate(text: str, rng: random.Random) -> str:
                 lines[k] = f"{lines[k].rstrip()}+{_far(rng)}\n"
             else:
                 lines.append(f"Z1 = =A1+{_far(rng)}\n")
+            text = "".join(lines)
+        else:
+            # A long run of ';' inside a label.
+            run = ";" * SEMICOLONS
+            labels = [k for k, line in enumerate(lines) if '= "' in line]
+            if labels:
+                k = rng.choice(labels)
+                head, quote, tail = lines[k].partition('= "')
+                lines[k] = head + quote + run + tail
+            else:
+                lines.append(f'Z2 = "{run}"\n')
             text = "".join(lines)
     return text
 

@@ -315,6 +315,12 @@ class TestLoadIntervalSpec:
         spec = load_interval_spec("input A1 in [-2e2, +1e3]\n", self.PROGRAM)
         assert spec.input_ranges[parse_address("A1")] == iv(-200.0, 1000.0)
 
+    @pytest.mark.parametrize("endpoints", ["\u0661, 2", "1, \u0663", "\u0661e2, 3e2"])
+    def test_other_scripts_digits_are_not_endpoints(self, endpoints):
+        with pytest.raises(IntervalSpecError) as info:
+            load_interval_spec(f"input A1 in [{endpoints}]\n", self.PROGRAM)
+        assert str(info.value) == f"line 1: bad interval endpoints [{endpoints}]"
+
     def test_malformed_lines_carry_line_numbers(self):
         for bad in [
             "input A1 in [1 2]",

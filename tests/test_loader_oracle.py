@@ -1,0 +1,161 @@
+"""The readers against the earlier ones kept in ``loader_oracle``.
+
+On every fixture, 300 corpus programs, the injection cases, the fuzz
+mutants and a few crafted texts, ``load_program``, ``parse_formula``
+and ``load_interval_spec`` must each build what the earlier reader
+built, or raise the same exception class with the same message and
+line or offset.  The one difference allowed is on purpose: a digit of
+another script is no digit of the formats, so a text holding one may
+now be refused where it was read before.
+"""
+
+import pathlib
+import random
+import re
+
+import pytest
+
+import corpus
+import injection
+import loader_oracle
+from sheetlint.errors import SheetLintError
+from sheetlint.intervals import load_interval_spec
+from sheetlint.model import load_program, render_program, strip_comment
+from sheetlint.scl import parse_formula, render
+from test_fuzz import _cases as fuzz_cases
+
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+# A decimal digit outside 0-9.
+OTHER_DIGIT = re.compile(r"(?![0-9])\d")
+LONG_ROW = "1" * 5000
+
+CRAFTED = [
+    "A1 = ?1\nB1 = =A١+1\n",
+    "A1 = #١٢\n",
+    "A1 = ?1\nB1 = =A1 B2\n",
+    "A1 = ?1\nB1 = =A0:A1\n",
+    "A1 = ?1\nB1 = =SUM( A1 : $A$0 )\n",
+    f"A1 = ?1\nB1 = =A1 B{LONG_ROW}\n",
+    f"A1 = ?1\nB1 = =A{LONG_ROW}+%\n",
+    f"A1 = ?1\nB1 = =A{LONG_ROW}:A1\n",
+    "A1 = ?1\nB1 = =A1+  A1　\n",
+    'A1 = "x;y"; z\nB1 = ?2 ; "q"\n',
+]
+
+
+def _spec_text(cp: corpus.CorpusProgram) -> str:
+    return "".join(f"input {addr} in [{box.lo!r}, {box.hi!r}]\n" for addr, box in cp.input_ranges.items())
+
+
+def _inputs() -> dict[str, list[tuple[str, str, str]]]:
+    """(name, .sheet text, .intervals text) per source."""
+    fixtures = []
+    for sheet in sorted(FIXTURES.glob("*.sheet")):
+        spec = sheet.with_suffix(".intervals")
+        fixtures.append((sheet.name, sheet.read_text(), spec.read_text() if spec.exists() else ""))
+    injected = []
+    for k, case in enumerate(injection.cases(20)):
+        injected.append((f"{case.code}-{k}-clean", case.clean, ""))
+        injected.append((f"{case.code}-{k}-faulty", case.faulty, ""))
+    return {
+        "fixtures": fixtures,
+        "corpus": [(f"corpus-{cp.seed}", cp.text, _spec_text(cp)) for cp in corpus.corpus(300)],
+        "injection": injected,
+        "fuzz": fuzz_cases(),
+        "crafted": [(f"crafted-{k}", text, "") for k, text in enumerate(CRAFTED)],
+    }
+
+
+INPUTS = _inputs()
+
+
+def _outcome(fn, *args):
+    """What a reader made of its input, in comparable form."""
+    try:
+        result = fn(*args)
+    except Exception as err:  # the oracle compares every exception
+        where = getattr(err, "line", None), getattr(err, "position", None)
+        cause = err.__cause__
+        return ("raise", type(err), str(err), where, type(cause), str(cause))
+    return ("ok", result)
+
+
+def _agree(new, old, text: str) -> bool:
+    """Equal outcomes, or a refusal now of what held another script's
+    digit and was read before."""
+    if new == old:
+        return True
+    return (
+        OTHER_DIGIT.search(text) is not None
+        and new[0] == "raise"
+        and issubclass(new[1], SheetLintError)
+    )
+
+
+def _program(outcome):
+    if outcome[0] == "ok":
+        return ("ok", outcome[1], render_program(outcome[1]))
+    return outcome
+
+
+def _spec(outcome):
+    if outcome[0] == "ok":
+        spec = outcome[1]
+        return ("ok", list(spec.input_ranges.items()), list(spec.expected.items()))
+    return outcome
+
+
+def _tree(outcome):
+    if outcome[0] == "ok":
+        return ("ok", outcome[1], render(outcome[1]))
+    return outcome
+
+
+@pytest.mark.parametrize("source", sorted(INPUTS))
+def test_readers_match_the_oracle(source):
+    for name, sheet_text, spec_text in INPUTS[source]:
+        new = _program(_outcome(load_program, sheet_text))
+        old = _program(_outcome(loader_oracle.load_program, sheet_text))
+        assert _agree(new, old, sheet_text), (name, new, old)
+        if new[0] == "ok" and old[0] == "ok":
+            program = new[1]
+            new_spec = _spec(_outcome(load_interval_spec, spec_text, program))
+            old_spec = _spec(_outcome(loader_oracle.load_interval_spec, spec_text, program))
+            assert _agree(new_spec, old_spec, spec_text), (name, new_spec, old_spec)
+        for line in sheet_text.splitlines():
+            content = line.partition("=")[2].strip()
+            if content.startswith("="):
+                body = content[1:]
+                new_tree = _tree(_outcome(parse_formula, body))
+                old_tree = _tree(_outcome(loader_oracle.parse_formula, body))
+                assert _agree(new_tree, old_tree, body), (name, body[:80], new_tree, old_tree)
+
+
+def test_the_inputs_reach_both_outcomes():
+    outcomes = {
+        source: {_outcome(load_program, text)[0] for _, text, _ in inputs}
+        for source, inputs in INPUTS.items()
+    }
+    assert outcomes["fuzz"] == outcomes["crafted"] == {"ok", "raise"}
+    assert outcomes["corpus"] == {"ok"}
+
+
+def test_other_script_digits_are_refused_now():
+    for text in CRAFTED[:2]:
+        assert _outcome(loader_oracle.load_program, text)[0] == "ok"
+        assert _outcome(load_program, text)[0] == "raise"
+
+
+def test_strip_comment_matches_the_quadratic_scan():
+    rng = random.Random(1313)
+    lines = ["", ";", '"', '";"', 'a"b;c"d;e', '";";";"', ';"', '"";']
+    lines += ["".join(rng.choice(';"a ') for _ in range(rng.randrange(16))) for _ in range(20000)]
+    lines += [
+        line
+        for inputs in INPUTS.values()
+        for _, text, spec in inputs
+        for line in (text + spec).splitlines()
+        if len(line) < 1000
+    ]
+    for line in lines:
+        assert strip_comment(line) == loader_oracle.quadratic_strip_comment(line), line

@@ -1,5 +1,7 @@
 """Program and instance model tests, including the .sheet reader."""
 
+import signal
+
 import pytest
 
 from sheetlint.model import (
@@ -33,6 +35,14 @@ B9 = #230
 B10 = #100
 B12 = =SUM(B2:B10)
 """
+
+
+class TooSlow(BaseException):
+    """Raised by the alarm."""
+
+
+def _too_slow(signum, frame):
+    raise TooSlow()
 
 
 class TestLoadProgram:
@@ -76,6 +86,8 @@ class TestLoadProgram:
         assert info.value.line == 2
         with pytest.raises(MalformedLine):
             load_program("A0 = #1\n")
+        with pytest.raises(MalformedLine):
+            load_program("A\u0661 = #1\n")
         with pytest.raises(MalformedLine):
             load_program("A1 = 140\n")
         with pytest.raises(MalformedLine):
@@ -128,6 +140,42 @@ class TestTrailingComments:
         with pytest.raises(MalformedLine) as info:
             load_program("A1 = ; nothing here\n")
         assert info.value.line == 1
+
+    def test_long_run_of_semicolons_in_a_label_loads_in_linear_time(self):
+        # A scan that counts the quotes from the line's start for every
+        # ';' is quadratic: 400,000 of them take most of a minute.
+        label = ";" * 400_000
+        text = f'A1 = "{label}"  ; a comment\nA2 = ?1 ; "quoted"\n'
+        previous = signal.signal(signal.SIGALRM, _too_slow)
+        signal.alarm(5)
+        try:
+            prog = load_program(text)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert prog == SpreadsheetProgram(
+            {parse_address("A1"): Label(label), parse_address("A2"): Input(1.0)}
+        )
+
+
+class TestAsciiDigits:
+    """Only 0-9 are digits: another script's digit is refused, as it is
+    in an address, not read as the digit it stands for."""
+
+    def test_in_a_number(self):
+        with pytest.raises(MalformedLine) as info:
+            load_program("A1 = ?1\nC1 = #\u0661\u0662\n")
+        assert str(info.value) == "line 2: bad number in constant: '\u0661\u0662'"
+
+    def test_in_an_input_default(self):
+        with pytest.raises(MalformedLine) as info:
+            load_program("A1 = ?\u0663\n")
+        assert str(info.value) == "line 1: bad number in input default: '\u0663'"
+
+    def test_in_a_reference(self):
+        with pytest.raises(CellFormulaError) as info:
+            load_program("A1 = ?1\nB1 = =A\u0661+1\n")
+        assert str(info.value) == "line 2: cell B1: unexpected character '\u0661' (at offset 1)"
 
 
 class TestRendering:

@@ -90,7 +90,7 @@ class TestAddresses:
         assert [str(a) for a in addrs] == ["A1", "B1", "A2"]
 
     def test_rejects_malformed(self):
-        for text in ["", "12", "B", "B0", "$B$2", "B2:C3", "B 2"]:
+        for text in ["", "12", "B", "B0", "$B$2", "B2:C3", "B 2", "B\u0662"]:
             with pytest.raises(MalformedAddress):
                 parse_address(text)
 
@@ -267,6 +267,20 @@ class TestParseErrors:
             parse_formula("1+2*SUM(3)")
         assert str(info.value) == "formula references no cell"
         assert info.value.position is None
+
+
+class TestAsciiDigits:
+    """Only 0-9 are digits, in references and numbers alike, as they
+    are in addresses: another script's digit is an unexpected character."""
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("A\u0661+1", 1), ("A1+\u0663", 3), ("A1*1\u0661", 4), ("SUM(A1:A\u0663)", 8)],
+    )
+    def test_other_scripts_digits_are_refused(self, text, position):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(text)
+        assert str(info.value) == f"unexpected character {text[position]!r} (at offset {position})"
 
 
 class TestNumberRange:
