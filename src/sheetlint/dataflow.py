@@ -1,15 +1,18 @@
 """Data dependencies between cells and their evaluation order.
 
-An edge runs from a referenced cell to the formula that reads it.  A
-formula reads the cells it references directly and every address its
-ranges cover, including addresses that are empty; a formula depends
-on the cell, not on whether something is there yet.
+An edge runs from what a formula reads to the formula.  A formula
+reads the cells it references directly, empty or not, and through each
+range the occupied cells there and the empty runs between them: an
+empty run is a maximal run of empty cells in one column of the range,
+one node however many addresses it spans (a run of one is its cell).
+A formula depends on the cells, not on whether something is there yet.
 
 The graph keeps each range as one rectangle.  Only formulas need
 ranking: every other cell has no precedents.  So the edges between
 formulas are found through the program's occupied-cell index, and the
 cell-level nodes, edges and precedents are derived from the rectangles
 when asked for.  A topological order lists the non-empty cells only.
+Nodes sort by ``scl.rect_key``: row-major by their top-left cells.
 
 What each formula reads is listed once per program, in one walk of its
 tree, by ``formula_reads``; the graph, D1, the physical areas and D4
@@ -20,11 +23,14 @@ from __future__ import annotations
 
 import functools
 import heapq
-from typing import Iterator
+from typing import Iterator, Union
 
 from .errors import SheetLintError
 from .model import Formula, SpreadsheetProgram, cell_index, per_program
-from .scl import CellAddress, Call, RangeArg, RangeRef, Reference, iter_nodes, row_major
+from .scl import CellAddress, Call, RangeArg, RangeRef, Reference, iter_nodes, rect_key, row_major
+
+# A graph node: a cell, or a run of empty cells in one column.
+Node = Union[CellAddress, RangeRef]
 
 
 class CyclicDependency(SheetLintError):
@@ -83,43 +89,48 @@ class DependencyGraph:
             self._formula_precedents[addr] = sources
             for source in sources:
                 self._formula_dependents.setdefault(source, set()).add(addr)
-        self._cells_read_cache: dict[CellAddress, frozenset[CellAddress]] = {}
+        self._sources_cache: dict[Node, frozenset[Node]] = {}
 
     @functools.cached_property
-    def nodes(self) -> set[CellAddress]:
-        """Every non-empty cell and every address a formula reads."""
+    def nodes(self) -> set[Node]:
+        """Every non-empty cell, every cell a formula references and
+        every empty run a formula's range reads."""
         nodes = set(self._program.cells)
         for refs, ranges in self._reads.values():
             nodes.update(refs)
             for _, rect in ranges:
-                nodes.update(self._index.empty(rect))
+                nodes.update(self._index.empty_runs(rect))
         return nodes
 
-    def edges(self) -> Iterator[tuple[CellAddress, CellAddress]]:
-        """All (referenced, referencing) pairs in row-major order."""
-        pairs = [
-            (source, target) for target in self._reads for source in self._cells_read(target)
-        ]
-        pairs.sort(key=lambda pair: (pair[0].row, pair[0].col, pair[1].row, pair[1].col))
-        return iter(pairs)
+    def edges(self) -> Iterator[tuple[Node, CellAddress]]:
+        """All (read, reading) pairs, by the read node's ``rect_key``
+        and then the formula row-major."""
+        dependents: dict[Node, list[CellAddress]] = {}
+        # Formulas come row-major, so each list is built in order.
+        for target in self._reads:
+            for source in self._sources(target):
+                dependents.setdefault(source, []).append(target)
+        for source in sorted(dependents, key=rect_key):
+            for target in dependents[source]:
+                yield source, target
 
-    def precedents(self, addr: CellAddress) -> set[CellAddress]:
-        """Cells an address reads directly."""
-        return set(self._cells_read(addr))
+    def precedents(self, node: Node) -> set[Node]:
+        """What a node reads directly: nothing unless it is a formula."""
+        return set(self._sources(node))
 
-    def _cells_read(self, addr: CellAddress) -> frozenset[CellAddress]:
+    def _sources(self, node: Node) -> frozenset[Node]:
         # Built once per formula, on first use.
-        found = self._cells_read_cache.get(addr)
+        found = self._sources_cache.get(node)
         if found is None:
             found = frozenset()
-            if addr in self._reads:
-                refs, ranges = self._reads[addr]
-                cells = set(refs)
+            if node in self._reads:
+                refs, ranges = self._reads[node]
+                sources = set(refs)
                 for _, rect in ranges:
-                    cells.update(self._index.occupied(rect))
-                    cells.update(self._index.empty(rect))
-                found = frozenset(cells)
-            self._cells_read_cache[addr] = found
+                    sources.update(self._index.occupied(rect))
+                    sources.update(self._index.empty_runs(rect))
+                found = frozenset(sources)
+            self._sources_cache[node] = found
         return found
 
     def topo_order(self) -> list[CellAddress]:

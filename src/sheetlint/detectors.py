@@ -40,8 +40,10 @@ from .scl import (
     CopyKey,
     NormRef,
     RangeArg,
+    RangeRef,
     Reference,
     column_letters,
+    rect_key,
     row_major,
     value_type,
 )
@@ -70,28 +72,25 @@ class Severity(Enum):
 class Diagnostic(value_type("Diagnostic", "code severity cells message area", (None,))):
     """One finding: a code, the cells it is about, and a message.
 
-    ``area`` carries the physical or logical area the finding arose
-    from, when there is one.
+    A D1 finding's subject may be a run of empty cells, given as its
+    range.  ``area`` carries the physical or logical area the finding
+    arose from, when there is one.
     """
 
     __slots__ = ()
     code: Code
     severity: Severity
-    cells: tuple[CellAddress, ...]
+    cells: tuple[CellAddress | RangeRef, ...]
     message: str
     area: PhysicalArea | LogicalArea | None
 
 
 # What a detector found: the subject cells, the message, and the area.
-Finding = tuple[tuple[CellAddress, ...], str, PhysicalArea | LogicalArea | None]
+Finding = tuple[tuple[CellAddress | RangeRef, ...], str, PhysicalArea | LogicalArea | None]
 
 
 def _sort_key(diag: Diagnostic):
-    return (
-        diag.code.value,
-        tuple(row_major(a) for a in diag.cells),
-        diag.message,
-    )
+    return diag.code.value, tuple(map(rect_key, diag.cells)), diag.message
 
 
 def _diagnostics(code: Code, findings: Iterable[Finding]) -> list[Diagnostic]:
@@ -120,16 +119,19 @@ def _detector(code: Code):
 def detect_blank_ref(program: SpreadsheetProgram) -> Iterator[Finding]:
     """D1: a formula reads a cell with nothing in it.
 
-    One warning per (formula, empty cell) pair, whether the read is a
-    direct reference or range coverage.
+    One warning per (formula, empty cell) pair for direct references,
+    and one per (formula, empty run) pair for ranges: a maximal run of
+    empty cells in one column of a range is named once, as its range
+    when it spans more than one cell.
     """
     index = cell_index(program)
     for addr, (refs, ranges) in formula_reads(program).items():
         empty = dict.fromkeys(ref for ref in refs if program.content(ref) is None)
         for _, rect in ranges:
-            empty.update(dict.fromkeys(index.empty(rect)))
+            empty.update(dict.fromkeys(index.empty_runs(rect)))
         for source in empty:
-            yield (source,), f"{addr} reads empty cell {source}", None
+            what = "cells" if type(source) is RangeRef else "cell"
+            yield (source,), f"{addr} reads empty {what} {source}", None
 
 
 @_detector(Code.D2_WRONG_TYPE_IN_RANGE)

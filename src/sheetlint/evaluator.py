@@ -22,6 +22,14 @@ operand yields Fault(PROPAGATED).  A result with an endpoint beyond
 the floats' range yields Fault(OVERFLOW); the loaders reject
 non-finite numbers, so no operation ever sees infinity or NaN.
 
+A range is read through the program's occupied-cell index, never
+address by address.  Its numbers are added in row-major order.  Each
+label it skips is noted with the label's cell as the subject, and each
+maximal run of empty cells in one of its columns is noted once, with
+the run as the subject: a run of one is its cell, a longer run the
+RangeRef it spans.  A range's notes come by their subjects' top-left
+cells, row-major.
+
 Notes come cell by cell in evaluation order, and within one formula in
 post-order of the node that raises them: a note an operator or call
 raises about its operands follows every note raised inside them.  For
@@ -41,7 +49,7 @@ from typing import Mapping, Union
 
 from .dataflow import build_graph
 from .errors import SheetLintError
-from .model import Constant, Formula, Input, SpreadsheetInstance
+from .model import CellIndex, Constant, Formula, Input, SpreadsheetInstance, cell_index
 from .scl import (
     BinaryOp,
     Call,
@@ -50,6 +58,7 @@ from .scl import (
     Negate,
     NumberLiteral,
     RangeArg,
+    RangeRef,
     Reference,
     fold,
     format_number,
@@ -107,13 +116,14 @@ class RuntimeNote(value_type("RuntimeNote", "kind cell subject", (None,))):
     """One noteworthy event during evaluation.
 
     ``cell`` is the formula where it surfaced; ``subject`` is the
-    referenced cell that triggered it, when one did.
+    referenced cell that triggered it, or the run of empty cells a
+    grouping range skipped, when one did.
     """
 
     __slots__ = ()
     kind: NoteKind
     cell: CellAddress
-    subject: CellAddress | None
+    subject: CellAddress | RangeRef | None
 
 
 class EvalResult(value_type("EvalResult", "values notes")):
@@ -200,15 +210,15 @@ def iv_aggregate(name: str, items: list[Interval]) -> Interval:
         return Interval.degenerate(float(len(items)))
     if not items:
         raise EmptyAggregate(f"{name} over no numeric cells")
+    los, his = zip(*items)
     if name == "SUM":
-        return Interval(sum(iv.lo for iv in items), sum(iv.hi for iv in items))
+        return Interval(sum(los), sum(his))
     if name == "AVG":
-        total = Interval(sum(iv.lo for iv in items), sum(iv.hi for iv in items))
-        return iv_binop("/", total, Interval.degenerate(float(len(items))))
+        return iv_binop("/", Interval(sum(los), sum(his)), Interval.degenerate(float(len(items))))
     if name == "MIN":
-        return Interval(min(iv.lo for iv in items), min(iv.hi for iv in items))
+        return Interval(min(los), min(his))
     if name == "MAX":
-        return Interval(max(iv.lo for iv in items), max(iv.hi for iv in items))
+        return Interval(max(los), max(his))
     raise ValueError(f"unknown function {name!r}")
 
 
@@ -250,10 +260,16 @@ def _operand(
 
 
 def _walk(
-    ast: FormulaNode, host: CellAddress, held: _Cells, notes: list[RuntimeNote]
+    ast: FormulaNode,
+    host: CellAddress,
+    held: _Cells,
+    index: CellIndex,
+    notes: list[RuntimeNote],
 ) -> _Held:
-    """One formula's value.  A RangeArg leaf lists its covered cells
-    with what they hold, as (address, value) pairs."""
+    """One formula's value.  A RangeArg leaf gives the numbers its
+    occupied cells hold, in row-major order, and every other part it
+    reads as a (subject, value) pair: an occupied cell with its Text or
+    Fault, an empty run with Blank, by the subject's top-left cell."""
 
     def step(node: FormulaNode, children: list):
         kind = type(node)
@@ -262,7 +278,18 @@ def _walk(
         if kind is NumberLiteral:
             return Interval.degenerate(node.value)
         if kind is RangeArg:
-            return [(addr, held.get(addr, BLANK)) for addr in node.rng.cells()]
+            parts = index.parts(node.rng)
+            # An empty run is not held: it reads as None, then Blank.
+            values = list(map(held.get, parts))
+            numbers = [value for value in values if type(value) is Interval]
+            others = []
+            if len(numbers) < len(values):
+                others = [
+                    (part, BLANK if value is None else value)
+                    for part, value in zip(parts, values)
+                    if type(value) is not Interval
+                ]
+            return numbers, others
         if kind is BinaryOp:
             left = _operand(children[0], node.left, host, notes)
             if isinstance(left, Fault):
@@ -295,7 +322,11 @@ def _aggregate(
     items: list[Interval] = []
     faulted = False
     for arg, raw in zip(node.args, children):
-        pairs = raw if type(arg) is RangeArg else ((_subject(arg), raw),)
+        if type(arg) is RangeArg:
+            numbers, pairs = raw
+            items += numbers
+        else:
+            pairs = ((_subject(arg), raw),)
         for subject, value in pairs:
             if isinstance(value, Interval):
                 items.append(value)
@@ -328,13 +359,14 @@ def evaluate(
     in evaluation order, as the module docstring sets out.
     """
     program = instance.program
+    index = cell_index(program)
     held: dict[CellAddress, _Held] = {}
     for addr in order:
         content = program.content(addr)
         if content is None:
             continue
         if isinstance(content, Formula):
-            result = _walk(content.ast, addr, held, notes)
+            result = _walk(content.ast, addr, held, index, notes)
             if isinstance(result, (Blank, Text)):
                 # A bare reference at the root still lands in a numeric cell.
                 result = _operand(result, content.ast, addr, notes)

@@ -47,7 +47,7 @@ from .model import (
     _NUMBER_RE,
     strip_comment,
 )
-from .scl import CellAddress, MalformedAddress, parse_address, row_major, value_type
+from .scl import CellAddress, MalformedAddress, RangeRef, parse_address, rect_key, value_type
 
 
 class IntervalSpecError(LoadError):
@@ -147,7 +147,7 @@ class CellTest(value_type("CellTest", "cell value bounding expected verdict susp
     bounding: IntervalValue
     expected: Interval | None
     verdict: Verdict
-    suspects: tuple[CellAddress, ...]
+    suspects: tuple[CellAddress | RangeRef, ...]
 
     @property
     def symptomatic(self) -> bool:
@@ -170,7 +170,8 @@ def run_interval_test(instance: SpreadsheetInstance, spec: IntervalSpec) -> Test
     Inputs without a declared range are held at their bound value.
     Cells without an expectation come back NOT_JUDGED.  Suspects for a
     symptomatic cell are its transitive precedents, nearest first, and
-    symptomatic before clean at equal distance.
+    symptomatic before clean at equal distance; an empty run a range
+    reads is one suspect, as in the dependency graph.
     """
     program = instance.program
     for addr in spec.expected:
@@ -216,7 +217,7 @@ def _suspects(graph, addr: CellAddress, symptomatic: set[CellAddress]):
         frontier = nxt
     ordered = sorted(
         distance,
-        key=lambda a: (distance[a], 0 if a in symptomatic else 1, row_major(a)),
+        key=lambda a: (distance[a], 0 if a in symptomatic else 1, rect_key(a)),
     )
     return tuple(ordered)
 

@@ -21,12 +21,14 @@ import functools
 import math
 import re
 from bisect import bisect_left, bisect_right
+from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
 from .errors import SheetLintError
 from .scl import (
     CellAddress,
+    CellRef,
     FormulaError,
     FormulaNode,
     MalformedAddress,
@@ -34,6 +36,7 @@ from .scl import (
     format_number,
     parse_address,
     parse_formula,
+    rect_key,
     render,
     row_major,
     value_type,
@@ -196,9 +199,9 @@ class CellIndex:
     """Where a program's content is: for each column, the sorted rows of
     its non-empty cells, overall and per content kind.
 
-    A rectangle's occupied and empty cells are found by bisecting these
-    lists, so the cost follows the cells there are, not the addresses a
-    rectangle covers.
+    A rectangle's occupied cells and empty runs are found by bisecting
+    these lists, so the cost follows the cells there are and the runs
+    between them, not the addresses a rectangle covers.
     """
 
     def __init__(self, program: SpreadsheetProgram):
@@ -229,11 +232,17 @@ class CellIndex:
     def occupied(self, rect: RangeRef, kind: str | None = None) -> list[CellAddress]:
         """The cells of ``rect`` that hold content, of ``kind`` if given,
         column by column and top-down within each."""
-        return [CellAddress(col, row) for col, rows in self._spans(rect, kind) for row in rows]
+        # The rows and columns come from loaded cells, already checked,
+        # so each address is built in C without CellAddress's checks.
+        cells: list[CellAddress] = []
+        for col, rows in self._spans(rect, kind):
+            cells += map(tuple.__new__, repeat(CellAddress, len(rows)), zip(repeat(col), rows))
+        return cells
 
-    def empty(self, rect: RangeRef) -> Iterator[CellAddress]:
-        """The cells of ``rect`` with nothing in them, column by column
-        and top-down within each."""
+    def empty_runs(self, rect: RangeRef) -> Iterator[CellAddress | RangeRef]:
+        """The maximal runs of empty cells in each column of ``rect``,
+        column by column and top-down within each: a run of one as its
+        address, a longer run as the rectangle it spans."""
         top, bottom = rect.start.row, rect.end.row
         full = dict(self._spans(rect, None))
         for col in range(rect.start.col, rect.end.col + 1):
@@ -242,9 +251,22 @@ class CellIndex:
                 continue
             row = top
             for filled in (*rows, bottom + 1):
-                for gap in range(row, filled):
-                    yield CellAddress(col, gap)
+                if row == filled - 1:
+                    yield tuple.__new__(CellAddress, (col, row))
+                elif row < filled:
+                    yield RangeRef(CellRef(col, row), CellRef(col, filled - 1))
                 row = filled + 1
+
+    def parts(self, rect: RangeRef) -> list[CellAddress | RangeRef]:
+        """What ``rect`` reads, one item per occupied cell and one per
+        empty run, in row-major order of each item's top-left cell."""
+        parts: list[CellAddress | RangeRef] = self.occupied(rect)
+        if len(parts) < rect.width() * rect.height():
+            parts += self.empty_runs(rect)
+            parts.sort(key=rect_key)
+        elif rect.start.col != rect.end.col:
+            parts.sort(key=row_major)
+        return parts
 
 
 @per_program

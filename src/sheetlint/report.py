@@ -16,12 +16,12 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .areas import LogicalArea, PhysicalArea
-from .dataflow import DependencyGraph
+from .dataflow import DependencyGraph, Node
 from .detectors import Diagnostic
 from .evaluator import Blank, Fault, Number, Text, Value
 from .intervals import Interval, TestReport
-from .model import SpreadsheetProgram, content_kind, render_content
-from .scl import CellAddress, format_number, row_major
+from .model import SpreadsheetProgram, cell_index, content_kind, render_content
+from .scl import CellAddress, format_number, rect_key
 
 TOOL_NAME = "sheetlint"
 SCHEMA_NAME = "report-v1"
@@ -300,11 +300,12 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _diag_codes(diagnostics: list[Diagnostic]) -> dict[CellAddress, set[str]]:
-    by_cell: dict[CellAddress, set[str]] = {}
+def _diag_codes(diagnostics: list[Diagnostic]) -> dict[Node, set[str]]:
+    by_cell: dict[Node, set[str]] = {}
     for diag in diagnostics:
+        code = diag.code.value
         for addr in diag.cells:
-            by_cell.setdefault(addr, set()).add(diag.code.value)
+            by_cell.setdefault(addr, set()).add(code)
     return by_cell
 
 
@@ -322,7 +323,7 @@ def _attrs(label: str, style: str | None, codes: set[str] | None) -> str:
 
 def _cell_attrs(
     program: SpreadsheetProgram,
-    addr: CellAddress,
+    addr: Node,
     name: str,
     style: str | None,
     codes: set[str] | None,
@@ -333,14 +334,15 @@ def _cell_attrs(
     return _attrs(f"{name}\\n{_dot_escape(render_content(content))}", style, codes)
 
 
-def _claims(graph: DependencyGraph, physical: list[PhysicalArea]) -> dict[CellAddress, int]:
-    """Each graph node a physical area covers, mapped to the first such
-    area's index; keys run area by area, row-major within each."""
-    claimed: dict[CellAddress, int] = {}
+def _claims(program: SpreadsheetProgram, physical: list[PhysicalArea]) -> dict[Node, int]:
+    """Each occupied cell and empty run of a physical area's rectangle,
+    mapped to the first such area's index; keys run area by area, by
+    ``rect_key`` within each.  All of them are graph nodes."""
+    index = cell_index(program)
+    claimed: dict[Node, int] = {}
     for i, area in enumerate(physical):
-        for addr in area.rect.cells():
-            if addr in graph.nodes and addr not in claimed:
-                claimed[addr] = i
+        for node in index.parts(area.rect):
+            claimed.setdefault(node, i)
     return claimed
 
 
@@ -358,11 +360,11 @@ def cell_graph_dot(
     for i, area in enumerate(logical):
         for addr in area.members:
             fill.setdefault(addr, _FILLS[i % len(_FILLS)])
-    claimed = _claims(graph, physical)
+    claimed = _claims(program, physical)
     # Each node spelled once, for its own line and for its edges.
-    names = {addr: str(addr) for addr in sorted(graph.nodes, key=row_major)}
+    names = {addr: str(addr) for addr in sorted(graph.nodes, key=rect_key)}
 
-    def node_line(addr: CellAddress) -> str:
+    def node_line(addr: Node) -> str:
         name = names[addr]
         return f'"{name}" [{_cell_attrs(program, addr, name, fill.get(addr), codes.get(addr))}];'
 
@@ -397,7 +399,7 @@ def area_graph_dot(
     """
     codes = _diag_codes(diagnostics)
     ids = [f"p{i}" for i in range(len(physical))]
-    group_of = {addr: ids[i] for addr, i in _claims(graph, physical).items()}
+    group_of = {addr: ids[i] for addr, i in _claims(program, physical).items()}
     groups = {gid: (str(area), None) for gid, area in zip(ids, physical)}
     for i, area in enumerate(logical):
         gid = f"l{i}"
@@ -406,7 +408,7 @@ def area_graph_dot(
             if addr not in group_of:
                 group_of[addr] = gid
 
-    nodes = sorted(graph.nodes, key=row_major)
+    nodes = sorted(graph.nodes, key=rect_key)
     # Each group once, in the order of its first node, with its cells' codes.
     marks = dict.fromkeys((group_of[addr] for addr in nodes if addr in group_of), frozenset())
     for addr, cell_codes in codes.items():

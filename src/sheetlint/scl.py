@@ -180,7 +180,10 @@ def parse_address(text: str) -> CellAddress:
     if m is None:
         raise MalformedAddress(f"not a cell address: {text!r}")
     letters, digits = m.groups()
-    row = int(digits)
+    try:
+        row = int(digits)
+    except ValueError:  # more digits than ``int`` reads from a string
+        raise MalformedAddress(f"row number too long: {len(digits)} digits") from None
     if row < 1:
         raise MalformedAddress(f"row numbers start at 1: {text!r}")
     # Letters decode to a column of 1 or more, so no check is left.
@@ -260,6 +263,17 @@ class RangeRef(value_type("RangeRef", "start end")):
 
     def __str__(self) -> str:
         return f"{self.start}:{self.end}"
+
+
+def rect_key(node: CellAddress | RangeRef) -> tuple[int, ...]:
+    """Sort key that orders cells and rectangles row-major by their
+    top-left cell, and a cell before the rectangles that start there,
+    a shorter rectangle before a longer one.  ``row_major`` would read
+    a rectangle's two corners as its row and column."""
+    if type(node) is RangeRef:
+        start, end = node
+        return start[1], start[0], end[1], end[0]
+    return node[1], node[0]
 
 
 class NormRef(value_type("NormRef", "col row col_absolute row_absolute", (False, False))):
@@ -493,9 +507,9 @@ def _tokenize(text: str) -> list[tuple]:
     """The formula's tokens as ``(kind, text, pos, ref)``, the last of
     kind "end" at the text's length.  ``ref`` is a "ref" token's
     CellRef; for a row of 0 it is None, and for a row of more digits
-    than ``int`` reads, the ValueError that raised.  The parser raises
-    either where it takes the reference, so an error met earlier in
-    the formula is the one reported."""
+    than ``int`` reads from a string, the number of digits.  The parser
+    raises either error where it takes the reference, so an error met
+    earlier in the formula is the one reported."""
     tokens = []
     match = _TOKEN_RE.match
     i = 0
@@ -511,8 +525,8 @@ def _tokenize(text: str) -> list[tuple]:
             col_mark, letters, row_mark, digits = m.group(3, 4, 5, 6)
             try:
                 row = int(digits)
-            except ValueError as err:
-                ref = err
+            except ValueError:
+                ref = len(digits)
             else:
                 if row >= 1:  # letters decode to a column of 1 or more
                     ref = tuple.__new__(
@@ -542,8 +556,8 @@ def _taken(tok: tuple) -> CellRef:
     ref = tok[3]
     if ref is None:
         raise FormulaSyntaxError(f"row numbers start at 1: {tok[1]!r}", tok[2])
-    if type(ref) is ValueError:
-        raise ref
+    if type(ref) is int:
+        raise FormulaSyntaxError(f"row number too long: {ref} digits", tok[2])
     return ref
 
 

@@ -8,6 +8,7 @@ import json
 import os
 import pathlib
 import shutil
+import string
 import subprocess
 import sys
 import types
@@ -185,6 +186,43 @@ class TestNonFiniteNumbers:
         err = capsys.readouterr().err
         assert err.startswith("sheetlint: error: line ")
         assert "out of range" in err
+
+
+class TestLongRows:
+    """A row of more digits than Python reads into an int from a string
+    (4300 by default) is a load error naming its line, in a formula, as
+    a cell's own address and in an .intervals file."""
+
+    ROW = "1" * 5000
+
+    @pytest.mark.parametrize(
+        "sheet_text,spec_text,message",
+        [
+            (
+                f"A1 = #1\nB1 = =A1+A{ROW}\n",
+                None,
+                "line 2: cell B1: row number too long: 5000 digits (at offset 3)",
+            ),
+            (f"A1 = #1\nA{ROW} = #2\n", None, "line 2: row number too long: 5000 digits"),
+            (
+                "A1 = ?1\nB1 = =A1\n",
+                f"input A1 in [0, 1]\nexpect B{ROW} in [0, 1]\n",
+                "line 2: row number too long: 5000 digits",
+            ),
+        ],
+        ids=["formula", "cell", "intervals"],
+    )
+    def test_exits_two_naming_the_line(self, tmp_path, capsys, sheet_text, spec_text, message):
+        sheet = tmp_path / "long.sheet"
+        sheet.write_text(sheet_text)
+        if spec_text is None:
+            argv = ["check", str(sheet)]
+        else:
+            spec = tmp_path / "long.intervals"
+            spec.write_text(spec_text)
+            argv = ["test", str(sheet), str(spec)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"sheetlint: error: {message}\n"
 
 
 class TestCyclicPrograms:
@@ -388,6 +426,95 @@ class TestFarApartCopies:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out == stdout.replace("<sheet>", str(sheet))
+
+
+class TestSparseRanges:
+    """Huge ranges around few cells are read through the occupied cells
+    and the empty runs between them, never address by address: each
+    command runs with ``RangeRef.cells`` patched to raise, and prints a
+    few lines per cell and per column of each range argument, since an
+    empty run is one column's worth of empty cells."""
+
+    SHEETS = {
+        # A range of 10**8 addresses around two cells.
+        "huge": (
+            'A5 = #1\nA7 = "x"\nB1 = =SUM(A1:A99999999)\n',
+            "expect B1 in [5, 6]\n",
+            3 + 1,
+        ),
+        # Two formulas over the same 2.6 million addresses.
+        "wide": (
+            "C3 = #2\nAA1 = =SUM(A1:Z100000)\nAB1 = =SUM(A1:Z100000)\n",
+            "expect AA1 in [3, 4]\n",
+            3 + 26 + 26,
+        ),
+        # Copies whose hull spans three million rows.
+        "far": (TestFarApartCopies.SHEET, "expect B3000000 in [5, 6]\n", 4),
+    }
+    LINES_PER_UNIT = 5
+    PINNED = {
+        ("huge", "check"): [
+            "A1:A4: warning D1_BLANK_REF: B1 reads empty cells A1:A4",
+            "A6: warning D1_BLANK_REF: B1 reads empty cell A6",
+            "A8:A99999999: warning D1_BLANK_REF: B1 reads empty cells A8:A99999999",
+            "A7: warning D2_WRONG_TYPE_IN_RANGE: label at A7 lies inside SUM range "
+            "A1:A99999999 of B1; a number typed there would silently join the aggregate",
+        ],
+        ("huge", "test"): [
+            "B1: both  d=1  E=[5, 6]  B=[1, 1]  suspects: A1:A4 A5 A6 A7 A8:A99999999",
+        ],
+        ("huge", "graph"): [
+            '    "A8:A99999999" [label="A8:A99999999\\n(empty)\\nD1_BLANK_REF", '
+            'style="dashed", color="#cc2222", penwidth=2];',
+            '  "A8:A99999999" -> "B1";',
+        ],
+        ("huge", "areas"): ["physical: SUM A1:A99999999 -> B1 (mostly constant)"],
+        ("wide", "check"): [
+            "C1:C2: warning D1_BLANK_REF: AA1 reads empty cells C1:C2",
+            "C4:C100000: warning D1_BLANK_REF: AB1 reads empty cells C4:C100000",
+        ],
+        ("wide", "test"): [
+            "AA1: both  d=2  E=[3, 4]  B=[2, 2]  suspects: "
+            + " ".join(f"{c}1:{c}100000" if c != "C" else "C1:C2" for c in string.ascii_uppercase)
+            + " C3 C4:C100000"
+        ],
+        ("far", "test"): ["B3000000: both  d=1  E=[5, 6]  B=[1, 1]  suspects: A3000000"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_range_walks(self, monkeypatch):
+        def walked(rect):
+            raise AssertionError(f"walked every address of {rect}")
+
+        monkeypatch.setattr(RangeRef, "cells", walked)
+
+    def write(self, tmp_path, name):
+        sheet_text, spec_text, _ = self.SHEETS[name]
+        sheet, spec = tmp_path / f"{name}.sheet", tmp_path / f"{name}.intervals"
+        sheet.write_text(sheet_text)
+        spec.write_text(spec_text)
+        return str(sheet), str(spec)
+
+    @pytest.mark.parametrize("command", ["check", "test", "graph", "areas"])
+    @pytest.mark.parametrize("name", sorted(SHEETS))
+    def test_output_follows_the_cells(self, name, command, tmp_path, capsys):
+        sheet, spec = self.write(tmp_path, name)
+        argv = [command, sheet] + ([spec] if command == "test" else [])
+        assert main(argv) == (0 if command in ("graph", "areas") else 1)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) <= self.LINES_PER_UNIT * self.SHEETS[name][2]
+        for line in self.PINNED.get((name, command), []):
+            assert line in lines
+
+    @pytest.mark.parametrize("command", ["check", "test"])
+    @pytest.mark.parametrize("name", sorted(SHEETS))
+    def test_runs_fit_the_schema(self, name, command, tmp_path, capsys):
+        sheet, spec = self.write(tmp_path, name)
+        argv = [command, sheet] + ([spec] if command == "test" else []) + ["--format", "json"]
+        assert main(argv) == 1
+        jsonschema.validate(json.loads(capsys.readouterr().out), SCHEMA)
 
 
 class TestBuildOnce:

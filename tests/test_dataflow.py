@@ -5,7 +5,7 @@ import pytest
 from sheetlint.dataflow import CyclicDependency, build_graph
 from sheetlint.detectors import detect_blank_ref
 from sheetlint.model import load_program
-from sheetlint.scl import parse_address
+from sheetlint.scl import CellRef, RangeRef, parse_address
 
 DIAMOND = "A1 = ?1\nB1 = =A1+1\nB2 = =A1*2\nC1 = =B1+B2\n"
 
@@ -15,8 +15,9 @@ def addrs(items):
 
 
 class TestReferencedAddresses:
-    """What a formula reads: its direct references and every address
-    its ranges cover, as the graph's precedents and D1 see it."""
+    """What a formula reads: its direct references, and through its
+    ranges the occupied cells and the runs of empty cells between them,
+    as the graph's precedents and D1 see it."""
 
     @staticmethod
     def reads(formula, others=""):
@@ -32,9 +33,21 @@ class TestReferencedAddresses:
                          "Z9 reads empty cell B3"]
 
     def test_address_read_twice_counts_once(self):
-        precedents, blank = self.reads("SUM(A1:A2,A1)")
-        assert precedents == ["A1", "A2"]
-        assert blank == ["Z9 reads empty cell A1", "Z9 reads empty cell A2"]
+        precedents, blank = self.reads("SUM(A1:A1,A1)")
+        assert precedents == ["A1"]
+        assert blank == ["Z9 reads empty cell A1"]
+
+    def test_empty_run_is_one_read(self):
+        # A1 is read directly and inside the run A1:A3: two reads.
+        precedents, blank = self.reads("SUM(A1:A3,A1)+SUM(B1:C4)", "B2 = #1\nC4 = #2\n")
+        assert precedents == ["A1", "A1:A3", "B1", "B2", "B3:B4", "C1:C3", "C4"]
+        assert blank == [
+            "Z9 reads empty cell A1",
+            "Z9 reads empty cells A1:A3",
+            "Z9 reads empty cell B1",
+            "Z9 reads empty cells C1:C3",
+            "Z9 reads empty cells B3:B4",
+        ]
 
     def test_absolute_markers_do_not_matter(self):
         precedents, blank = self.reads("$A$1+A1")
@@ -66,10 +79,18 @@ class TestGraph:
         ]
 
     def test_referenced_empty_cells_become_nodes(self):
-        graph = build_graph(load_program("B2 = #1\nB12 = =SUM(B2:B4)\n"))
-        assert parse_address("B3") in graph.nodes
-        assert parse_address("B4") in graph.nodes
-        assert graph.precedents(parse_address("B3")) == set()
+        graph = build_graph(load_program("B2 = #1\nB12 = =SUM(B2:B4)+B7\n"))
+        run = RangeRef(CellRef(2, 3), CellRef(2, 4))
+        # The run B3:B4 is one node; its cells are not nodes of their own.
+        assert run in graph.nodes
+        assert parse_address("B3") not in graph.nodes
+        assert parse_address("B7") in graph.nodes
+        assert graph.precedents(run) == set()
+        assert [(str(s), str(t)) for s, t in graph.edges()] == [
+            ("B2", "B12"),
+            ("B3:B4", "B12"),
+            ("B7", "B12"),
+        ]
 
     def test_leaf_cells_have_no_edges(self):
         graph = build_graph(load_program('A1 = #1\nA2 = "note"\n'))

@@ -149,6 +149,22 @@ class TestGroupingFunctions:
         result = run("A1 = #1\nA2 = =1/0+A1\nB1 = =SUM(A1:A2)\n")
         assert value(result, "B1") == Fault(FaultKind.PROPAGATED)
 
+    def test_multi_column_sum_adds_row_by_row(self):
+        # These six numbers sum to different floats in row-major and in
+        # column-major order, under plain and compensated summation alike.
+        grid = [[1e50, 3.0, 1e16], [-1e50, 3.0, 7.0]]
+        text = "".join(
+            f"{col}{row} = #{grid[row - 1][k]!r}\n"
+            for row in (1, 2)
+            for k, col in enumerate("ABC")
+        )
+        result = run(text + "D1 = =SUM(A1:C2)\nD2 = =AVG(A1:C2)\n")
+        row_major = [x for line in grid for x in line]
+        column_major = [line[k] for k in range(3) for line in grid]
+        assert sum(row_major) != sum(column_major)
+        assert value(result, "D1") == Number(sum(row_major))
+        assert value(result, "D2") == Number(sum(row_major) / 6)
+
 
 class TestNoteOrder:
     def test_notes_follow_the_post_order_of_their_node(self):
@@ -160,6 +176,23 @@ class TestNoteOrder:
             RuntimeNote(NoteKind.BLANK_IN_ARITHMETIC, host, parse_address("B1")),
             RuntimeNote(NoteKind.SKIPPED_NON_NUMERIC, host, parse_address("A1")),
         )
+
+    def test_range_notes_by_top_left_cell(self):
+        # Column A holds a label over a run of three empty cells, column
+        # B a run of one, a number, and a run of two.
+        result = run('A1 = "x"\nB2 = #1\nC1 = =SUM(A1:B4)\n')
+        assert value(result, "C1") == Number(1.0)
+        assert [(n.kind, str(n.subject)) for n in result.notes] == [
+            (NoteKind.SKIPPED_NON_NUMERIC, "A1"),
+            (NoteKind.SKIPPED_NON_NUMERIC, "B1"),
+            (NoteKind.SKIPPED_NON_NUMERIC, "A2:A4"),
+            (NoteKind.SKIPPED_NON_NUMERIC, "B3:B4"),
+        ]
+
+    def test_empty_run_is_one_note(self):
+        result = run("B1 = =COUNT(A1:A99999999)\n")
+        assert value(result, "B1") == Number(0.0)
+        assert [str(n.subject) for n in result.notes] == ["A1:A99999999"]
 
     def test_operands_then_operator(self):
         result = run("C1 = =(A1+1)*(B1+1)/A2\n")

@@ -12,16 +12,16 @@ digits of other scripts, which are not digits of the formats, and a
 non-breaking space, which is whitespace.  One mutation puts a long run
 of ';' inside a label, where it is text: a comment scan that looks back
 over the line for every ';' would read there as a hang.  Far addresses
-come in whole, as a cell's own address or a direct reference: a range
-stretched over millions of rows still costs time in proportion to the
-addresses it covers (ROADMAP, "Huge or far-apart ranges do not
-finish"), and would read here as a hang.
+come in whole, as a cell's own address or a direct reference, and one
+mutation stretches a range over millions of rows: a path that visits
+every address a range covers would read there as a hang.
 """
 
 import contextlib
 import io
 import pathlib
 import random
+import re
 import signal
 
 import pytest
@@ -45,6 +45,9 @@ SEMICOLONS = 200_000
 # addresses at all.
 FAR = ["A1048577", "XFD1", "ZZZ99999999", "AB123456", "B99999999"]
 BAD = ["A0", "B-1", "1e999", "\x00"]
+# Rows a range's second corner is moved to, and where that corner's row is.
+FAR_ROWS = ["1048576", "3000000", "99999999"]
+RANGE_END = re.compile(r"(:\s*\$?[A-Za-z]+\$?)[0-9]+")
 
 
 class Hang(BaseException):
@@ -63,7 +66,7 @@ def _mutate(text: str, rng: random.Random) -> str:
     for _ in range(rng.randint(1, 3)):
         lines = text.splitlines(keepends=True) or [""]
         i = rng.randrange(len(lines))
-        kind = rng.randrange(6)
+        kind = rng.randrange(7)
         if kind == 0:
             at = rng.randint(0, len(text))
             text = text[:at] + rng.choice(CHARACTERS) + text[at:]
@@ -87,6 +90,16 @@ def _mutate(text: str, rng: random.Random) -> str:
                 lines[k] = f"{lines[k].rstrip()}+{_far(rng)}\n"
             else:
                 lines.append(f"Z1 = =A1+{_far(rng)}\n")
+            text = "".join(lines)
+        elif kind == 5:
+            # A range stretched over millions of rows.
+            ranged = [k for k, line in enumerate(lines) if RANGE_END.search(line)]
+            row = rng.choice(FAR_ROWS)
+            if ranged:
+                k = rng.choice(ranged)
+                lines[k] = RANGE_END.sub(lambda m: m.group(1) + row, lines[k], count=1)
+            else:
+                lines.append(f"Z3 = =SUM(A1:B{row})\n")
             text = "".join(lines)
         else:
             # A long run of ';' inside a label.

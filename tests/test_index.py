@@ -1,9 +1,10 @@
 """The occupied-cell index against a brute-force oracle.
 
 The oracle walks every address a range covers, as the graph, D1, D2
-and majority types did before they read through the index.  The new
-code must agree with it on the random corpus, the injection sheets,
-every fixture and a few crafted edge cases.
+and majority types did before they read through the index, and groups
+the empty ones into runs (see range_oracle).  The new code must agree
+with it on the random corpus, the injection sheets, every fixture and
+a few crafted edge cases.
 """
 
 import pathlib
@@ -13,6 +14,7 @@ import pytest
 
 import corpus
 import injection
+import range_oracle
 from sheetlint import cli
 from sheetlint.areas import infer_physical_areas
 from sheetlint.dataflow import CyclicDependency, build_graph
@@ -69,7 +71,8 @@ SOURCES = _sources()
 
 
 def oracle_reads(program):
-    """Each formula's read addresses, ranges expanded, in source order."""
+    """What each formula reads, in source order: its direct references,
+    and for each range its occupied cells and empty runs."""
     reads = {}
     for addr, cell in program.formula_cells():
         found = []
@@ -77,7 +80,7 @@ def oracle_reads(program):
             if type(node) is Reference:
                 found.append(node.ref.address())
             elif type(node) is RangeArg:
-                found.extend(node.rng.cells())
+                found.extend(range_oracle.parts(program, node.rng))
         reads[addr] = found
     return reads
 
@@ -88,19 +91,19 @@ def oracle_graph(program):
     precedents = {node: set(reads.get(node, ())) for node in nodes}
     edges = sorted(
         ((source, target) for target in reads for source in precedents[target]),
-        key=lambda pair: (row_major(pair[0]), row_major(pair[1])),
+        key=lambda pair: (range_oracle.node_key(pair[0]), row_major(pair[1])),
     )
     return nodes, precedents, edges
 
 
 def oracle_blank_refs(program):
     found = [
-        ((source,), f"{addr} reads empty cell {source}")
+        ((source,), f"{addr} reads empty {'cells' if isinstance(source, RangeRef) else 'cell'} {source}")
         for addr, read in oracle_reads(program).items()
         for source in dict.fromkeys(read)
         if program.content(source) is None
     ]
-    return sorted(found, key=lambda f: (row_major(f[0][0]), f[1]))
+    return sorted(found, key=lambda f: (range_oracle.node_key(f[0][0]), f[1]))
 
 
 def oracle_labels(program):
@@ -192,13 +195,12 @@ class TestCrafted:
 
     def test_empty_column_reads(self):
         program = load_program(CRAFTED["empty-column"])
+        # Column B of the range is one run; B4 reads B2 on its own.
         assert [d.message for d in detect_blank_ref(program)] == [
-            "A4 reads empty cell B1",
-            "A4 reads empty cell B2",
+            "A4 reads empty cells B1:B3",
             "B4 reads empty cell B2",
             "A4 reads empty cell C2",
             "A4 reads empty cell A3",
-            "A4 reads empty cell B3",
         ]
 
     def test_index_queries(self):
@@ -207,7 +209,8 @@ class TestCrafted:
         assert [str(a) for a in index.occupied(rect)] == ["A1", "A2", "C1", "C3"]
         assert [str(a) for a in index.occupied(rect, "label")] == ["C3"]
         assert index.count(rect, "constant") == 3
-        assert [str(a) for a in index.empty(rect)] == ["A3", "B1", "B2", "B3", "C2"]
+        assert [str(a) for a in index.empty_runs(rect)] == ["A3", "B1:B3", "C2"]
+        assert [str(a) for a in index.parts(rect)] == ["A1", "B1:B3", "C1", "A2", "C2", "A3", "C3"]
 
 
 # ---------------------------------------------------------------------------

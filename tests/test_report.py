@@ -13,6 +13,7 @@ import pytest
 import corpus
 import injection
 import json_oracle
+import range_oracle
 from sheetlint.areas import infer_logical_areas, infer_physical_areas
 from sheetlint.cli import main
 from sheetlint.dataflow import CyclicDependency, build_graph
@@ -21,7 +22,6 @@ from sheetlint.evaluator import eval_in_order, eval_instance
 from sheetlint.intervals import load_interval_spec, run_interval_test
 from sheetlint.model import instantiate, load_program, render_content
 from sheetlint import report
-from sheetlint.scl import row_major
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE.parent / "fixtures"
@@ -357,7 +357,7 @@ class TestAreaGraphOracle:
         group_of, group_label, group_fill = {}, {}, {}
         for i, area in enumerate(physical):
             group_label[f"p{i}"] = str(area)
-            for addr in area.rect.cells():
+            for addr in range_oracle.parts(program, area.rect):
                 if addr in graph.nodes:
                     group_of.setdefault(addr, f"p{i}")
         for i, area in enumerate(logical):
@@ -365,7 +365,7 @@ class TestAreaGraphOracle:
             group_fill[f"l{i}"] = cls.PALETTE[i % len(cls.PALETTE)]
             for addr in area.members:
                 group_of.setdefault(addr, f"l{i}")
-        nodes = sorted(graph.nodes, key=row_major)
+        nodes = sorted(graph.nodes, key=range_oracle.node_key)
         used_groups = dict.fromkeys(group_of[a] for a in nodes if a in group_of)
         group_codes = {}
         for addr, cell_codes in codes.items():

@@ -269,6 +269,32 @@ class TestParseErrors:
         assert info.value.position is None
 
 
+class TestLongRows:
+    """A row of more digits than Python reads into an int from a string
+    is a syntax error raised where the parser takes the reference, so
+    an error earlier in the formula still comes first."""
+
+    ROW = "1" * 5000
+
+    @pytest.mark.parametrize(
+        "head, tail, message, position",
+        [
+            ("A", "+A0", "row number too long: 5000 digits", 0),
+            ("A0+A", "", "row numbers start at 1: 'A0'", 0),
+            ("SUM(A1:B", ")", "row number too long: 5000 digits", 7),
+            ("SUM(A1:B", "+1)", "row number too long: 5000 digits", 7),
+        ],
+    )
+    def test_raise_site(self, head, tail, message, position):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(head + self.ROW + tail)
+        assert str(info.value) == f"{message} (at offset {position})"
+
+    def test_address(self):
+        with pytest.raises(MalformedAddress, match="row number too long: 5000 digits"):
+            parse_address("B" + self.ROW)
+
+
 class TestAsciiDigits:
     """Only 0-9 are digits, in references and numbers alike, as they
     are in addresses: another script's digit is an unexpected character."""
