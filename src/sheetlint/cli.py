@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import gc
+import os
 import sys
 
 from .areas import infer_logical_areas, infer_physical_areas
@@ -71,11 +72,16 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _read(path: str) -> str:
+def _read(path: str) -> tuple[str, report.Input]:
+    """A file's text, and the file as a JSON report names it.
+
+    Each input is opened once: a pipe cannot be read a second time, so
+    the report digests the bytes read here.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8-sig")
+        return data.decode("utf-8-sig"), report.Input(path, data)
     except UnicodeDecodeError as err:
         # The codec counts from after a byte-order mark; report the file's offset.
         bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
@@ -85,6 +91,9 @@ def _read(path: str) -> str:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
+        # A write error (a full disk, a closed pipe) surfaces here, as an
+        # error line and exit 2, not at interpreter exit.
+        sys.stdout.flush()
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -101,10 +110,11 @@ def _evaluate(
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    program = load_program(_read(args.sheet))
+    sheet_text, sheet = _read(args.sheet)
+    program = load_program(sheet_text)
     diagnostics = detect_all(program, _evaluate(program, build_graph(program)))
     if args.format == "json":
-        text = report.to_json(report.check_json(program, diagnostics, [args.sheet]))
+        text = report.to_json(report.check_json(program, diagnostics, [sheet]))
     else:
         text = report.check_text(program, diagnostics, args.sheet)
     _emit(text, args.output)
@@ -112,13 +122,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    program = load_program(_read(args.sheet))
-    spec = load_interval_spec(_read(args.intervals), program)
+    sheet_text, sheet = _read(args.sheet)
+    program = load_program(sheet_text)
+    spec_text, spec_input = _read(args.intervals)
+    spec = load_interval_spec(spec_text, program)
     test_report = run_interval_test(instantiate(program), spec)
     if args.format == "json":
-        text = report.to_json(
-            report.test_json(program, test_report, [args.sheet, args.intervals])
-        )
+        text = report.to_json(report.test_json(program, test_report, [sheet, spec_input]))
     else:
         text = report.test_text(test_report, args.sheet, args.intervals)
     _emit(text, args.output)
@@ -126,7 +136,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    program = load_program(_read(args.sheet))
+    sheet_text, _ = _read(args.sheet)
+    program = load_program(sheet_text)
     graph = build_graph(program)
     diagnostics = detect_all(program, _evaluate(program, graph))
     dot = report.area_graph_dot if args.resolution == "area" else report.cell_graph_dot
@@ -136,11 +147,12 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_areas(args: argparse.Namespace) -> int:
-    program = load_program(_read(args.sheet))
+    sheet_text, sheet = _read(args.sheet)
+    program = load_program(sheet_text)
     physical = infer_physical_areas(program)
     logical = infer_logical_areas(program)
     if args.format == "json":
-        text = report.to_json(report.areas_json(program, physical, logical, [args.sheet]))
+        text = report.to_json(report.areas_json(program, physical, logical, [sheet]))
     else:
         text = report.areas_text(physical, logical, args.sheet)
     _emit(text, args.output)
@@ -165,17 +177,36 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The console entry: runs ``main`` in a process of its own."""
-    # A run makes no reference cycles of its own, so the cyclic
-    # collector would only trace live objects; tests/test_cli.py's
-    # TestNoCyclicGarbage guards this.  In-process callers of ``main``
-    # keep their collector.
+    """The console entry: runs ``main`` in a process of its own.
+
+    The process runs without the cyclic collector and freezes the heap
+    before it exits.  A run makes no reference cycles of its own
+    (tests/test_cli.py's TestNoCyclicGarbage guards this), so reference
+    counting frees what it drops and a collection would only trace live
+    objects.  Interpreter teardown collects regardless of
+    ``gc.disable()``; ``gc.freeze()`` moves every object still alive out
+    of its reach.  The exit itself is the ordinary ``sys.exit``: atexit
+    handlers still run, so ``coverage run`` and ``python -m cProfile``
+    keep their output, which ``os._exit`` would lose.  In-process
+    callers of ``main`` keep their collector and their heap.
+    """
     gc.disable()
     # Labels and paths may be non-ASCII; stdout and the error line on
     # stderr write UTF-8 whatever the locale, as --output does.
     sys.stdout.reconfigure(encoding="utf-8")
     sys.stderr.reconfigure(encoding="utf-8")
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main reported the failed write.  The bytes still buffered would
+        # fail again at exit, with a second message and status 120; the
+        # null device takes them instead.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

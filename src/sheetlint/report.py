@@ -9,10 +9,23 @@ validates it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from itertools import groupby
-from json.encoder import encode_basestring_ascii as _quote
+
+# The interpreter's built-in SHA-256 and JSON string escaper, taken
+# directly: hashlib loads OpenSSL and json.encoder loads the decoder and
+# scanner too, which a console run would pay for on every start.
+try:
+    from _sha2 import sha256 as _sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .areas import LogicalArea, PhysicalArea
@@ -21,19 +34,27 @@ from .detectors import Diagnostic
 from .evaluator import Blank, Fault, Number, Text, Value
 from .intervals import Interval, TestReport
 from .model import SpreadsheetProgram, cell_index, content_kind, render_content
-from .scl import CellAddress, format_number, rect_key
+from .scl import CellAddress, format_number, rect_key, value_type
 
 TOOL_NAME = "sheetlint"
 SCHEMA_NAME = "report-v1"
 
 
-def file_digest(path: str) -> str:
-    """Hex SHA-256 of a file's bytes."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+class Input(value_type("Input", "path data")):
+    """An input as a report names it: its path and the bytes analysed."""
+
+    __slots__ = ()
+    path: str
+    data: bytes
+
+
+def _input_json(item: str | Input) -> dict:
+    # A bare path is read here.  The CLI passes the bytes it analysed
+    # instead, so a pipe is read once and digested as it was analysed.
+    if isinstance(item, str):
+        with open(item, "rb") as fh:
+            item = Input(item, fh.read())
+    return {"path": item.path, "sha256": _sha256(item.data).hexdigest()}
 
 
 def to_json(payload: dict) -> str:
@@ -143,20 +164,20 @@ def _diagnostic_json(diag: Diagnostic, area: str | None) -> dict:
 
 def envelope(
     command: str,
-    inputs: list[str],
+    inputs: list[str | Input],
     program: SpreadsheetProgram,
 ) -> dict:
     return {
         "schema": SCHEMA_NAME,
         "tool": {"name": TOOL_NAME, "version": __version__},
         "command": command,
-        "inputs": [{"path": path, "sha256": file_digest(path)} for path in inputs],
+        "inputs": [_input_json(item) for item in inputs],
         "program": _program_json(program),
     }
 
 
 def check_json(
-    program: SpreadsheetProgram, diagnostics: list[Diagnostic], inputs: list[str]
+    program: SpreadsheetProgram, diagnostics: list[Diagnostic], inputs: list[str | Input]
 ) -> dict:
     payload = envelope("check", inputs, program)
     # Findings share their area objects (D4 gives one area a finding
@@ -170,7 +191,7 @@ def check_json(
 
 
 def test_json(
-    program: SpreadsheetProgram, report: TestReport, inputs: list[str]
+    program: SpreadsheetProgram, report: TestReport, inputs: list[str | Input]
 ) -> dict:
     payload = envelope("test", inputs, program)
     payload["interval_test"] = {
@@ -198,7 +219,7 @@ def areas_json(
     program: SpreadsheetProgram,
     physical: list[PhysicalArea],
     logical: list[LogicalArea],
-    inputs: list[str],
+    inputs: list[str | Input],
 ) -> dict:
     payload = envelope("areas", inputs, program)
     payload["areas"] = {

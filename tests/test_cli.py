@@ -43,6 +43,16 @@ RUNNING = str(FIXTURES / "running_totals.sheet")
 CYCLIC = str(FIXTURES / "cyclic.sheet")
 
 
+def console(argv, env=None, **kwargs):
+    """``python -m sheetlint.cli ARGV`` in a child process.
+
+    The child finds the package from the source tree, as this process
+    does through pytest's pythonpath setting.
+    """
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(HERE.parent / "src")}
+    return subprocess.run([sys.executable, "-m", "sheetlint.cli", *argv], env=env, **kwargs)
+
+
 class TestExitCodes:
     def test_check_reports_findings_with_one(self, capsys):
         assert main(["check", QUARTERLY]) == 1
@@ -615,6 +625,24 @@ class TestJsonFormat:
         jsonschema.validate(payload, SCHEMA)
         assert payload["command"] == argv[0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "/dev/stdin"], ["areas", "/dev/stdin"], ["test", "/dev/stdin", QUARTERLY_IV]],
+        ids=["check", "areas", "test"],
+    )
+    def test_piped_input_is_digested(self, argv, capsys):
+        # A pipe can be read once: the digest is of the bytes analysed,
+        # not of the emptied pipe a second read would see.
+        if not os.path.exists("/dev/stdin"):
+            pytest.skip("no /dev/stdin")
+        sheet = pathlib.Path(QUARTERLY)
+        proc = console([*argv, "--format", "json"], input=sheet.read_bytes(), capture_output=True)
+        piped = json.loads(proc.stdout)
+        main([argv[0], QUARTERLY, *argv[2:], "--format", "json"])
+        expected = json.loads(capsys.readouterr().out)
+        expected["inputs"][0]["path"] = "/dev/stdin"
+        assert piped == expected
+
     def test_graph_emits_dot_not_json(self, capsys):
         main(["graph", QUARTERLY, "--format", "json"])
         out = capsys.readouterr().out
@@ -756,7 +784,10 @@ class TestNoCyclicGarbage:
         try:
             cli.run()
             assert not gc.isenabled()
+            # Frozen before the exit, so teardown's collections skip it.
+            assert gc.get_freeze_count() > 0
         finally:
+            gc.unfreeze()
             gc.enable() if was else gc.disable()
         assert codes == [0]
         assert out.encoding == "utf-8"
@@ -810,17 +841,34 @@ class TestUtf8Stderr:
 
 class TestEntryPoints:
     def test_module_invocation(self, capsys):
-        # The child finds the package from the source tree, as this
-        # process does through pytest's pythonpath setting.
-        proc = subprocess.run(
-            [sys.executable, "-m", "sheetlint.cli", "check", QUARTERLY],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(HERE.parent / "src")},
-        )
-        assert proc.returncode == 1
-        assert main(["check", QUARTERLY]) == 1
-        assert proc.stdout == capsys.readouterr().out
+        # Every command in both formats and both graph resolutions, and
+        # a load error: the console process gives main's stdout, stderr
+        # and exit code byte for byte.
+        argvs = [*invocations(QUARTERLY, QUARTERLY_IV), ["check", str(FIXTURES / "no_such.sheet")]]
+        for argv in argvs:
+            proc = console(argv, capture_output=True)
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                code,
+                out.encode("utf-8"),
+                err.encode("utf-8"),
+            ), argv
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_full_stdout_is_one_error_line(self, buffered):
+        # A buffered stdout fails only when flushed; the bytes it still
+        # holds must not fail a second time at exit.
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            proc = console(["check", QUARTERLY], env=env, stdout=full, stderr=subprocess.PIPE)
+        lines = proc.stderr.decode("utf-8").splitlines()
+        assert proc.returncode == 2
+        assert len(lines) == 1 and lines[0].startswith("sheetlint: error: "), lines
 
     def test_console_script(self):
         exe = shutil.which("sheetlint")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import pathlib
+import random
 
 import jsonschema
 import pytest
@@ -85,10 +86,18 @@ class TestCanonicalJson:
             report.to_json(payload)
 
     def test_file_digest_is_sha256_of_bytes(self, tmp_path):
+        # Empty input, sizes around the 64 KiB a chunked reader would
+        # split at, and 1 MB of seeded random bytes.  An input named by
+        # its path alone is read and digested the same way.
+        rng = random.Random(15)
+        program = load_program("A1 = #1\n")
         path = tmp_path / "probe.sheet"
-        path.write_bytes(b"A1 = #1\n")
-        expected = hashlib.sha256(b"A1 = #1\n").hexdigest()
-        assert report.file_digest(str(path)) == expected
+        for data in [b"", b"A1 = #1\n", *map(rng.randbytes, (65535, 65536, 65537, 10**6))]:
+            expected = hashlib.sha256(data).hexdigest()
+            path.write_bytes(data)
+            for item in (report.Input(str(path), data), str(path)):
+                inputs = report.envelope("check", [item], program)["inputs"]
+                assert inputs == [{"path": str(path), "sha256": expected}]
 
 
 class TestCheckJson:
@@ -100,7 +109,7 @@ class TestCheckJson:
         assert payload["tool"] == {"name": "sheetlint", "version": "0.1.0"}
         assert payload["command"] == "check"
         assert payload["inputs"] == [
-            {"path": path, "sha256": report.file_digest(path)}
+            {"path": path, "sha256": hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()}
         ]
         assert payload["program"]["cells"] == {
             "constant": 6,
