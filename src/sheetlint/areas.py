@@ -10,11 +10,15 @@ Three nested notions of "cells that belong together":
                    offsets, markers, and literal values
 
 Logical areas refine structural groups: every logical area lies within
-one structural group.  Each is built once per program, on first use,
+one structural group.  The ranges that the copies of a logical area
+read at one argument position form one intended area
+(``intended_areas``).  Each is built once per program, on first use,
 and shared by every later caller (see ``model.per_program``).
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 from .dataflow import formula_reads
 from .model import SpreadsheetProgram, cell_index, per_program
@@ -117,6 +121,91 @@ def infer_logical_areas(program: SpreadsheetProgram) -> list[LogicalArea]:
     ]
     areas.sort(key=lambda area: row_major(area.members[0]))
     return areas
+
+
+class UnionBox(value_type("UnionBox", "c1 r1 c2 r2 area ranges")):
+    """Part of an intended area: a rectangle, given by its corner
+    columns and rows, that is exactly the union of the listed ranges
+    (indices into ``infer_physical_areas``, ascending) of intended area
+    number ``area``."""
+
+    __slots__ = ()
+    c1: int
+    r1: int
+    c2: int
+    r2: int
+    area: int
+    ranges: tuple[int, ...]
+
+
+class IntendedAreas(value_type("IntendedAreas", "boxes box_of")):
+    """Every intended area's union boxes, by area and row-major within
+    each, and for each physical area the box that holds its range."""
+
+    __slots__ = ()
+    boxes: list[UnionBox]
+    box_of: list[UnionBox]
+
+
+@per_program
+def intended_areas(program: SpreadsheetProgram) -> IntendedAreas:
+    """The ranges that one conceptual model reads, merged into boxes.
+
+    Copies of one formula carry one model, so the ranges at one
+    argument position across the copies of a logical area form one
+    intended area; a formula in no logical area forms one per range.
+    Areas are numbered by their first range.  Within an area, ranges
+    over the same columns whose rows overlap or touch are merged, and
+    so are ranges over the same rows whose columns do, until nothing
+    merges: a column of running totals becomes one box.
+    """
+    physical = infer_physical_areas(program)
+    owner = {
+        addr: area.members[0] for area in infer_logical_areas(program) for addr in area.members
+    }
+    members: dict[tuple[CellAddress, int], list[int]] = {}
+    # A consumer's ranges are listed together, in argument order.
+    for consumer, indices in groupby(range(len(physical)), lambda i: physical[i].consumer):
+        for position, i in enumerate(indices):
+            members.setdefault((owner.get(consumer, consumer), position), []).append(i)
+
+    boxes: list[UnionBox] = []
+    box_of: list[UnionBox] = [None] * len(physical)
+    for number, indices in enumerate(members.values()):
+        parts = []
+        for i in indices:
+            (c1, r1, *_), (c2, r2, *_) = physical[i].rect
+            parts.append([c1, r1, c2, r2, [i]])
+        while True:
+            count = len(parts)
+            parts = _transposed(_merge_rows(_transposed(_merge_rows(parts))))
+            if len(parts) == count:
+                break
+        for c1, r1, c2, r2, ranges in sorted(parts, key=lambda part: (part[1], part[0])):
+            box = UnionBox(c1, r1, c2, r2, number, tuple(sorted(ranges)))
+            boxes.append(box)
+            for i in ranges:
+                box_of[i] = box
+    return IntendedAreas(boxes, box_of)
+
+
+def _merge_rows(parts: list[list]) -> list[list]:
+    """Merge ``[c1, r1, c2, r2, ranges]`` parts over the same columns
+    whose rows overlap or touch; the union of each merge is exact."""
+    parts.sort(key=lambda part: (part[0], part[2], part[1]))
+    out: list[list] = []
+    for part in parts:
+        last = out[-1] if out else None
+        if last and last[0] == part[0] and last[2] == part[2] and part[1] <= last[3] + 1:
+            last[3] = max(last[3], part[3])
+            last[4] += part[4]
+        else:
+            out.append(part)
+    return out
+
+
+def _transposed(parts: list[list]) -> list[list]:
+    return [[r1, c1, r2, c2, ranges] for c1, r1, c2, r2, ranges in parts]
 
 
 @per_program

@@ -90,6 +90,9 @@ def _read(path: str) -> tuple[str, report.Input]:
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
+        # A shell's ``>&-`` starts the process with no stdout at all.
+        if sys.stdout is None:
+            raise SheetLintError("standard output is closed")
         sys.stdout.write(text)
         # A write error (a full disk, a closed pipe) surfaces here, as an
         # error line and exit 2, not at interpreter exit.
@@ -192,12 +195,15 @@ def run() -> None:
     """
     gc.disable()
     # Labels and paths may be non-ASCII; stdout and the error line on
-    # stderr write UTF-8 whatever the locale, as --output does.
-    sys.stdout.reconfigure(encoding="utf-8")
-    sys.stderr.reconfigure(encoding="utf-8")
+    # stderr write UTF-8 whatever the locale, as --output does.  A
+    # stream the shell closed is None, and _emit reports a closed stdout.
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.reconfigure(encoding="utf-8")
     code = main()
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError:
         # main reported the failed write.  The bytes still buffered would
         # fail again at exit, with a second message and status 120; the

@@ -27,9 +27,11 @@ from typing import Callable, Iterable, Iterator
 from .areas import (
     LogicalArea,
     PhysicalArea,
+    UnionBox,
     copy_keys,
     infer_logical_areas,
     infer_physical_areas,
+    intended_areas,
     structural_groups,
 )
 from .dataflow import CyclicDependency, build_graph, formula_reads
@@ -140,32 +142,49 @@ def detect_wrong_type_in_range(program: SpreadsheetProgram) -> Iterator[Finding]
 
     The label is skipped today, so the result looks right; if the cell
     is ever given a number, that number silently joins the aggregate.
+    Each label is reported once, naming the first range that covers it
+    (row-major by consumer) and counting the others.
     """
     index = cell_index(program)
+    first: dict[CellAddress, PhysicalArea] = {}
+    covers: dict[CellAddress, int] = {}
     for area in infer_physical_areas(program):
         for addr in index.occupied(area.rect, "label"):
-            yield (
-                (addr,),
-                f"label at {addr} lies inside {area.function} range "
-                f"{area.rect} of {area.consumer}; a number typed there "
-                f"would silently join the aggregate",
-                area,
-            )
+            first.setdefault(addr, area)
+            covers[addr] = covers.get(addr, 0) + 1
+    for addr, area in first.items():
+        others = covers[addr] - 1
+        more = f" and {others} other range{'s' if others > 1 else ''}" if others else ""
+        yield (
+            (addr,),
+            f"label at {addr} lies inside {area.function} range "
+            f"{area.rect} of {area.consumer}{more}; a number typed there "
+            f"would silently join the aggregate",
+            area,
+        )
 
 
 @_detector(Code.D3_INCORRECT_RANGE)
 def detect_incorrect_range(program: SpreadsheetProgram) -> Iterator[Finding]:
     """D3: a cell of the range's own kind adjoins it but is left out.
 
-    Checked one step beyond both ends of the range's major axis; the
-    consuming formula itself does not count.
+    Checked one step beyond both ends of the range's major axis.  The
+    consuming formula itself does not count, and neither does a cell in
+    the union box that holds the range (``areas.intended_areas``): a
+    range of the same intended area reads it, as the next copy of a
+    running total reads the cell after the range.
     """
-    for area in infer_physical_areas(program):
+    box_of = intended_areas(program).box_of
+    for area, box in zip(infer_physical_areas(program), box_of):
         if area.majority_type is None:
             continue
+        c1, r1, c2, r2 = box[:4]
         for addr in _adjoining(area):
             content = program.content(addr)
             if content is None or addr == area.consumer:
+                continue
+            col, row = addr
+            if c1 <= col <= c2 and r1 <= row <= r2:
                 continue
             if content_kind(content) == area.majority_type:
                 yield (
@@ -201,18 +220,28 @@ _CHAIN_MIN_CELLS = 3
 def detect_area_mixup(program: SpreadsheetProgram) -> Iterator[Finding]:
     """D4: results from distinct areas are blended.
 
-    Fires when two grouping ranges overlap, and when a formula adds up
-    three or more distinct cells of one row or column one by one
-    instead of grouping over a range.
+    Fires once per pair of intended areas whose ranges overlap, and
+    when a formula adds up three or more distinct cells of one row or
+    column one by one instead of grouping over a range.  Ranges of one
+    intended area, such as the ranges of a column of running totals,
+    may overlap freely.
     """
     physical = infer_physical_areas(program)
-    # Overlaps grow with the square of the areas: spell each area once.
-    spelled = [f"{area.rect} (of {area.consumer})" for area in physical]
-    for i, j, shared in _overlapping_pairs(physical):
+    boxes, box_of = intended_areas(program)
+    copies: dict[int, int] = {}
+    for box in boxes:
+        copies[box.area] = copies.get(box.area, 0) + len(box.ranges)
+
+    def spell(i: int) -> str:
+        area, count = physical[i], copies[box_of[i].area]
+        of = f", one of {count} copies" if count > 1 else ""
+        return f"{area.rect} (of {area.consumer}{of})"
+
+    for i, j, shared in _overlapping_pairs(physical, boxes):
         subjects = {physical[i].consumer, physical[j].consumer}
         yield (
             tuple(sorted(subjects, key=row_major)),
-            f"ranges {spelled[i]} and {spelled[j]} overlap at {shared}",
+            f"ranges {spell(i)} and {spell(j)} overlap at {shared}",
             physical[i],
         )
     # A '+' chain's copy key lists only '+' tokens and references.
@@ -242,34 +271,58 @@ def detect_area_mixup(program: SpreadsheetProgram) -> Iterator[Finding]:
         )
 
 
-def _overlapping_pairs(areas: list[PhysicalArea]) -> list[tuple[int, int, str]]:
-    """Every (i, j, shared rectangle) with i < j whose ranges overlap,
-    in (i, j) order; the rectangle is spelled without '$' markers.
+def _overlapping_pairs(
+    areas: list[PhysicalArea], boxes: list[UnionBox]
+) -> list[tuple[int, int, str]]:
+    """One (i, j, shared rectangle) per pair of intended areas whose
+    ranges overlap, in (i, j) order: ranges i < j are one overlapping
+    pair from the two areas, and the rectangle they share is spelled
+    without '$' markers.
 
-    Sweeps the areas by top row: an area only meets those that start
-    at or above its bottom row, so disjoint row spans are never paired.
+    Sweeps the union boxes by top row: a box only meets those that
+    start at or above its bottom row, so disjoint row spans are never
+    paired, and two boxes of one intended area are never tested.  Of
+    each pair of areas, the first two boxes the sweep finds to meet
+    name the ranges: the first range of one box that meets the other
+    box, and the first range of the other box that meets that range.
+    A box is exactly the union of its ranges, so both exist.
     """
-    boxes = [
-        (a.rect.start.col, a.rect.start.row, a.rect.end.col, a.rect.end.row)
-        for a in areas
-    ]
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i][1])
-    hits: list[tuple[int, int, str]] = []
-    for n, i in enumerate(order):
-        left, top, right, bottom = boxes[i]
+    order = sorted(range(len(boxes)), key=lambda k: boxes[k].r1)
+    first: dict[tuple[int, int], tuple[int, int]] = {}
+    for n, a in enumerate(order):
+        left, top, right, bottom, area, _ = boxes[a]
         for m in range(n + 1, len(order)):
-            j = order[m]
-            c1, r1, c2, r2 = boxes[j]
+            b = order[m]
+            c1, r1, c2, r2, other, _ = boxes[b]
             if r1 > bottom:
                 break
             # r1 >= top by the sort, so the row spans meet from r1 down.
-            c1, c2 = max(c1, left), min(c2, right)
-            if c1 > c2:
+            if other == area or c1 > right or c2 < left:
                 continue
-            shared = f"{column_letters(c1)}{r1}:{column_letters(c2)}{min(r2, bottom)}"
-            hits.append((i, j, shared) if i < j else (j, i, shared))
+            first.setdefault((area, other) if area < other else (other, area), (a, b))
+    hits: list[tuple[int, int, str]] = []
+    for a, b in first.values():
+        i = next(k for k in boxes[a].ranges if _shared(_corners(areas[k].rect), boxes[b][:4]))
+        j, (c1, r1, c2, r2) = next(
+            (k, common)
+            for k in boxes[b].ranges
+            if (common := _shared(_corners(areas[k].rect), _corners(areas[i].rect)))
+        )
+        shared = f"{column_letters(c1)}{r1}:{column_letters(c2)}{r2}"
+        hits.append((i, j, shared) if i < j else (j, i, shared))
     hits.sort()  # by (i, j), as no two hits share both
     return hits
+
+
+def _corners(rect: RangeRef) -> tuple[int, int, int, int]:
+    (c1, r1, *_), (c2, r2, *_) = rect
+    return c1, r1, c2, r2
+
+
+def _shared(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, int, int, int] | None:
+    """The box two (c1, r1, c2, r2) boxes share, or None."""
+    c1, r1, c2, r2 = max(x[0], y[0]), max(x[1], y[1]), min(x[2], y[2]), min(x[3], y[3])
+    return (c1, r1, c2, r2) if c1 <= c2 and r1 <= r2 else None
 
 
 @_detector(Code.D5_CONSTANT_OVERWRITE)

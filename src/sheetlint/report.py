@@ -180,8 +180,9 @@ def check_json(
     program: SpreadsheetProgram, diagnostics: list[Diagnostic], inputs: list[str | Input]
 ) -> dict:
     payload = envelope("check", inputs, program)
-    # Findings share their area objects (D4 gives one area a finding
-    # per overlapping pair), so each area is spelled once.
+    # Findings may share an area object (two labels in one range, or a
+    # range that meets two other intended areas), so each area is
+    # spelled once.
     areas = {id(d.area): d.area for d in diagnostics if d.area is not None}
     spelled = {key: str(area) for key, area in areas.items()}
     payload["diagnostics"] = [

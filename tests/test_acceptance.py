@@ -15,7 +15,9 @@ import time
 import pytest
 
 from corpus import corpus, sample_instance
+from idioms import IDIOMS
 from injection import INJECTORS
+from sheetlint.cli import main
 from sheetlint.detectors import detect_all
 from sheetlint.dataflow import CyclicDependency
 from sheetlint.evaluator import Fault, Number, eval_instance
@@ -177,6 +179,19 @@ def test_injection_recall(announce):
                 assert code not in clean_codes, (code, k)
                 hits = [d for d in diagnostics(case.faulty) if d.code.value == code]
                 assert any(case.target in d.cells for d in hits), (code, k)
+
+
+def test_clean_idioms_raise_no_warning(announce, tmp_path, capsys):
+    with announce("clean idioms"):
+        for name, make in IDIOMS.items():
+            for seed in range(5):
+                sheet = tmp_path / f"{name}-{seed}.sheet"
+                sheet.write_text(make(random.Random(seed)))
+                code = main(["check", str(sheet)])
+                out = capsys.readouterr().out
+                assert (code, out.splitlines()[1:]) == (0, ["0 warning(s), 0 error(s)"]), (
+                    name, seed, out,
+                )
 
 
 def test_cli_determinism(announce):

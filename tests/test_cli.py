@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import shutil
 import string
 import subprocess
@@ -869,6 +870,28 @@ class TestEntryPoints:
         lines = proc.stderr.decode("utf-8").splitlines()
         assert proc.returncode == 2
         assert len(lines) == 1 and lines[0].startswith("sheetlint: error: "), lines
+
+    @pytest.mark.parametrize("output", [False, True], ids=["stdout", "output-file"])
+    def test_closed_stdout(self, output, tmp_path):
+        # The shell's '>&-' starts the child with no stdout at all.  The
+        # report has nowhere to go, unless --output names a file.
+        shell = shutil.which("sh")
+        if shell is None:
+            pytest.skip("no POSIX shell")
+        target = tmp_path / "report.txt"
+        argv = [sys.executable, "-m", "sheetlint.cli", "check", QUARTERLY]
+        if output:
+            argv += ["--output", str(target)]
+        env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
+        script = " ".join(shlex.quote(arg) for arg in argv) + " >&-"
+        proc = subprocess.run([shell, "-c", script], env=env, capture_output=True)
+        lines = proc.stderr.decode("utf-8").splitlines()
+        if output:
+            assert (proc.returncode, lines) == (1, [])
+            assert target.read_text(encoding="utf-8").endswith("3 warning(s), 0 error(s)\n")
+        else:
+            assert proc.returncode == 2
+            assert lines == ["sheetlint: error: standard output is closed"]
 
     def test_console_script(self):
         exe = shutil.which("sheetlint")

@@ -8,13 +8,20 @@ import pytest
 
 import corpus
 import injection
-from sheetlint.areas import LogicalArea, PhysicalArea, infer_physical_areas
+from sheetlint.areas import (
+    LogicalArea,
+    PhysicalArea,
+    infer_logical_areas,
+    infer_physical_areas,
+    intended_areas,
+)
 from sheetlint.dataflow import CyclicDependency
 from sheetlint.detectors import (
     Code,
     Diagnostic,
     Severity,
     _DETECTORS,
+    _overlapping_pairs,
     _sort_key,
     detect_all,
     detect_area_mixup,
@@ -25,7 +32,7 @@ from sheetlint.detectors import (
     detect_wrong_type_in_range,
 )
 from sheetlint.evaluator import eval_instance
-from sheetlint.model import instantiate, load_program
+from sheetlint.model import content_kind, instantiate, load_program
 from sheetlint.scl import (
     BinaryOp,
     CellAddress,
@@ -454,8 +461,9 @@ class TestDetectAll:
     def running_totals(rows):
         # Running totals with one fault per code planted: a label in the
         # ranges (D2), a total typed over (D5), a lost '$' (D6) and a
-        # division by an empty cell (D1, G_DIV_ZERO); D3 and D4 fire on
-        # the idiom itself.
+        # division by an empty cell (D1, G_DIV_ZERO); the lost '$' also
+        # takes B40 out of the copies, so its range meets theirs (D4)
+        # and leaves out A41 (D3).
         lines = [f"A{r} = #{r}" for r in range(2, rows + 2)]
         lines += [f"B{r} = =SUM(A$2:A{r})" for r in range(2, rows + 2)]
         lines[5] = 'A7 = "note"'
@@ -591,3 +599,185 @@ class TestAreaMixupPairs:
         got = detect_area_mixup(prog)
         assert got == self.all_pairs(physical)
         assert [d.area for d in got] == [d.area for d in self.all_pairs(physical)]
+
+
+def running_column(rows, below=None):
+    """Running totals `B_r = SUM(A$2:A_r)` over rows 2..rows+1, with
+    a header, and ``below`` in the cell under the amounts if given."""
+    lines = ['A1 = "Amount"']
+    for r in range(2, rows + 2):
+        lines += [f"A{r} = #{r}", f"B{r} = =SUM(A$2:A{r})"]
+    if below is not None:
+        lines.append(f"A{rows + 2} = {below}")
+    return "\n".join(lines) + "\n"
+
+
+def spelled_boxes(program):
+    return [
+        (f"{column_letters(b.c1)}{b.r1}:{column_letters(b.c2)}{b.r2}", b.area, len(b.ranges))
+        for b in intended_areas(program).boxes
+    ]
+
+
+class TestIntendedAreas:
+    """The ranges one copy group reads at one argument position form
+    one intended area; D2, D3 and D4 report per area."""
+
+    def test_running_column_is_one_box(self):
+        assert spelled_boxes(load_program(running_column(8))) == [("A2:A9", 0, 8)]
+
+    def test_running_row_is_one_box(self):
+        cells = "".join(f"{c}1 = #1\n{c}2 = =SUM($B1:{c}1)\n" for c in "BCDEFG")
+        assert spelled_boxes(load_program(cells)) == [("B1:G1", 0, 6)]
+
+    def test_disjoint_copies_keep_their_boxes(self):
+        prog = load_program(
+            "C3 = #500\nC4 = #1000\nD5 = =SUM(C3:C4)\n"
+            "C7 = #600\nC8 = #900\nD9 = =SUM(C7:C8)\nD11 = =D5+D9\n"
+        )
+        assert spelled_boxes(prog) == [("C3:C4", 0, 1), ("C7:C8", 0, 1)]
+
+    def test_positions_and_single_formulas_are_areas_of_their_own(self):
+        # Two copies with two ranges each, and one formula outside them.
+        prog = load_program(
+            "C1 = =SUM(A1:A2)+MAX(B1:B2)\nC2 = =SUM(A2:A3)+MAX(B2:B3)\n"
+            "D1 = =SUM(A1:A3)\n"
+        )
+        assert spelled_boxes(prog) == [("A1:A3", 0, 2), ("B1:B3", 1, 2), ("A1:A3", 2, 1)]
+        box_of = intended_areas(prog).box_of
+        assert [box.area for box in box_of] == [0, 1, 2, 0, 1]  # C1, D1, C2
+
+    def test_copies_raise_nothing_among_themselves(self):
+        assert detect_all(load_program(running_column(30))) == []
+
+    def test_boxes_of_one_area_may_overlap(self):
+        # Copied one step diagonally, the two ranges share neither their
+        # columns nor their rows, so they stay two boxes, which overlap.
+        prog = load_program(
+            "A1 = #1\nB1 = #1\nA2 = #1\nB2 = #1\nC2 = #1\nA3 = #1\nB3 = #1\nC3 = #1\n"
+            "E1 = =SUM($A1:B2)\nF2 = =SUM($A2:C3)\n"
+        )
+        assert spelled_boxes(prog) == [("A1:B2", 0, 1), ("A2:C3", 0, 1)]
+        assert detect_area_mixup(prog) == []
+
+    def test_label_is_reported_once_with_the_count(self):
+        diags = detect_wrong_type_in_range(load_program(RUNNING_FIXTURE))
+        assert [d.message for d in diags] == [
+            "label at A6 lies inside SUM range A$2:A6 of B6 and 3 other ranges; "
+            "a number typed there would silently join the aggregate"
+        ]
+        assert str(diags[0].area) == "SUM A$2:A6 -> B6"
+
+    def test_one_other_range(self):
+        prog = load_program('A1 = "x"\nA2 = #1\nB1 = =SUM(A1:A2)\nC1 = =MAX(A1:A2)\n')
+        assert [d.message for d in detect_wrong_type_in_range(prog)] == [
+            "label at A1 lies inside SUM range A1:A2 of B1 and 1 other range; "
+            "a number typed there would silently join the aggregate"
+        ]
+
+    def test_cell_no_copy_reads_is_left_out(self):
+        # The next copy reads the cell below each range but the last.
+        diags = detect_incorrect_range(load_program(running_column(5, below="#7")))
+        assert [d.message for d in diags] == [
+            "A7 adjoins SUM range A$2:A6 of B6 and holds the same kind of "
+            "content, but the range leaves it out"
+        ]
+
+    def test_overlap_with_copies_is_one_finding(self):
+        # The worked example of the README.
+        prog = load_program(running_column(4) + "A6 = =SUM(A2:A5)\n")
+        assert fired(detect_all(prog)) == [("D4_AREA_MIXUP", ["B2", "A6"])]
+        assert [d.message for d in detect_area_mixup(prog)] == [
+            "ranges A$2:A2 (of B2, one of 4 copies) and A2:A5 (of A6) overlap at A2:A2"
+        ]
+        readme = README.read_text()
+        assert "B2,A6: warning D4_AREA_MIXUP: " + detect_area_mixup(prog)[0].message in readme
+
+    @staticmethod
+    def random_program(rng):
+        """Copy groups and single formulas over a small grid: each
+        group copies one range template down or right, so relative
+        corners move and '$' corners stay, over data in A1:D9."""
+        formulas = {}
+        for _ in range(rng.randint(1, 6)):
+            c1, c2 = sorted(rng.randint(1, 4) for _ in range(2))
+            r1, r2 = sorted(rng.randint(1, 8) for _ in range(2))
+            marks = [rng.random() < 0.4 for _ in range(4)]
+            host_col, host_row = rng.randint(6, 9), rng.randint(1, 6)
+            down = rng.random() < 0.5
+            for step in range(rng.choice([1, 1, 2, 3, 5])):
+                dc, dr = (0, step) if down else (step, 0)
+                corners = [
+                    c1 if marks[0] else c1 + dc, r1 if marks[1] else r1 + dr,
+                    c2 if marks[2] else c2 + dc, r2 if marks[3] else r2 + dr,
+                ]
+                if corners[0] > corners[2] or corners[1] > corners[3]:
+                    break
+                start = CellRef(corners[0], corners[1], marks[0], marks[1])
+                end = CellRef(corners[2], corners[3], marks[2], marks[3])
+                host = CellAddress(host_col + dc, host_row + dr)
+                formulas.setdefault(host, f"SUM({RangeRef(start, end)})")
+        data = [
+            f"{column_letters(c)}{r} = #1\n"
+            for c in range(1, 5)
+            for r in range(1, 10)
+            if rng.random() < 0.7
+        ]
+        formulas = "".join(f"{host} = ={text}\n" for host, text in formulas.items())
+        return load_program("".join(data) + formulas)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_pairs_against_all_ranges(self, seed):
+        # Oracle: the intended area of each range, by the definition,
+        # and every pair of overlapping ranges from two such areas.
+        prog = self.random_program(random.Random(seed))
+        physical = infer_physical_areas(prog)
+        group = {a: k for k, la in enumerate(infer_logical_areas(prog)) for a in la.members}
+        seen = {}
+        owner = []
+        for area in physical:
+            position = seen[area.consumer] = seen.get(area.consumer, -1) + 1
+            owner.append((group.get(area.consumer, area.consumer), position))
+        expected = set()
+        for i, first in enumerate(physical):
+            for j in range(i + 1, len(physical)):
+                if owner[i] != owner[j] and overlap(first.rect, physical[j].rect):
+                    expected.add(frozenset((owner[i], owner[j])))
+        hits = _overlapping_pairs(physical, intended_areas(prog).boxes)
+        assert {frozenset((owner[i], owner[j])) for i, j, _ in hits} == expected
+        assert len(hits) == len(expected)
+        for i, j, shared in hits:
+            assert i < j
+            assert str(overlap(physical[i].rect, physical[j].rect)) == shared
+        # D3 leaves out exactly the adjoining cells that a range of the
+        # same intended area reads.
+        def read_by(k, col, row):
+            return any(
+                owner[m] == owner[k]
+                and other.rect.start.col <= col <= other.rect.end.col
+                and other.rect.start.row <= row <= other.rect.end.row
+                for m, other in enumerate(physical)
+            )
+
+        expected_d3 = []
+        for k, area in enumerate(physical):
+            rect = area.rect
+            if area.majority_type is None:
+                continue
+            if rect.height() >= rect.width():
+                ends = (rect.start.row - 1, rect.end.row + 1)
+                beyond = [(c, r) for c in range(rect.start.col, rect.end.col + 1) for r in ends]
+            else:
+                ends = (rect.start.col - 1, rect.end.col + 1)
+                beyond = [(c, r) for r in range(rect.start.row, rect.end.row + 1) for c in ends]
+            for col, row in beyond:
+                if col < 1 or row < 1 or (col, row) == area.consumer or read_by(k, col, row):
+                    continue
+                content = prog.content(CellAddress(col, row))
+                if content is not None and content_kind(content) == area.majority_type:
+                    expected_d3.append(((CellAddress(col, row),), area))
+        got = [(d.cells, d.area) for d in detect_incorrect_range(prog)]
+        assert sorted(got, key=repr) == sorted(expected_d3, key=repr)
+
+
+RUNNING_FIXTURE = (FIXTURES / "running_totals.sheet").read_text()

@@ -107,16 +107,24 @@ def oracle_blank_refs(program):
 
 
 def oracle_labels(program):
-    found = []
+    """One finding per label inside any range: the first range that
+    covers it, row-major by consumer, and the count of the others."""
+    covering = {}
     for area in infer_physical_areas(program):
         for addr in area.rect.cells():
             if isinstance(program.content(addr), Label):
-                message = (
-                    f"label at {addr} lies inside {area.function} range "
-                    f"{area.rect} of {area.consumer}; a number typed there "
-                    f"would silently join the aggregate"
-                )
-                found.append(((addr,), message, area))
+                covering.setdefault(addr, []).append(area)
+    found = []
+    for addr, (area, *others) in covering.items():
+        more = ""
+        if others:
+            more = f" and {len(others)} other range" + ("s" if len(others) > 1 else "")
+        message = (
+            f"label at {addr} lies inside {area.function} range "
+            f"{area.rect} of {area.consumer}{more}; a number typed there "
+            f"would silently join the aggregate"
+        )
+        found.append(((addr,), message, area))
     return sorted(found, key=lambda f: (row_major(f[0][0]), f[1]))
 
 
