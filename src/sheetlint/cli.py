@@ -170,12 +170,24 @@ _COMMANDS = {
 }
 
 
+def _error_line(text: str) -> None:
+    """Write an error line to stderr, if it can take one.  A shell's
+    ``2>&-`` leaves no stderr, or one whose writes fail; the line is
+    then dropped, and the exit status still tells the error."""
+    if sys.stderr is None:
+        return
+    try:
+        print(text, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (SheetLintError, OSError) as err:
-        print(f"sheetlint: error: {err}", file=sys.stderr)
+        _error_line(f"sheetlint: error: {err}")
         return 2
 
 

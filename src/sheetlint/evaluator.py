@@ -248,11 +248,12 @@ def _operand(
     raw: _Held, node: FormulaNode, host: CellAddress, notes: list[RuntimeNote]
 ) -> IntervalValue:
     """Coerce an operand for scalar arithmetic."""
-    if isinstance(raw, Interval):
+    kind = type(raw)
+    if kind is Interval:
         return raw
-    if isinstance(raw, Fault):
+    if kind is Fault:
         return _PROPAGATED
-    if isinstance(raw, Blank):
+    if kind is Blank:
         notes.append(RuntimeNote(NoteKind.BLANK_IN_ARITHMETIC, host, _subject(node)))
         return _ZERO
     notes.append(RuntimeNote(NoteKind.TYPE_ERROR, host, _subject(node)))
@@ -274,9 +275,10 @@ def _walk(
     def step(node: FormulaNode, children: list):
         kind = type(node)
         if kind is Reference:
-            return held.get(node.ref.address(), BLANK)
+            # An address hashes and compares as its plain (col, row).
+            return held.get(node.ref[:2], BLANK)
         if kind is NumberLiteral:
-            return Interval.degenerate(node.value)
+            return tuple.__new__(Interval, (node.value, node.value))
         if kind is RangeArg:
             parts = index.parts(node.rng)
             # An empty run is not held: it reads as None, then Blank.
@@ -291,12 +293,15 @@ def _walk(
                 ]
             return numbers, others
         if kind is BinaryOp:
-            left = _operand(children[0], node.left, host, notes)
-            if isinstance(left, Fault):
-                return left
-            right = _operand(children[1], node.right, host, notes)
-            if isinstance(right, Fault):
-                return right
+            left, right = children
+            if type(left) is not Interval:
+                left = _operand(left, node.left, host, notes)
+                if type(left) is Fault:
+                    return left
+            if type(right) is not Interval:
+                right = _operand(right, node.right, host, notes)
+                if type(right) is Fault:
+                    return right
             if node.op == "/" and right.lo <= 0.0 <= right.hi:
                 if right.lo < right.hi:
                     return Fault(FaultKind.DIVISOR_CONTAINS_ZERO)
@@ -360,22 +365,29 @@ def evaluate(
     """
     program = instance.program
     index = cell_index(program)
+    content_at = program.cells.get
     held: dict[CellAddress, _Held] = {}
+    # A number the loader or the instance holds is finite, so its point
+    # interval is built in C without Interval's check.
+    point = tuple.__new__
     for addr in order:
-        content = program.content(addr)
-        if content is None:
-            continue
-        if isinstance(content, Formula):
+        content = content_at(addr)
+        kind = type(content)
+        if kind is Formula:
             result = _walk(content.ast, addr, held, index, notes)
-            if isinstance(result, (Blank, Text)):
+            if type(result) is Blank or type(result) is Text:
                 # A bare reference at the root still lands in a numeric cell.
                 result = _operand(result, content.ast, addr, notes)
             held[addr] = result
-        elif isinstance(content, Constant):
-            held[addr] = Interval.degenerate(content.value)
-        elif isinstance(content, Input):
-            held[addr] = ranges.get(addr) or Interval.degenerate(instance.input_value(addr))
-        else:
+        elif kind is Constant:
+            held[addr] = point(Interval, (content.value, content.value))
+        elif kind is Input:
+            box = ranges.get(addr)
+            if box is None:
+                value = instance.input_value(addr)
+                box = point(Interval, (value, value))
+            held[addr] = box
+        elif content is not None:
             held[addr] = Text(content.text)
     return held
 
@@ -383,8 +395,9 @@ def evaluate(
 def eval_in_order(instance: SpreadsheetInstance, order: list[CellAddress]) -> EvalResult:
     """eval_instance over a topological order the caller already has."""
     notes: list[RuntimeNote] = []
+    new = tuple.__new__
     values = {
-        addr: Number(value.lo) if isinstance(value, Interval) else value
+        addr: new(Number, (value[0],)) if type(value) is Interval else value
         for addr, value in evaluate(instance, order, {}, notes).items()
     }
     return EvalResult(values, tuple(notes))

@@ -44,10 +44,18 @@ from .model import (
     NotAnInputCell,
     SpreadsheetInstance,
     SpreadsheetProgram,
-    _NUMBER_RE,
+    _NUMBER,
     strip_comment,
 )
-from .scl import CellAddress, MalformedAddress, RangeRef, parse_address, rect_key, value_type
+from .scl import (
+    CellAddress,
+    MalformedAddress,
+    RangeRef,
+    column_number,
+    parse_address,
+    rect_key,
+    value_type,
+)
 
 
 class IntervalSpecError(LoadError):
@@ -225,9 +233,43 @@ def _suspects(graph, addr: CellAddress, symptomatic: set[CellAddress]):
 # ---------------------------------------------------------------------------
 # The .intervals format
 
-_SPEC_LINE_RE = re.compile(
-    r"(input|expect)\s+(\S+)\s+in\s+\[([^,\]]*),([^,\]]*)\]\Z"
+# A line as the error messages take it apart.
+_SPEC_LINE = r"(input|expect)\s+(\S+)\s+in\s+\[([^,\]]*),([^,\]]*)\]\Z"
+
+# A well-formed line in one match: the keyword, the address's letters
+# and digits, and the two endpoints.  \s agrees with str.isspace, so the
+# match skips the whitespace that the step-by-step reading strips.
+# Compiled by the first call, through re's cache, so that only `test`
+# pays for it.
+_SPEC_ENTRY = (
+    rf"\s*(input|expect)\s+([A-Za-z]+)([0-9]+)\s+in\s+\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]\s*\Z"
 )
+
+
+def _read_entry(line: str, lineno: int) -> tuple[str, CellAddress, Interval]:
+    """One stripped line read step by step, or the error it holds."""
+    m = re.match(_SPEC_LINE, line)
+    if m is None:
+        raise IntervalSpecError(
+            "expected 'input ADDR in [lo, hi]' or 'expect ADDR in [lo, hi]'",
+            lineno,
+        )
+    keyword, addr_text, lo_text, hi_text = m.groups()
+    try:
+        addr = parse_address(addr_text)
+    except MalformedAddress as err:
+        raise IntervalSpecError(str(err), lineno) from err
+    lo_text, hi_text = lo_text.strip(), hi_text.strip()
+    if not re.fullmatch(_NUMBER, lo_text) or not re.fullmatch(_NUMBER, hi_text):
+        raise IntervalSpecError(f"bad interval endpoints [{lo_text}, {hi_text}]", lineno)
+    lo, hi = float(lo_text), float(hi_text)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise IntervalSpecError(
+            f"interval endpoints out of range [{lo_text}, {hi_text}]", lineno
+        )
+    if lo > hi:
+        raise IntervalSpecError(f"interval is empty: [{lo_text}, {hi_text}]", lineno)
+    return keyword, addr, Interval(lo, hi)
 
 
 def load_interval_spec(text: str, program: SpreadsheetProgram) -> IntervalSpec:
@@ -241,32 +283,32 @@ def load_interval_spec(text: str, program: SpreadsheetProgram) -> IntervalSpec:
     """
     input_ranges: dict[CellAddress, Interval] = {}
     expected: dict[CellAddress, Interval] = {}
+    match = re.compile(_SPEC_ENTRY).match
+    isfinite = math.isfinite
+    new = tuple.__new__
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = (strip_comment(raw) if ";" in raw else raw).strip()
-        if not line:
-            continue
-        m = _SPEC_LINE_RE.match(line)
+        line = strip_comment(raw) if ";" in raw else raw
+        m = match(line)
+        if m is not None:
+            keyword, letters, digits, lo_text, hi_text = m.groups()
+            try:
+                row = int(digits)
+            except ValueError:  # more digits than ``int`` reads from a string
+                row = 0
+            lo, hi = float(lo_text), float(hi_text)
+            if row >= 1 and isfinite(lo) and isfinite(hi) and lo <= hi:
+                # Checked here, so built in C without the types' checks.
+                addr = new(CellAddress, (column_number(letters), row))
+                interval = new(Interval, (lo, hi))
+            else:
+                # Row 0, an overlong row, an endpoint beyond the floats
+                # or an empty interval: the steps raise the error.
+                m = None
         if m is None:
-            raise IntervalSpecError(
-                "expected 'input ADDR in [lo, hi]' or 'expect ADDR in [lo, hi]'",
-                lineno,
-            )
-        keyword, addr_text, lo_text, hi_text = m.groups()
-        try:
-            addr = parse_address(addr_text)
-        except MalformedAddress as err:
-            raise IntervalSpecError(str(err), lineno) from err
-        lo_text, hi_text = lo_text.strip(), hi_text.strip()
-        if not _NUMBER_RE.match(lo_text) or not _NUMBER_RE.match(hi_text):
-            raise IntervalSpecError(f"bad interval endpoints [{lo_text}, {hi_text}]", lineno)
-        lo, hi = float(lo_text), float(hi_text)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise IntervalSpecError(
-                f"interval endpoints out of range [{lo_text}, {hi_text}]", lineno
-            )
-        if lo > hi:
-            raise IntervalSpecError(f"interval is empty: [{lo_text}, {hi_text}]", lineno)
-        interval = Interval(lo, hi)
+            line = line.strip()
+            if not line:
+                continue
+            keyword, addr, interval = _read_entry(line, lineno)
         if keyword == "input":
             if not isinstance(program.content(addr), Input):
                 raise NotAnInputCell(addr)

@@ -33,6 +33,7 @@ from .scl import (
     FormulaNode,
     MalformedAddress,
     RangeRef,
+    column_number,
     format_number,
     parse_address,
     parse_formula,
@@ -334,8 +335,18 @@ def instantiate(
 # ---------------------------------------------------------------------------
 # The .sheet format
 
-# ASCII digits only, as in formulas: \d would also take other scripts'.
-_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
+# A number as both formats write it.  Digits are ASCII only, as in
+# formulas: \d would also take other scripts'.
+_NUMBER = r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?"
+
+# A well-formed ``ADDR = CONTENT`` line in one match: the address's
+# letters and digits, then a '#' or '?' with its number, a label's text
+# or a formula's body.  \s agrees with str.isspace, so the match skips
+# the whitespace that the step-by-step reading strips.  What it rejects
+# takes those steps, which name what is wrong.
+_CELL_LINE_RE = re.compile(
+    rf'\s*([A-Za-z]+)([0-9]+)\s*=\s*(?:([#?])\s*({_NUMBER})\s*|"(.*)"\s*|=(.*))\Z'
+)
 
 
 def strip_comment(line: str) -> str:
@@ -355,17 +366,21 @@ def strip_comment(line: str) -> str:
         start = close + 1
 
 
+def _formula(body: str, addr: CellAddress, lineno: int) -> Formula:
+    try:
+        return Formula(parse_formula(body))
+    except FormulaError as err:
+        raise CellFormulaError(addr, lineno, err) from err
+
+
 def _parse_content(text: str, addr: CellAddress, lineno: int) -> CellContent:
     first = text[:1]
     if first == "=":
-        try:
-            return Formula(parse_formula(text[1:]))
-        except FormulaError as err:
-            raise CellFormulaError(addr, lineno, err) from err
+        return _formula(text[1:], addr, lineno)
     if first == "#" or first == "?":
         what = "constant" if first == "#" else "input default"
         body = text[1:].strip()
-        if not _NUMBER_RE.match(body):
+        if not re.fullmatch(_NUMBER, body):
             raise MalformedLine(f"bad number in {what}: {body!r}", lineno)
         value = float(body)
         if not math.isfinite(value):
@@ -378,6 +393,24 @@ def _parse_content(text: str, addr: CellAddress, lineno: int) -> CellContent:
     raise MalformedLine(f"unrecognized cell content: {text!r}", lineno)
 
 
+def _read_line(line: str, lineno: int, cells: dict[CellAddress, CellContent]) -> None:
+    """Read one line step by step into ``cells``, or raise what is
+    wrong with it; a blank line adds nothing."""
+    line = line.strip()
+    if not line:
+        return
+    addr_text, sep, content_text = line.partition("=")
+    if not sep:
+        raise MalformedLine("expected ADDR = CONTENT", lineno)
+    try:
+        addr = parse_address(addr_text.strip())
+    except MalformedAddress as err:
+        raise MalformedLine(str(err), lineno) from err
+    if addr in cells:
+        raise DuplicateCell(addr, lineno)
+    cells[addr] = _parse_content(content_text.strip(), addr, lineno)
+
+
 def load_program(text: str) -> SpreadsheetProgram:
     """Parse .sheet text.
 
@@ -385,20 +418,39 @@ def load_program(text: str) -> SpreadsheetProgram:
     carrying the offending 1-based line number.
     """
     cells: dict[CellAddress, CellContent] = {}
+    match = _CELL_LINE_RE.match
+    isfinite = math.isfinite
+    # Built in C: the row is checked below, and letters decode to a
+    # column of 1 or more.
+    new = tuple.__new__
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = (strip_comment(raw) if ";" in raw else raw).strip()
-        if not line:
+        line = strip_comment(raw) if ";" in raw else raw
+        m = match(line)
+        if m is None:
+            _read_line(line, lineno, cells)
             continue
-        addr_text, sep, content_text = line.partition("=")
-        if not sep:
-            raise MalformedLine("expected ADDR = CONTENT", lineno)
+        letters, digits, sigil, number, label, body = m.groups()
         try:
-            addr = parse_address(addr_text.strip())
-        except MalformedAddress as err:
-            raise MalformedLine(str(err), lineno) from err
+            row = int(digits)
+        except ValueError:  # more digits than ``int`` reads from a string
+            row = 0
+        value = float(number) if sigil else 0.0
+        if row < 1 or not isfinite(value):
+            # Row 0, an overlong row or a number beyond the floats: the
+            # steps raise the error, after any that comes first.
+            _read_line(line, lineno, cells)
+            continue
+        addr = new(CellAddress, (column_number(letters), row))
         if addr in cells:
             raise DuplicateCell(addr, lineno)
-        cells[addr] = _parse_content(content_text.strip(), addr, lineno)
+        if sigil == "#":
+            cells[addr] = new(Constant, (value,))
+        elif sigil == "?":
+            cells[addr] = new(Input, (value,))
+        elif label is not None:
+            cells[addr] = new(Label, (label,))
+        else:
+            cells[addr] = _formula(body.rstrip(), addr, lineno)
     return SpreadsheetProgram(cells)
 
 

@@ -893,6 +893,29 @@ class TestEntryPoints:
             assert proc.returncode == 2
             assert lines == ["sheetlint: error: standard output is closed"]
 
+    @pytest.mark.parametrize("sheet", ["missing", "malformed"])
+    def test_closed_stderr_keeps_exit_two(self, sheet, tmp_path):
+        # The shell's '2>&-' starts the child with stderr closed.  The
+        # error line has nowhere to go, but the status still tells it.
+        shell = shutil.which("sh")
+        if shell is None:
+            pytest.skip("no POSIX shell")
+        path = tmp_path / f"{sheet}.sheet"
+        if sheet == "malformed":
+            path.write_text("A1 = #1\nB1 = =(\n", encoding="utf-8")
+        argv = [sys.executable, "-m", "sheetlint.cli", "check", str(path)]
+        env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
+        script = " ".join(shlex.quote(arg) for arg in argv) + " 2>&-"
+        proc = subprocess.run([shell, "-c", script], env=env, capture_output=True)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+
+    def test_no_stderr_drops_the_error_line(self, monkeypatch, capsys):
+        # A stream the interpreter could not open is None: print would
+        # write the line to stdout instead.
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(["check", str(FIXTURES / "no_such.sheet")]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_console_script(self):
         exe = shutil.which("sheetlint")
         if exe is None:

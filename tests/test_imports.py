@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module,
-and the console module loads no more of the standard library than it
-needs."""
+and the console module loads no more of the standard library, and
+compiles no more patterns, than it needs."""
 
 import ast
 import os
@@ -35,14 +35,8 @@ def test_every_import_is_used(path):
     assert [name for name in imported_names(tree) if name not in used] == []
 
 
-def test_console_module_loads_no_hashlib_or_json():
-    # hashlib loads OpenSSL and the json package its decoder and
-    # scanner; every console run would pay for them on start.  The
-    # interpreter's own hash and escaper modules are enough.
-    code = (
-        "import sys; before = set(sys.modules); import sheetlint.cli; "
-        "print(*sorted(set(sys.modules) - before))"
-    )
+def _after_import(code: str) -> str:
+    """Stdout of CODE run in a fresh interpreter that finds the package."""
     src = pathlib.Path(sheetlint.__file__).parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -51,6 +45,37 @@ def test_console_module_loads_no_hashlib_or_json():
         check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    loaded = set(proc.stdout.split())
+    return proc.stdout
+
+
+def test_console_module_loads_no_hashlib_or_json():
+    # hashlib loads OpenSSL and the json package its decoder and
+    # scanner; every console run would pay for them on start.  The
+    # interpreter's own hash and escaper modules are enough.
+    code = (
+        "import sys; before = set(sys.modules); import sheetlint.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    loaded = set(_after_import(code).split())
     assert "sheetlint.report" in loaded
     assert loaded & {"hashlib", "_hashlib", "json", "json.decoder", "json.scanner"} == set()
+
+
+def test_console_module_compiles_only_the_patterns_every_command_needs():
+    # A pattern takes about half a millisecond to compile, and every
+    # console run pays for those compiled at import: the address, the
+    # formula token and the .sheet line.  The .intervals line waits for
+    # the first spec read, and the patterns that only name an error for
+    # the first line that has one.
+    code = (
+        "import re, sys\n"
+        "compiled = []\n"
+        "compile = re.compile\n"
+        "def counting(pattern, flags=0):\n"
+        "    compiled.append(sys._getframe(1).f_globals['__name__'])\n"
+        "    return compile(pattern, flags)\n"
+        "re.compile = counting\n"
+        "import sheetlint.cli\n"
+        "print(*sorted(name for name in compiled if name.startswith('sheetlint')))\n"
+    )
+    assert _after_import(code).split() == ["sheetlint.model", "sheetlint.scl", "sheetlint.scl"]

@@ -12,6 +12,7 @@ now be refused where it was read before.
 import pathlib
 import random
 import re
+import sys
 
 import pytest
 
@@ -40,6 +41,47 @@ CRAFTED = [
     f"A1 = ?1\nB1 = =A{LONG_ROW}:A1\n",
     "A1 = ?1\nB1 = =A1+  A1　\n",
     'A1 = "x;y"; z\nB1 = ?2 ; "q"\n',
+    # At the edges of the one-match reading of a well-formed line.
+    "B01 = #1\nb2 = #1\n",
+    "B01 = #1\nB1 = #2\n",
+    f"A{'1' * 19} = #1\n",
+    f"A{'1' * 4300} = #1\nB1 = =A{'1' * 4300}\n",
+    "A0 = #1e400\n",
+    "A1 == B1\n",
+    "A1 = =\n",
+    'A1 = ""\n',
+    'A1 = "a"b"\n',
+    "A1 = # 5\n",
+    "A1 = #1e400\n",
+    "A1 = ?-1e400\n",
+    "A1 = #1\nA1 = #1e400\n",
+    "A1 = #1\nA1 = =(\n",
+    "A1\t=\u00a0#1\u00a0\nB1 \u00a0=\t=A1 \t\n",
+    'A1 = "a;b" ; c\nA2 = "a;b\n',
+    "A1 = #1 2\n",
+    "A1 = ?\n",
+    'A1 = "\n',
+    "= #1\n",
+    "A1 #1\n",
+    "\n  \t\n; c\nA1 = #1\n\u3000\n",
+]
+# Specs read against SPEC_SHEET.
+SPEC_SHEET = "A1 = ?1\nB2 = ?2\nC1 = =A1+B2\n"
+CRAFTED_SPECS = [
+    "input  b2 in [ 1 , 2 ]\n",
+    "expect B2 in [2, 1]\n",
+    "input B2 in [1e400, 2]\n",
+    "expect C1 in [2, 1]\n",
+    "input B02 in [1,2]\nexpect C01 in [0, 9]\n",
+    "input B0 in [1, 2]\n",
+    "input B2 in[1, 2]\n",
+    "input B2 in [1, 2] ; c\n\n  \n",
+    "input B2 in [1,2]\ninput B2 in [1,2]\n",
+    "expect A1 in [0, 1]\n",
+    "input C1 in [0, 1]\n",
+    "input B2\tin\u00a0[1,\t2]\u00a0\n",
+    "input B2 in [1, 2, 3]\n",
+    "input B2 in [1., .5e1]\n",
 ]
 
 
@@ -62,7 +104,8 @@ def _inputs() -> dict[str, list[tuple[str, str, str]]]:
         "corpus": [(f"corpus-{cp.seed}", cp.text, _spec_text(cp)) for cp in corpus.corpus(300)],
         "injection": injected,
         "fuzz": fuzz_cases(),
-        "crafted": [(f"crafted-{k}", text, "") for k, text in enumerate(CRAFTED)],
+        "crafted": [(f"crafted-{k}", text, "") for k, text in enumerate(CRAFTED)]
+        + [(f"crafted-spec-{k}", SPEC_SHEET, spec) for k, spec in enumerate(CRAFTED_SPECS)],
     }
 
 
@@ -159,3 +202,37 @@ def test_strip_comment_matches_the_quadratic_scan():
     ]
     for line in lines:
         assert strip_comment(line) == loader_oracle.quadratic_strip_comment(line), line
+
+
+def test_whitespace_class_is_str_isspace():
+    # The one-match readers skip whitespace with \s where the step-by-step
+    # reading strips it with str.strip; they agree on every code point.
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", everything) == [c for c in everything if c.isspace()]
+
+
+def test_crafted_specs_reach_both_outcomes():
+    program = load_program(SPEC_SHEET)
+    outcomes = {_outcome(load_interval_spec, spec, program)[0] for spec in CRAFTED_SPECS}
+    assert outcomes == {"ok", "raise"}
+
+
+# One digit past the 4300 that ``int`` reads from a string by default.
+# The oracle predates the check and fails there with a ValueError.
+OVERLONG = "1" * 4301
+
+
+@pytest.mark.parametrize(
+    "sheet_text, spec_text, line",
+    [
+        (f"A1 = #1\nA{OVERLONG} = #1\n", None, 2),
+        (f"A{OVERLONG} = =(\n", None, 1),
+        (SPEC_SHEET, f"input B2 in [1, 2]\ninput B{OVERLONG} in [1, 2]\n", 2),
+    ],
+    ids=["cell", "cell-before-content", "intervals"],
+)
+def test_rows_past_the_int_limit_name_their_line(sheet_text, spec_text, line):
+    with pytest.raises(SheetLintError) as caught:
+        load_interval_spec(spec_text, load_program(sheet_text))
+    assert caught.value.line == line
+    assert str(caught.value) == f"line {line}: row number too long: 4301 digits"

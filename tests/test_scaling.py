@@ -1,11 +1,12 @@
-"""Cost that follows the sheet: `check` at size n and 2n.
+"""Cost that follows the sheet: each command at size n and 2n.
 
-Each shape is generated at two sizes, and `check --format json` runs on
-both in-process under cProfile.  Doubling the sheet may at most about
-double the Python calls made and the bytes printed.  Call counts are
-deterministic, so this gate tells linear growth from quadratic without
-timing anything, and it cannot flake on a busy machine.  A shape joins
-the gate once `check` is linear on it.
+Each shape is generated at two sizes, and a command runs on both
+in-process under cProfile, with `--format json`.  Doubling the sheet
+may at most about double the Python calls made and the bytes printed.
+Call counts are deterministic, so this gate tells linear growth from
+quadratic without timing anything, and it cannot flake on a busy
+machine.  A shape joins the gate for a command once the command is
+linear on it.
 """
 
 import contextlib
@@ -49,14 +50,59 @@ def filled_down(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def profiled_check(sheet) -> tuple[int, int]:
-    """Python calls made and bytes printed by `check --format json`."""
+def subtotal_blocks(n: int) -> str:
+    """n blocks of ten amounts, each closed by `=SUM` of its rows, a gap
+    row after each, and a total of the subtotal column; every fifth
+    block holds a note among its amounts."""
+    lines = ['A1 = "amount"', 'B1 = "subtotal"']
+    for k in range(n):
+        top = 2 + 11 * k
+        for r in range(top, top + 10):
+            lines.append(f'A{r} = "n/a"' if k % 5 == 0 and r == top + 3 else f"A{r} = ?{r % 23 + 1}")
+        lines.append(f"B{top + 9} = =SUM(A{top}:A{top + 9})")
+    lines.append(f"B{2 + 11 * n} = =SUM(B2:B{11 * n})")
+    return "\n".join(lines) + "\n"
+
+
+def filled_down_spec(n: int) -> str:
+    """A range on every quantity of `filled_down(n)` and an expectation
+    on every amount; every seventh expectation is unreachable, so its
+    amount is a symptom with suspects."""
+    lines = []
+    for r in range(2, n + 2):
+        qty, price = r % 41 + 6, r % 19 + 1
+        lines.append(f"input B{r} in [{qty - 2}, {qty + 2}]")
+        expected = (0, 1) if r % 7 == 0 else ((qty - 1) * price, (qty + 1) * price)
+        lines.append(f"expect D{r} in [{expected[0]}, {expected[1]}]")
+    return "\n".join(lines) + "\n"
+
+
+def profiled(argv: list[str]) -> tuple[int, int]:
+    """Python calls made and bytes printed by one command."""
     out = io.StringIO()
     profile = cProfile.Profile()
     with contextlib.redirect_stdout(out):
-        profile.runcall(main, ["check", str(sheet), "--format", "json"])
+        profile.runcall(main, argv)
     calls = sum(entry.callcount for entry in profile.getstats())
     return calls, len(out.getvalue().encode("utf-8"))
+
+
+def assert_linear(command: str, shape, n: int, tmp_path, spec=None) -> None:
+    """`command --format json` on the shape at n and 2n rows grows at
+    most MAX_GROWTH-fold in calls and in bytes."""
+    measured = []
+    for size in (n, 2 * n):
+        sheet = tmp_path / f"{size}.sheet"
+        sheet.write_text(shape(size))
+        argv = [command, str(sheet)]
+        if spec is not None:
+            intervals = tmp_path / f"{size}.intervals"
+            intervals.write_text(spec(size))
+            argv.append(str(intervals))
+        measured.append(profiled([*argv, "--format", "json"]))
+    (calls, size), (calls2, size2) = measured
+    assert calls2 <= MAX_GROWTH * calls, (calls, calls2)
+    assert size2 <= MAX_GROWTH * size, (size, size2)
 
 
 @pytest.mark.parametrize(
@@ -65,11 +111,10 @@ def profiled_check(sheet) -> tuple[int, int]:
     ids=["running-300", "running-600", "filled-down-500"],
 )
 def test_check_grows_linearly(shape, n, tmp_path):
-    measured = []
-    for size in (n, 2 * n):
-        sheet = tmp_path / f"{size}.sheet"
-        sheet.write_text(shape(size))
-        measured.append(profiled_check(sheet))
-    (calls, size), (calls2, size2) = measured
-    assert calls2 <= MAX_GROWTH * calls, (calls, calls2)
-    assert size2 <= MAX_GROWTH * size, (size, size2)
+    assert_linear("check", shape, n, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["test", "graph", "areas"])
+def test_commands_grow_linearly_on_filled_down(command, tmp_path):
+    spec = filled_down_spec if command == "test" else None
+    assert_linear(command, filled_down, 500, tmp_path, spec)
