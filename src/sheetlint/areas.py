@@ -14,11 +14,19 @@ one structural group.  The ranges that the copies of a logical area
 read at one argument position form one intended area
 (``intended_areas``).  Each is built once per program, on first use,
 and shared by every later caller (see ``model.per_program``).
+
+Logical areas group formulas by copy key and structural groups by
+skeleton.  Both are computed once per copy class, the copies
+``load_program`` found spelled alike and read with one shared parse
+(``program.copy_classes``), and the members of a class hold the same
+key and skeleton object, so grouping them finds each by identity.  A
+program built any other way has one class per formula.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
+from typing import Callable
 
 from .dataflow import formula_reads
 from .model import SpreadsheetProgram, cell_index, per_program
@@ -98,10 +106,33 @@ def _hull(members: list[CellAddress]) -> RangeRef:
     )
 
 
+def _per_copy_class(program: SpreadsheetProgram, fact: Callable) -> dict[CellAddress, tuple]:
+    """``fact(tree, addr)`` for each formula cell, in row-major order,
+    computed once per copy class: every member holds the same object."""
+    classes = program.copy_classes
+    shared: dict[CellAddress, tuple] = {}
+    out: dict[CellAddress, tuple] = {}
+    for addr, cell in program.formula_cells():
+        first = classes.get(addr, addr)
+        value = shared.get(first)
+        if value is None:
+            value = shared[first] = fact(cell.ast, addr)
+        out[addr] = value
+    return out
+
+
 @per_program
 def copy_keys(program: SpreadsheetProgram) -> dict[CellAddress, CopyKey]:
-    """Each formula cell's copy key, in row-major order."""
-    return {addr: copy_key(cell.ast, addr) for addr, cell in program.formula_cells()}
+    """Each formula cell's copy key, in row-major order; the members of
+    a copy class share one key."""
+    return _per_copy_class(program, copy_key)
+
+
+@per_program
+def skeletons(program: SpreadsheetProgram) -> dict[CellAddress, Skeleton]:
+    """Each formula cell's skeleton, in row-major order; the members of
+    a copy class share one skeleton."""
+    return _per_copy_class(program, lambda tree, _: skeleton(tree))
 
 
 @per_program
@@ -212,8 +243,8 @@ def _transposed(parts: list[list]) -> list[list]:
 def structural_groups(program: SpreadsheetProgram) -> list[StructuralGroup]:
     """Maximal groups of two or more shape-alike formulas."""
     groups: dict[Skeleton, list[CellAddress]] = {}
-    for addr, cell in program.formula_cells():
-        groups.setdefault(skeleton(cell.ast), []).append(addr)
+    for addr, shape in skeletons(program).items():
+        groups.setdefault(shape, []).append(addr)
     out = [
         StructuralGroup(members=tuple(members))
         for members in groups.values()

@@ -366,6 +366,7 @@ def evaluate(
     program = instance.program
     index = cell_index(program)
     content_at = program.cells.get
+    bound = instance.bindings.get
     held: dict[CellAddress, _Held] = {}
     # A number the loader or the instance holds is finite, so its point
     # interval is built in C without Interval's check.
@@ -384,7 +385,7 @@ def evaluate(
         elif kind is Input:
             box = ranges.get(addr)
             if box is None:
-                value = instance.input_value(addr)
+                value = bound(addr, content.default)
                 box = point(Interval, (value, value))
             held[addr] = box
         elif content is not None:

@@ -29,6 +29,7 @@ from .errors import SheetLintError
 from .scl import (
     CellAddress,
     CellRef,
+    CopyClassReader,
     FormulaError,
     FormulaNode,
     MalformedAddress,
@@ -128,12 +129,23 @@ def render_content(content: CellContent) -> str:
 
 
 class SpreadsheetProgram:
-    """An immutable sheet: the template without any input overrides."""
+    """An immutable sheet: the template without any input overrides.
 
-    def __init__(self, cells: Mapping[CellAddress, CellContent]):
+    ``copy_classes`` maps a formula cell to the first cell of its copy
+    class, when the two formulas are known to be copies spelled alike,
+    as ``load_program`` finds them; a formula cell it does not map is
+    a class of its own.
+    """
+
+    def __init__(
+        self,
+        cells: Mapping[CellAddress, CellContent],
+        copy_classes: Mapping[CellAddress, CellAddress] | None = None,
+    ):
         self._cells: dict[CellAddress, CellContent] = {
             addr: cells[addr] for addr in sorted(cells, key=row_major)
         }
+        self._copy_classes = dict(copy_classes or {})
         if self._cells:
             self._extent = (
                 max(a.col for a in self._cells),
@@ -148,6 +160,12 @@ class SpreadsheetProgram:
     def cells(self) -> Mapping[CellAddress, CellContent]:
         """Read-only view, iterated in row-major address order."""
         return MappingProxyType(self._cells)
+
+    @property
+    def copy_classes(self) -> Mapping[CellAddress, CellAddress]:
+        """Read-only view: formula cell -> first cell of its copy class,
+        for each formula that shares a class with an earlier one."""
+        return MappingProxyType(self._copy_classes)
 
     @property
     def extent(self) -> tuple[int, int]:
@@ -301,6 +319,11 @@ class SpreadsheetInstance:
             for addr, value in sorted(bindings.items(), key=lambda item: row_major(item[0]))
         }
 
+    @property
+    def bindings(self) -> Mapping[CellAddress, float]:
+        """Read-only view of the explicit bindings, in row-major order."""
+        return MappingProxyType(self._bindings)
+
     def input_value(self, addr: CellAddress) -> float:
         """The effective value of an input cell."""
         content = self.program.content(addr)
@@ -418,6 +441,8 @@ def load_program(text: str) -> SpreadsheetProgram:
     carrying the offending 1-based line number.
     """
     cells: dict[CellAddress, CellContent] = {}
+    classes: dict[CellAddress, CellAddress] = {}
+    read_formula = CopyClassReader().read
     match = _CELL_LINE_RE.match
     isfinite = math.isfinite
     # Built in C: the row is checked below, and letters decode to a
@@ -450,8 +475,14 @@ def load_program(text: str) -> SpreadsheetProgram:
         elif label is not None:
             cells[addr] = new(Label, (label,))
         else:
-            cells[addr] = _formula(body.rstrip(), addr, lineno)
-    return SpreadsheetProgram(cells)
+            try:
+                tree, first = read_formula(body.rstrip(), addr)
+            except FormulaError as err:
+                raise CellFormulaError(addr, lineno, err) from err
+            cells[addr] = new(Formula, (tree,))
+            if first is not addr:
+                classes[addr] = first
+    return SpreadsheetProgram(cells, classes)
 
 
 def render_program(program: SpreadsheetProgram) -> str:

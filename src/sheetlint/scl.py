@@ -460,21 +460,40 @@ def _tree_reduce(self) -> tuple:
 
 
 def _rebuild(listing: tuple) -> FormulaNode:
-    """The tree a ``_listing`` spells.  Read from the end, each inner
-    token finds its children built on top of the stack, first child
-    topmost."""
+    """The tree a ``_listing`` spells."""
+    return _put_in(listing, [])
+
+
+def _put_in(listing: tuple, refs: list[CellRef]) -> FormulaNode | None:
+    """The tree a listing spells, read from the end: each inner token
+    finds its children built on top of the stack, first child topmost.
+    A slot, the type Reference or RangeArg where a leaf would be, takes
+    its references from the end of ``refs``.  None when a range put in
+    has its corners out of order.  Nodes are built in C, as their parts
+    are already checked."""
+    new = tuple.__new__
     built = []
+    push = built.append
+    pop = built.pop
+    take = refs.pop
     for item in reversed(listing):
-        kind = type(item)
-        if kind is str:
-            first = built.pop()
-            built.append(Negate(first) if item == "neg" else BinaryOp(item, first, built.pop()))
-        elif kind is tuple:
+        if item is Reference:
+            push(new(Reference, (take(),)))
+        elif item is RangeArg:
+            end = take()
+            start = take()
+            if start[0] > end[0] or start[1] > end[1]:
+                return None
+            push(new(RangeArg, (new(RangeRef, (start, end)),)))
+        elif type(item) is str:
+            first = pop()
+            push(new(Negate, (first,)) if item == "neg" else new(BinaryOp, (item, first, pop())))
+        elif type(item) is tuple:
             name, arity = item
-            built.append(Call(name, tuple(built.pop() for _ in range(arity))))
+            push(new(Call, (name, tuple([pop() for _ in range(arity)]))))
         else:
-            built.append(item)
-    return built.pop()
+            push(item)
+    return built[0]
 
 
 for _inner in (Negate, BinaryOp, Call):
@@ -487,14 +506,18 @@ for _inner in (Negate, BinaryOp, Call):
 # ---------------------------------------------------------------------------
 # Lexer
 
+# A reference: its column marker, letters, row marker and digits, one
+# group each.  The lexer's "ref" token and the copy-class reader's split
+# both read references with it.  Digits are ASCII only: \d would also
+# take the digits of other scripts.
+_REF = r"(\$?)([A-Za-z]+)(\$?)([0-9]+)"
+
 # One token after any whitespace (\s, which agrees with str.isspace).
-# A reference's column marker, letters, row marker and digits are
-# groups 3 to 6.  Digits are ASCII only: \d would also take the digits
-# of other scripts.
+# A reference's four parts are groups 3 to 6.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
+    rf"""\s*(?:
       (?P<number>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
-    | (?P<ref>(\$?)([A-Za-z]+)(\$?)([0-9]+))
+    | (?P<ref>{_REF})
     | (?P<name>[A-Za-z]+)
     | (?P<symbol>[-+*/(),:])
     | (?P<end>\Z)
@@ -663,6 +686,91 @@ def parse_formula(text: str) -> FormulaNode:
                 break
             else:
                 raise FormulaSyntaxError(f"expected ')', found {_found(tok)}", tok[2])
+
+
+class CopyClassReader:
+    """Parses the formulas of one sheet once per copy class.
+
+    A body splits at its references, read with the lexer's own pattern,
+    into literal text and references.  Bodies that agree in their
+    literal text and in each reference's markers and coordinates, a
+    relative axis counted from the host cell and an absolute one as
+    written, form a copy class: copies of one formula, spelled alike.
+    The first body of a class is parsed in full.  Each later one gets
+    that tree with its own references put in, so every member has the
+    same copy key and skeleton.
+
+    A body is parsed in full, and forms a class of its own, wherever
+    sharing is not known to be safe, so each tree and each error is
+    the one ``parse_formula`` gives:
+    - its tree does not hold exactly the split's references, in source
+      order (in ``1E5+A1`` the number takes in what the split reads as
+      the reference ``E5``); a later body of the key is then tried as
+      the first of its class;
+    - a row is 0, or has more digits than ``int`` reads;
+    - a range's corners, once put in, are out of order, where the
+      parser would swap them.
+    """
+
+    def __init__(self) -> None:
+        # Compiled through re's cache, so only the first reader pays.
+        self._split = re.compile(_REF).split
+        # Split key -> the class's first host and its tree's template.
+        self._classes: dict[tuple, tuple[CellAddress, tuple]] = {}
+
+    def read(self, text: str, host: CellAddress) -> tuple[FormulaNode, CellAddress]:
+        """The tree of formula ``text`` hosted at ``host``, and the host
+        of the first formula read in its class: ``host`` itself, unless
+        the tree is shared.  Raises as ``parse_formula`` does."""
+        # Per reference: marker, letters, marker, digits, then the
+        # literal text up to the next reference.  The letters and digits
+        # are overwritten with the coordinates the key holds.
+        parts = self._split(text)
+        hcol, hrow = host
+        refs = []
+        new = tuple.__new__
+        for i in range(1, len(parts), 5):
+            col_mark, letters, row_mark, digits = parts[i : i + 4]
+            try:
+                row = int(digits)
+            except ValueError:
+                row = 0
+            if row < 1:
+                return parse_formula(text), host
+            col = column_number(letters)
+            refs.append(new(CellRef, (col, row, col_mark == "$", row_mark == "$")))
+            parts[i + 1] = col if col_mark else col - hcol
+            parts[i + 3] = row if row_mark else row - hrow
+        key = tuple(parts)
+        known = self._classes.get(key)
+        if known is not None:
+            tree = _put_in(known[1], refs)
+            return (tree, known[0]) if tree is not None else (parse_formula(text), host)
+        tree = parse_formula(text)
+        slotted, held = _template(tree)
+        if held == refs:
+            self._classes[key] = host, slotted
+        return tree, host
+
+
+def _template(tree: FormulaNode) -> tuple[tuple, list[CellRef]]:
+    """A tree's listing with each Reference leaf replaced by the type
+    Reference and each RangeArg leaf by the type RangeArg, the slots
+    ``_put_in`` fills; and the references the tree holds there, in
+    source order."""
+    held: list[CellRef] = []
+
+    def slot(leaf: FormulaNode):
+        kind = type(leaf)
+        if kind is Reference:
+            held.append(leaf.ref)
+        elif kind is RangeArg:
+            held.extend(leaf.rng)
+        else:
+            return leaf
+        return kind
+
+    return _listing(tree, slot), held
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ from sheetlint.areas import (
     copy_keys,
     infer_logical_areas,
     infer_physical_areas,
+    skeletons,
     structural_groups,
 )
 from sheetlint.cli import main
-from sheetlint.model import load_program
+from sheetlint.model import SpreadsheetProgram, load_program
 from sheetlint.scl import CellAddress, copy_key
 
 ONE_COLUMN_SUBTOTALS = (
@@ -165,9 +166,21 @@ class TestCopyKeys:
             prog.content(CellAddress(8, 15)).ast, CellAddress(8, 15)
         )
 
+    def test_copies_spelled_alike_share_one_key_and_skeleton(self):
+        prog = load_program("A1 = ?1\nA2 = ?2\nA3 = ?3\nB1 = =A1*2\nB2 = =a2*2\nB3 = =A3 *2\n")
+        keys, shapes = copy_keys(prog), skeletons(prog)
+        b1, b2, b3 = (CellAddress(2, row) for row in (1, 2, 3))
+        assert keys[b2] is keys[b1] and shapes[b2] is shapes[b1]
+        # Spelled otherwise, a copy starts a class of its own.
+        assert keys[b3] == keys[b1] and keys[b3] is not keys[b1]
+        # A program built from its cells has one class per formula.
+        rebuilt = SpreadsheetProgram(prog.cells)
+        assert rebuilt.copy_classes == {}
+        assert copy_keys(rebuilt) == keys and copy_keys(rebuilt)[b2] is not copy_keys(rebuilt)[b1]
+
 
 @pytest.mark.parametrize(
-    "build", [infer_physical_areas, infer_logical_areas, structural_groups, copy_keys]
+    "build", [infer_physical_areas, infer_logical_areas, structural_groups, copy_keys, skeletons]
 )
 class TestBuiltOncePerProgram:
     def test_second_call_returns_the_same_object(self, build):

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import shlex
 import shutil
 import string
@@ -23,13 +24,21 @@ from sheetlint.areas import (
     copy_keys,
     infer_logical_areas,
     infer_physical_areas,
+    skeletons,
     structural_groups,
 )
 from sheetlint import cli
 from sheetlint.cli import main
 from sheetlint.dataflow import DependencyGraph, formula_reads
-from sheetlint.model import cell_index, load_program, render_program
-from sheetlint.scl import RangeRef, copy_key, format_number
+from sheetlint.model import cell_index, load_program, render_program, strip_comment
+from sheetlint.scl import (
+    RangeRef,
+    column_number,
+    copy_key,
+    format_number,
+    parse_address,
+    skeleton,
+)
 
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE.parent / "fixtures"
@@ -528,6 +537,33 @@ class TestSparseRanges:
         jsonschema.validate(json.loads(capsys.readouterr().out), SCHEMA)
 
 
+# A reference as the formula grammar spells it: marker, letters,
+# marker, digits.
+REFERENCE = re.compile(r"(\$?)([A-Za-z]+)(\$?)([0-9]+)")
+
+
+def copy_class_count(text: str) -> int:
+    """How many copy classes the formulas of a .sheet text form: bodies
+    that agree once each reference is spelled as its markers and its
+    coordinates, a relative axis counted from the host cell."""
+    spelled = set()
+    for line in text.splitlines():
+        addr_text, _, content = strip_comment(line).partition("=")
+        content = content.strip()
+        if content.startswith("="):
+            host = parse_address(addr_text.strip())
+
+            def coordinates(m):
+                col_mark, letters, row_mark, digits = m.groups()
+                col, row = column_number(letters), int(digits)
+                col = col if col_mark else col - host.col
+                row = row if row_mark else row - host.row
+                return f"<{col_mark}{col} {row_mark}{row}>"
+
+            spelled.add(REFERENCE.sub(coordinates, content[1:]))
+    return len(spelled)
+
+
 class TestBuildOnce:
     """Each command builds each derived structure at most once per run."""
 
@@ -541,6 +577,7 @@ class TestBuildOnce:
         "infer_logical_areas": infer_logical_areas.__wrapped__.__code__,
         "structural_groups": structural_groups.__wrapped__.__code__,
         "copy_keys": copy_keys.__wrapped__.__code__,
+        "skeletons": skeletons.__wrapped__.__code__,
         "cell_index": cell_index.__wrapped__.__code__,
         "formula_reads": formula_reads.__wrapped__.__code__,
     }
@@ -594,8 +631,9 @@ class TestBuildOnce:
         counts = {name: calls[code] for name, code in self.BUILDERS.items()}
         assert counts == {name: int(name in built) for name in self.BUILDERS}
         # D6 takes the copy keys logical-area inference made.
-        formulas = sum(1 for _ in load_program(pathlib.Path(argv[1]).read_text()).formula_cells())
-        assert calls[copy_key.__code__] == (formulas if "copy_keys" in built else 0)
+        classes = copy_class_count(pathlib.Path(argv[1]).read_text())
+        assert calls[copy_key.__code__] == (classes if "copy_keys" in built else 0)
+        assert calls[skeleton.__code__] == (classes if "skeletons" in built else 0)
 
     @pytest.mark.parametrize(
         "sheet", sorted(p.name for p in FIXTURES.glob("*.sheet")) + ["deviant"]
@@ -606,9 +644,11 @@ class TestBuildOnce:
             path.write_text(self.DEVIANT)
         else:
             path = FIXTURES / sheet
-        formulas = sum(1 for _ in load_program(path.read_text()).formula_cells())
-        # copy_key normalizes each formula's leaves as it lists them.
-        assert self.calls(["check", str(path)])[copy_key.__code__] == formulas
+        # copy_key normalizes a formula's leaves as it lists them, once
+        # per copy class: the loader shares one tree among the copies.
+        calls = self.calls(["check", str(path)])
+        classes = copy_class_count(path.read_text())
+        assert calls[copy_key.__code__] == calls[skeleton.__code__] == classes
 
 
 class TestJsonFormat:

@@ -1,12 +1,16 @@
 """The readers against the earlier ones kept in ``loader_oracle``.
 
-On every fixture, 300 corpus programs, the injection cases, the fuzz
-mutants and a few crafted texts, ``load_program``, ``parse_formula``
-and ``load_interval_spec`` must each build what the earlier reader
-built, or raise the same exception class with the same message and
-line or offset.  The one difference allowed is on purpose: a digit of
-another script is no digit of the formats, so a text holding one may
-now be refused where it was read before.
+On every fixture, 300 corpus programs, the injection cases, the clean
+idioms, the fuzz mutants and a few crafted texts, ``load_program``,
+``parse_formula`` and ``load_interval_spec`` must each build what the
+earlier reader built, or raise the same exception class with the same
+message and line or offset.  The one difference allowed is on purpose:
+a digit of another script is no digit of the formats, so a text
+holding one may now be refused where it was read before.
+
+On the same inputs, each formula ``load_program`` reads through its
+copy classes must get the tree ``parse_formula`` gives its body, and
+the copy key and skeleton that tree has.
 """
 
 import pathlib
@@ -19,16 +23,46 @@ import pytest
 import corpus
 import injection
 import loader_oracle
+from idioms import IDIOMS
+from sheetlint.areas import copy_keys, skeletons
 from sheetlint.errors import SheetLintError
 from sheetlint.intervals import load_interval_spec
-from sheetlint.model import load_program, render_program, strip_comment
-from sheetlint.scl import parse_formula, render
+from sheetlint.model import CellFormulaError, load_program, render_program, strip_comment
+from sheetlint.scl import column_letters, copy_key, parse_address, parse_formula, render, skeleton
 from test_fuzz import _cases as fuzz_cases
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 # A decimal digit outside 0-9.
 OTHER_DIGIT = re.compile(r"(?![0-9])\d")
 LONG_ROW = "1" * 5000
+
+
+def spelled_copies(rows: int) -> str:
+    """Copies filled down and across, spelled in several ways.
+
+    Column B holds `=A_r*2` in four spellings: as written, in lower
+    case with spaces, with a '$' moved onto the column, and with a space
+    before the operator.  Column C holds running totals from A$10, whose
+    corners are out of order above row 10, and column D ranges written
+    bottom-up.  Row rows + 2 holds `=X*2+1` copied right from B to AD,
+    across the Z to AA boundary, and the row below it bodies where a
+    number takes in what the reference pattern alone would read as
+    the reference E5.
+    """
+    spellings = ["=A{r}*2", "= a{r} * 2", "=$A{r}*2", "=A{r} *2"]
+    lines = []
+    for r in range(1, rows + 1):
+        lines.append(f"A{r} = ?{r % 7 + 1}")
+        lines.append(f"B{r} = " + spellings[r % 4].format(r=r))
+        lines.append(f"C{r} = =SUM(A$10:A{r})")
+        lines.append(f"D{r} = =sum(a{r}:$A$1)")
+    across = rows + 2
+    lines.append(f"A{across} = ?3")
+    for c in range(2, 31):
+        lines.append(f"{column_letters(c)}{across} = ={column_letters(c - 1)}{across}*2+1")
+    lines += [f"A{across + 1} = =1E5+A1", f"B{across + 1} = =1E5+A2", f"C{across + 1} = =1E5+B1"]
+    return "\n".join(lines) + "\n"
+
 
 CRAFTED = [
     "A1 = ?1\nB1 = =A١+1\n",
@@ -64,6 +98,21 @@ CRAFTED = [
     "= #1\n",
     "A1 #1\n",
     "\n  \t\n; c\nA1 = #1\n\u3000\n",
+    # Copy classes: each later body shares the first one's tree only
+    # where the full parse would build the same.
+    spelled_copies(40),
+    "A1 = ?1\nB20 = =SUM(A$10:A20)\nB5 = =SUM(A$10:A5)\nB21 = =SUM(A$10:A21)\n",
+    "A1 = ?1\nA2 = ?2\nB1 = =1E5+A1\nB2 = =1E5+A2\nC2 = =1E5+B2\nB3 = =1e5+A3\n",
+    "A1 = ?1\nB1 = =A1*2\nB2 = =a2*2\nB3 = = A3 * 2\nB4 = =$A4*2\nB5 = =A$5*2\nB6 = =A6*2\n",
+    "Y1 = ?1\nZ1 = =Y1+1\nAA1 = =Z1+1\nAB1 = =AA1+1\nZZ2 = =ZY2*2\nAAA2 = =ZZ2*2\n",
+    "A1 = ?1\nB5 = =A1*2\nB4 = =A0*2\n",
+    # An absolute axis keys by its coordinate and its marker: $A1 at C1
+    # and $B1 at D1 lie at one offset from their cells, and $A1 at C1
+    # and B2 at A2 put the same column number in the key, yet neither
+    # pair is a copy.
+    "A1 = ?1\nB1 = ?2\nA2 = ?3\nC1 = =$A1+B1\nD1 = =$B1+C1\nC2 = =C$1*2\nC3 = =C$2*2\n",
+    "A1 = ?1\nB2 = ?2\nC1 = =$A1*2\nA2 = =B2*2\n",
+    "A1 = ?1\nB5 = =SUM(A1:A2)\nB6 = =SUM(A2:A3)\nB7 = =SUM(A3:A2)\nB8 = =SUM(A4:A5)\n",
 ]
 # Specs read against SPEC_SHEET.
 SPEC_SHEET = "A1 = ?1\nB2 = ?2\nC1 = =A1+B2\n"
@@ -99,8 +148,14 @@ def _inputs() -> dict[str, list[tuple[str, str, str]]]:
     for k, case in enumerate(injection.cases(20)):
         injected.append((f"{case.code}-{k}-clean", case.clean, ""))
         injected.append((f"{case.code}-{k}-faulty", case.faulty, ""))
+    idioms = [
+        (f"{name}-{seed}", make(random.Random(seed)), "")
+        for name, make in IDIOMS.items()
+        for seed in range(5)
+    ]
     return {
         "fixtures": fixtures,
+        "idioms": idioms,
         "corpus": [(f"corpus-{cp.seed}", cp.text, _spec_text(cp)) for cp in corpus.corpus(300)],
         "injection": injected,
         "fuzz": fuzz_cases(),
@@ -236,3 +291,63 @@ def test_rows_past_the_int_limit_name_their_line(sheet_text, spec_text, line):
         load_interval_spec(spec_text, load_program(sheet_text))
     assert caught.value.line == line
     assert str(caught.value) == f"line {line}: row number too long: 4301 digits"
+
+
+def _formula_lines(text: str):
+    """The host and body of each formula line of a .sheet text, the
+    body as the loader reads it: after the second '=', up to any
+    comment, with trailing whitespace dropped."""
+    for line in text.splitlines():
+        addr_text, _, content = strip_comment(line).partition("=")
+        content = content.strip()
+        if content.startswith("="):
+            yield parse_address(addr_text.strip()), content[1:]
+
+
+@pytest.mark.parametrize("source", sorted(INPUTS))
+def test_copy_classes_match_a_parse_per_formula(source):
+    for name, sheet_text, _ in INPUTS[source]:
+        try:
+            program = load_program(sheet_text)
+        except SheetLintError:
+            continue
+        keys, shapes = copy_keys(program), skeletons(program)
+        for host, body in _formula_lines(sheet_text):
+            tree, expected = program.content(host).ast, parse_formula(body)
+            assert (tree, render(tree)) == (expected, render(expected)), (name, host, body)
+            assert keys[host] == copy_key(expected, host), (name, host, body)
+            assert shapes[host] == skeleton(expected), (name, host, body)
+
+
+def test_copies_share_only_what_a_parse_would_build():
+    program = load_program(spelled_copies(40))
+    classes = program.copy_classes
+    first = {addr: classes.get(addr, addr) for addr, _ in program.formula_cells()}
+    spelled = {str(addr): str(first[addr]) for addr in first}
+    # Each spelling of `=A_r*2` is a class of its own: 10 copies each.
+    assert [spelled[f"B{r}"] for r in (1, 2, 3, 4, 5, 6, 7, 8)] == [
+        "B1", "B2", "B3", "B4", "B1", "B2", "B3", "B4"
+    ]
+    # Running totals share from row 10 on; above it the corners are out
+    # of order, and each is parsed on its own.
+    assert [spelled[f"C{r}"] for r in (8, 9, 10, 11, 40)] == ["C8", "C9", "C10", "C10", "C10"]
+    # A bottom-up range is parsed on its own; so is every `1E5+X` body.
+    assert all(spelled[f"D{r}"] == f"D{r}" for r in range(1, 41))
+    assert [spelled[f"{col}43"] for col in "ABC"] == ["A43", "B43", "C43"]
+    # The copies across Z to AA are one class.
+    assert {spelled[f"{column_letters(c)}42"] for c in range(2, 31)} == {"B42"}
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("0", "row numbers start at 1: 'A0'"), (OVERLONG, "row number too long: 4301 digits")],
+    ids=["row-0", "overlong-row"],
+)
+def test_a_later_copy_with_a_bad_row_names_its_line(row, message):
+    # A0 from B4 is the offset A1 has from B5: the body would share
+    # B5's class but for its row.
+    text = f"A1 = ?1\nB5 = =A1*2\nB6 = =A2*2\nB4 = =A{row}*2\n"
+    with pytest.raises(CellFormulaError) as caught:
+        load_program(text)
+    assert caught.value.line == 4
+    assert str(caught.value) == f"line 4: cell B4: {message} (at offset 0)"

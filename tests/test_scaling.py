@@ -16,6 +16,8 @@ import io
 import pytest
 
 from sheetlint.cli import main
+from sheetlint.model import load_program
+from sheetlint.scl import parse_formula
 
 # Doubling may cost a little more than twice: sorting is n log n.
 MAX_GROWTH = 2.3
@@ -77,6 +79,29 @@ def filled_down_spec(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def running_totals_spec(n: int) -> str:
+    """A range on every amount of `running_totals(n)`, and on every
+    total an expectation equal to its bound, but for the last total,
+    whose expectation is unreachable.
+
+    A symptom lists every amount above it as a suspect, so a spec with
+    a symptom on every k-th total prints suspect lists that grow as
+    n^2/k; such a spec can join the gate once the suspect search stops
+    at the nearest symptom.  One symptom keeps this gate on the cost of
+    evaluating, bounding and judging every total."""
+    lines = []
+    bound = 0
+    for r in range(2, n + 2):
+        if r != n // 2:
+            lines.append(f"input A{r} in [0, {r % 97 + 2}]")
+            bound += r % 97 + 2
+        if r == n + 1:
+            lines.append(f"expect B{r} in [-1, -1]")
+        elif r != n // 3:
+            lines.append(f"expect B{r} in [0, {bound}]")
+    return "\n".join(lines) + "\n"
+
+
 def profiled(argv: list[str]) -> tuple[int, int]:
     """Python calls made and bytes printed by one command."""
     out = io.StringIO()
@@ -107,8 +132,8 @@ def assert_linear(command: str, shape, n: int, tmp_path, spec=None) -> None:
 
 @pytest.mark.parametrize(
     "shape, n",
-    [(running_totals, 300), (running_totals, 600), (filled_down, 500)],
-    ids=["running-300", "running-600", "filled-down-500"],
+    [(running_totals, 300), (running_totals, 600), (filled_down, 500), (subtotal_blocks, 150)],
+    ids=["running-300", "running-600", "filled-down-500", "subtotal-blocks-150"],
 )
 def test_check_grows_linearly(shape, n, tmp_path):
     assert_linear("check", shape, n, tmp_path)
@@ -118,3 +143,21 @@ def test_check_grows_linearly(shape, n, tmp_path):
 def test_commands_grow_linearly_on_filled_down(command, tmp_path):
     spec = filled_down_spec if command == "test" else None
     assert_linear(command, filled_down, 500, tmp_path, spec)
+
+
+@pytest.mark.parametrize("command", ["test", "areas"])
+def test_commands_grow_linearly_on_running_totals(command, tmp_path):
+    spec = running_totals_spec if command == "test" else None
+    assert_linear(command, running_totals, 300, tmp_path, spec)
+
+
+def test_filled_down_rows_parse_once_per_copy_class():
+    # The 500 amounts `=B_r*C_r` are one copy class.  So are the two
+    # totals: `=SUM(B2:B501)` at B503 and `=SUM(D2:D501)` at D503 read
+    # the same offsets from their cells.
+    profile = cProfile.Profile()
+    program = profile.runcall(load_program, filled_down(500))
+    calls = sum(
+        entry.callcount for entry in profile.getstats() if entry.code is parse_formula.__code__
+    )
+    assert (calls, sum(1 for _ in program.formula_cells())) == (2, 502)
