@@ -45,6 +45,7 @@ from .model import (
     SpreadsheetInstance,
     SpreadsheetProgram,
     _NUMBER,
+    split_lines,
     strip_comment,
 )
 from .scl import (
@@ -233,12 +234,12 @@ def _suspects(graph, addr: CellAddress, symptomatic: set[CellAddress]):
 # ---------------------------------------------------------------------------
 # The .intervals format
 
-# A line as the error messages take it apart.
+# A rejected line, stripped, in the parts its error messages name.
 _SPEC_LINE = r"(input|expect)\s+(\S+)\s+in\s+\[([^,\]]*),([^,\]]*)\]\Z"
 
-# A well-formed line in one match: the keyword, the address's letters
-# and digits, and the two endpoints.  \s agrees with str.isspace, so the
-# match skips the whitespace that the step-by-step reading strips.
+# The one reader of a well-formed line: the keyword, the address's
+# letters and digits, and the two endpoints, in one match.  \s agrees
+# with str.isspace, so it skips the whitespace ``_entry_error`` strips.
 # Compiled by the first call, through re's cache, so that only `test`
 # pays for it.
 _SPEC_ENTRY = (
@@ -246,30 +247,28 @@ _SPEC_ENTRY = (
 )
 
 
-def _read_entry(line: str, lineno: int) -> tuple[str, CellAddress, Interval]:
-    """One stripped line read step by step, or the error it holds."""
-    m = re.match(_SPEC_LINE, line)
+def _entry_error(line: str, lineno: int) -> IntervalSpecError:
+    """What is wrong with a line that is not blank, when the one-match
+    reading rejects it or its row or endpoints fail the checks after."""
+    m = re.match(_SPEC_LINE, line.strip())
     if m is None:
-        raise IntervalSpecError(
-            "expected 'input ADDR in [lo, hi]' or 'expect ADDR in [lo, hi]'",
-            lineno,
+        return IntervalSpecError(
+            "expected 'input ADDR in [lo, hi]' or 'expect ADDR in [lo, hi]'", lineno
         )
-    keyword, addr_text, lo_text, hi_text = m.groups()
+    _, addr_text, lo_text, hi_text = m.groups()
     try:
-        addr = parse_address(addr_text)
+        parse_address(addr_text)
     except MalformedAddress as err:
-        raise IntervalSpecError(str(err), lineno) from err
+        error = IntervalSpecError(str(err), lineno)
+        error.__cause__ = err
+        return error
     lo_text, hi_text = lo_text.strip(), hi_text.strip()
     if not re.fullmatch(_NUMBER, lo_text) or not re.fullmatch(_NUMBER, hi_text):
-        raise IntervalSpecError(f"bad interval endpoints [{lo_text}, {hi_text}]", lineno)
-    lo, hi = float(lo_text), float(hi_text)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise IntervalSpecError(
-            f"interval endpoints out of range [{lo_text}, {hi_text}]", lineno
-        )
-    if lo > hi:
-        raise IntervalSpecError(f"interval is empty: [{lo_text}, {hi_text}]", lineno)
-    return keyword, addr, Interval(lo, hi)
+        return IntervalSpecError(f"bad interval endpoints [{lo_text}, {hi_text}]", lineno)
+    if math.isfinite(float(lo_text)) and math.isfinite(float(hi_text)):
+        # With its address and endpoints read, only an empty interval is left.
+        return IntervalSpecError(f"interval is empty: [{lo_text}, {hi_text}]", lineno)
+    return IntervalSpecError(f"interval endpoints out of range [{lo_text}, {hi_text}]", lineno)
 
 
 def load_interval_spec(text: str, program: SpreadsheetProgram) -> IntervalSpec:
@@ -286,29 +285,26 @@ def load_interval_spec(text: str, program: SpreadsheetProgram) -> IntervalSpec:
     match = re.compile(_SPEC_ENTRY).match
     isfinite = math.isfinite
     new = tuple.__new__
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(text), 1):
         line = strip_comment(raw) if ";" in raw else raw
         m = match(line)
-        if m is not None:
-            keyword, letters, digits, lo_text, hi_text = m.groups()
-            try:
-                row = int(digits)
-            except ValueError:  # more digits than ``int`` reads from a string
-                row = 0
-            lo, hi = float(lo_text), float(hi_text)
-            if row >= 1 and isfinite(lo) and isfinite(hi) and lo <= hi:
-                # Checked here, so built in C without the types' checks.
-                addr = new(CellAddress, (column_number(letters), row))
-                interval = new(Interval, (lo, hi))
-            else:
-                # Row 0, an overlong row, an endpoint beyond the floats
-                # or an empty interval: the steps raise the error.
-                m = None
         if m is None:
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            keyword, addr, interval = _read_entry(line, lineno)
+            raise _entry_error(line, lineno)
+        keyword, letters, digits, lo_text, hi_text = m.groups()
+        try:
+            row = int(digits)
+        except ValueError:  # more digits than ``int`` reads from a string
+            row = 0
+        lo, hi = float(lo_text), float(hi_text)
+        if not (row >= 1 and isfinite(lo) and isfinite(hi) and lo <= hi):
+            # Row 0, an overlong row, an endpoint beyond the floats or
+            # an empty interval: the explainer names the error.
+            raise _entry_error(line, lineno)
+        # Checked here, so built in C without the types' checks.
+        addr = new(CellAddress, (column_number(letters), row))
+        interval = new(Interval, (lo, hi))
         if keyword == "input":
             if not isinstance(program.content(addr), Input):
                 raise NotAnInputCell(addr)

@@ -37,7 +37,6 @@ from .scl import (
     column_number,
     format_number,
     parse_address,
-    parse_formula,
     rect_key,
     render,
     row_major,
@@ -362,14 +361,23 @@ def instantiate(
 # formulas: \d would also take other scripts'.
 _NUMBER = r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
-# A well-formed ``ADDR = CONTENT`` line in one match: the address's
-# letters and digits, then a '#' or '?' with its number, a label's text
-# or a formula's body.  \s agrees with str.isspace, so the match skips
-# the whitespace that the step-by-step reading strips.  What it rejects
-# takes those steps, which name what is wrong.
+# The one reader of a well-formed ``ADDR = CONTENT`` line, in one
+# match: the address's letters and digits, then a '#' or '?' with its
+# number, a label's text or a formula's body.  \s agrees with
+# str.isspace, so it skips the whitespace ``_line_error`` strips; that
+# explainer only names what is wrong with a line this rejects.
 _CELL_LINE_RE = re.compile(
     rf'\s*([A-Za-z]+)([0-9]+)\s*=\s*(?:([#?])\s*({_NUMBER})\s*|"(.*)"\s*|=(.*))\Z'
 )
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of a .sheet or .intervals text.  Only '\\n', '\\r\\n'
+    and a lone '\\r' end a line: ``str.splitlines`` also breaks at a
+    form feed, U+0085, U+2028 and others, which a line may hold."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def strip_comment(line: str) -> str:
@@ -389,49 +397,32 @@ def strip_comment(line: str) -> str:
         start = close + 1
 
 
-def _formula(body: str, addr: CellAddress, lineno: int) -> Formula:
-    try:
-        return Formula(parse_formula(body))
-    except FormulaError as err:
-        raise CellFormulaError(addr, lineno, err) from err
-
-
-def _parse_content(text: str, addr: CellAddress, lineno: int) -> CellContent:
-    first = text[:1]
-    if first == "=":
-        return _formula(text[1:], addr, lineno)
-    if first == "#" or first == "?":
-        what = "constant" if first == "#" else "input default"
-        body = text[1:].strip()
-        if not re.fullmatch(_NUMBER, body):
-            raise MalformedLine(f"bad number in {what}: {body!r}", lineno)
-        value = float(body)
-        if not math.isfinite(value):
-            raise MalformedLine(f"number out of range in {what}: {body!r}", lineno)
-        return Constant(value) if first == "#" else Input(value)
-    if first == '"':
-        if len(text) < 2 or not text.endswith('"'):
-            raise MalformedLine(f"unterminated label: {text!r}", lineno)
-        return Label(text[1:-1])
-    raise MalformedLine(f"unrecognized cell content: {text!r}", lineno)
-
-
-def _read_line(line: str, lineno: int, cells: dict[CellAddress, CellContent]) -> None:
-    """Read one line step by step into ``cells``, or raise what is
-    wrong with it; a blank line adds nothing."""
-    line = line.strip()
-    if not line:
-        return
-    addr_text, sep, content_text = line.partition("=")
+def _line_error(line: str, lineno: int, cells: Mapping[CellAddress, CellContent]) -> LoadError:
+    """What is wrong with a line that is not blank, when the one-match
+    reading rejects it or its row or number fails the checks after."""
+    addr_text, sep, text = line.partition("=")
     if not sep:
-        raise MalformedLine("expected ADDR = CONTENT", lineno)
+        return MalformedLine("expected ADDR = CONTENT", lineno)
     try:
         addr = parse_address(addr_text.strip())
     except MalformedAddress as err:
-        raise MalformedLine(str(err), lineno) from err
+        error = MalformedLine(str(err), lineno)
+        error.__cause__ = err
+        return error
     if addr in cells:
-        raise DuplicateCell(addr, lineno)
-    cells[addr] = _parse_content(content_text.strip(), addr, lineno)
+        return DuplicateCell(addr, lineno)
+    # Its address read, a formula's line always matches, and a number's
+    # or a label's matches unless it holds what is named below.
+    text = text.strip()
+    first = text[:1]
+    if first == "#" or first == "?":
+        what = "constant" if first == "#" else "input default"
+        body = text[1:].strip()
+        problem = "number out of range" if re.fullmatch(_NUMBER, body) else "bad number"
+        return MalformedLine(f"{problem} in {what}: {body!r}", lineno)
+    if first == '"':
+        return MalformedLine(f"unterminated label: {text!r}", lineno)
+    return MalformedLine(f"unrecognized cell content: {text!r}", lineno)
 
 
 def load_program(text: str) -> SpreadsheetProgram:
@@ -448,12 +439,13 @@ def load_program(text: str) -> SpreadsheetProgram:
     # Built in C: the row is checked below, and letters decode to a
     # column of 1 or more.
     new = tuple.__new__
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(text), 1):
         line = strip_comment(raw) if ";" in raw else raw
         m = match(line)
         if m is None:
-            _read_line(line, lineno, cells)
-            continue
+            if not line.strip():
+                continue
+            raise _line_error(line, lineno, cells)
         letters, digits, sigil, number, label, body = m.groups()
         try:
             row = int(digits)
@@ -462,9 +454,8 @@ def load_program(text: str) -> SpreadsheetProgram:
         value = float(number) if sigil else 0.0
         if row < 1 or not isfinite(value):
             # Row 0, an overlong row or a number beyond the floats: the
-            # steps raise the error, after any that comes first.
-            _read_line(line, lineno, cells)
-            continue
+            # explainer names the error, or any that comes first.
+            raise _line_error(line, lineno, cells)
         addr = new(CellAddress, (column_number(letters), row))
         if addr in cells:
             raise DuplicateCell(addr, lineno)

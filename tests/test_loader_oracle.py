@@ -4,15 +4,20 @@ On every fixture, 300 corpus programs, the injection cases, the clean
 idioms, the fuzz mutants and a few crafted texts, ``load_program``,
 ``parse_formula`` and ``load_interval_spec`` must each build what the
 earlier reader built, or raise the same exception class with the same
-message and line or offset.  The one difference allowed is on purpose:
-a digit of another script is no digit of the formats, so a text
-holding one may now be refused where it was read before.
+message and line or offset.  Two differences are allowed, both on
+purpose.  A digit of another script is no digit of the formats, so a
+text holding one may now be refused where it was read before.  Only
+'\n', '\r\n' and a lone '\r' end a line now, where the earlier
+readers also broke lines at a form feed, U+0085, U+2028 and the other
+breaks of ``str.splitlines``; a text holding one of those may now be
+read, or refused, or refused at another line.
 
 On the same inputs, each formula ``load_program`` reads through its
 copy classes must get the tree ``parse_formula`` gives its body, and
 the copy key and skeleton that tree has.
 """
 
+import math
 import pathlib
 import random
 import re
@@ -26,14 +31,26 @@ import loader_oracle
 from idioms import IDIOMS
 from sheetlint.areas import copy_keys, skeletons
 from sheetlint.errors import SheetLintError
-from sheetlint.intervals import load_interval_spec
-from sheetlint.model import CellFormulaError, load_program, render_program, strip_comment
+from sheetlint.intervals import _SPEC_ENTRY, load_interval_spec
+from sheetlint.model import (
+    _CELL_LINE_RE,
+    CellFormulaError,
+    LoadError,
+    SpreadsheetProgram,
+    load_program,
+    render_program,
+    split_lines,
+    strip_comment,
+)
 from sheetlint.scl import column_letters, copy_key, parse_address, parse_formula, render, skeleton
 from test_fuzz import _cases as fuzz_cases
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 # A decimal digit outside 0-9.
 OTHER_DIGIT = re.compile(r"(?![0-9])\d")
+# What str.splitlines breaks a line at beyond '\n' and '\r'.
+OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+OTHER_BREAK = re.compile(f"[{OTHER_BREAKS}]")
 LONG_ROW = "1" * 5000
 
 
@@ -113,6 +130,27 @@ CRAFTED = [
     "A1 = ?1\nB1 = ?2\nA2 = ?3\nC1 = =$A1+B1\nD1 = =$B1+C1\nC2 = =C$1*2\nC3 = =C$2*2\n",
     "A1 = ?1\nB2 = ?2\nC1 = =$A1*2\nA2 = =B2*2\n",
     "A1 = ?1\nB5 = =SUM(A1:A2)\nB6 = =SUM(A2:A3)\nB7 = =SUM(A3:A2)\nB8 = =SUM(A4:A5)\n",
+    # Errors that compete: a duplicate address comes before anything
+    # wrong with its content, and a bad row before a bad number.
+    "A1 = #1\nA1 = foo\n",
+    'A1 = #1\nA1 = "x\n',
+    "A1 = #1\nA1 = #x\n",
+    "A1 = #1\nA1 = ?1e400\n",
+    "A0 = #x\n",
+    # Line ends: '\r\n' and a lone '\r' end a line, as '\n' does.
+    'A1 = #1\r\nA2 = "a"\rA3 = =A1+1\r\n\rA5 = foo\r\n',
+]
+# Each other break of str.splitlines, inside a line: in a label, as
+# whitespace in a formula and after a number, and where it once split
+# two cells that share one line now.
+CRAFTED += [
+    text
+    for c in OTHER_BREAKS
+    for text in (
+        f'A1 = "a{c}b"\nB1 = ?1\nC1 = =B1{c}+1\n',
+        f"A1 = #1{c}\nA2 = ?2 {c}; note\n",
+        f"A1 = #1{c}A2 = #2\nA3 = foo\n",
+    )
 ]
 # Specs read against SPEC_SHEET.
 SPEC_SHEET = "A1 = ?1\nB2 = ?2\nC1 = =A1+B2\n"
@@ -131,6 +169,18 @@ CRAFTED_SPECS = [
     "input B2\tin\u00a0[1,\t2]\u00a0\n",
     "input B2 in [1, 2, 3]\n",
     "input B2 in [1., .5e1]\n",
+    # Errors that compete: a bad endpoint before an empty interval, and
+    # a bad row before either.
+    "input B2 in [1e400, -1]\n",
+    "input B2 in [5, -1e400]\n",
+    "input B0 in [2, 1]\n",
+    "expect C1 in [x, 1]\n",
+    "input B2 in [1, 2]\r\nexpect C1 in [0, 9]\r\rinput B2 in [3, 4]\n",
+]
+CRAFTED_SPECS += [
+    text
+    for c in OTHER_BREAKS
+    for text in (f"input B2 in [1,{c}2]{c}\n", f"input B2 in [1, 2]{c}expect C1 in [0, 9]\n")
 ]
 
 
@@ -179,15 +229,15 @@ def _outcome(fn, *args):
 
 
 def _agree(new, old, text: str) -> bool:
-    """Equal outcomes, or a refusal now of what held another script's
-    digit and was read before."""
+    """Equal outcomes; or a refusal now of what held another script's
+    digit and was read before; or, for a text holding a break other
+    than '\n' and '\r', any outcome short of a crash."""
     if new == old:
         return True
-    return (
-        OTHER_DIGIT.search(text) is not None
-        and new[0] == "raise"
-        and issubclass(new[1], SheetLintError)
-    )
+    refused = new[0] == "raise" and issubclass(new[1], SheetLintError)
+    if OTHER_BREAK.search(text) is not None:
+        return new[0] == "ok" or refused
+    return OTHER_DIGIT.search(text) is not None and refused
 
 
 def _program(outcome):
@@ -297,7 +347,7 @@ def _formula_lines(text: str):
     """The host and body of each formula line of a .sheet text, the
     body as the loader reads it: after the second '=', up to any
     comment, with trailing whitespace dropped."""
-    for line in text.splitlines():
+    for line in split_lines(text):
         addr_text, _, content = strip_comment(line).partition("=")
         content = content.strip()
         if content.startswith("="):
@@ -351,3 +401,83 @@ def test_a_later_copy_with_a_bad_row_names_its_line(row, message):
         load_program(text)
     assert caught.value.line == 4
     assert str(caught.value) == f"line 4: cell B4: {message} (at offset 0)"
+
+
+def test_only_newline_and_carriage_return_end_a_line():
+    for c in OTHER_BREAKS:
+        # The form feed and the others are inside the line: a label
+        # holds one, and a formula or a number takes it as whitespace.
+        program = load_program(f'A1 = "a{c}b"\nB1 = ?1\nC1 = =B1{c}+1\n')
+        assert program.content(parse_address("A1")).text == f"a{c}b"
+        assert render(program.content(parse_address("C1")).ast) == "B1+1"
+        assert load_program(render_program(program)) == program
+        with pytest.raises(LoadError) as caught:
+            load_program(f"A1 = #1{c}A2 = #2\nA3 = foo\n")
+        assert caught.value.line == 1
+        assert str(caught.value) == f"line 1: bad number in constant: {f'1{c}A2 = #2'!r}"
+        # The readers before split the line in two, and so refused the
+        # label as unterminated.
+        assert _outcome(loader_oracle.load_program, f'A1 = "a{c}b"\n')[0] == "raise"
+    with pytest.raises(LoadError) as caught:
+        load_program('A1 = #1\r\nA2 = "a"\rA3 = =A1+1\r\n\rA5 = foo\r\n')
+    assert caught.value.line == 5
+
+
+def test_split_lines_is_splitlines_without_the_other_breaks():
+    texts = [text for inputs in INPUTS.values() for _, sheet, spec in inputs for text in (sheet, spec)]
+    texts += ["", "\n", "\r", "a\r", "a\r\n\rb", "\r\r\n\n"]
+    for text in texts:
+        if OTHER_BREAK.search(text) is None:
+            old = text.splitlines()
+            new = split_lines(text)
+            assert new[: len(old)] == old and not any(new[len(old):]), repr(text[:80])
+
+
+def _row_ok(digits: str) -> bool:
+    try:
+        return int(digits) >= 1
+    except ValueError:  # more digits than ``int`` reads from a string
+        return False
+
+
+def _cell_line_rejected(line: str) -> bool:
+    """Whether ``load_program`` rejects a line: its one match fails, or
+    the row or the number does not pass the checks after."""
+    m = _CELL_LINE_RE.match(line)
+    if m is None or not _row_ok(m.group(2)):
+        return True
+    return m.group(3) is not None and not math.isfinite(float(m.group(4)))
+
+
+def _spec_line_rejected(line: str) -> bool:
+    """Whether ``load_interval_spec`` rejects a line: its one match
+    fails, or the row or the endpoints do not pass the checks after."""
+    m = re.match(_SPEC_ENTRY, line)
+    if m is None or not _row_ok(m.group(3)):
+        return True
+    lo, hi = float(m.group(4)), float(m.group(5))
+    return not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi)
+
+
+def test_every_rejected_line_alone_raises_its_error():
+    """The explainers name an error for every line the one-match
+    readings reject: loaded alone, each such line raises a LoadError,
+    the one the earlier readers raise."""
+    empty = SpreadsheetProgram({})
+    sheet_lines, spec_lines = set(), set()
+    for source in ("crafted", "fuzz"):
+        for _, sheet_text, spec_text in INPUTS[source]:
+            sheet_lines.update(map(strip_comment, split_lines(sheet_text)))
+            spec_lines.update(map(strip_comment, split_lines(spec_text)))
+    rejected_cells = [l for l in sorted(sheet_lines) if l.strip() and _cell_line_rejected(l)]
+    rejected_specs = [l for l in sorted(spec_lines) if l.strip() and _spec_line_rejected(l)]
+    assert len(rejected_cells) > 100 and len(rejected_specs) > 20
+    for line in rejected_cells:
+        new = _outcome(load_program, line)
+        assert new[0] == "raise" and issubclass(new[1], LoadError), (line, new)
+        assert _agree(new, _outcome(loader_oracle.load_program, line), line), line
+    for line in rejected_specs:
+        new = _outcome(load_interval_spec, line, empty)
+        assert new[0] == "raise" and issubclass(new[1], LoadError), (line, new)
+        old = _outcome(loader_oracle.load_interval_spec, line, empty)
+        assert _agree(new, old, line), line

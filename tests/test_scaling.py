@@ -102,6 +102,21 @@ def running_totals_spec(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def subtotal_blocks_spec(n: int) -> str:
+    """A range on every amount of `subtotal_blocks(n)`, and an
+    unreachable expectation on every seventh subtotal, so that each of
+    those is a symptom whose suspects are its block's amounts."""
+    lines = []
+    for k in range(n):
+        top = 2 + 11 * k
+        for r in range(top, top + 10):
+            if not (k % 5 == 0 and r == top + 3):
+                lines.append(f"input A{r} in [0, {r % 23 + 2}]")
+        if k % 7 == 0:
+            lines.append(f"expect B{top + 9} in [-2, -1]")
+    return "\n".join(lines) + "\n"
+
+
 def profiled(argv: list[str]) -> tuple[int, int]:
     """Python calls made and bytes printed by one command."""
     out = io.StringIO()
@@ -149,6 +164,12 @@ def test_commands_grow_linearly_on_filled_down(command, tmp_path):
 def test_commands_grow_linearly_on_running_totals(command, tmp_path):
     spec = running_totals_spec if command == "test" else None
     assert_linear(command, running_totals, 300, tmp_path, spec)
+
+
+@pytest.mark.parametrize("command", ["test", "graph", "areas"])
+def test_commands_grow_linearly_on_subtotal_blocks(command, tmp_path):
+    spec = subtotal_blocks_spec if command == "test" else None
+    assert_linear(command, subtotal_blocks, 150, tmp_path, spec)
 
 
 def test_filled_down_rows_parse_once_per_copy_class():
