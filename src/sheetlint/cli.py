@@ -21,7 +21,7 @@ from .areas import infer_logical_areas, infer_physical_areas
 from .dataflow import CyclicDependency, DependencyGraph, build_graph
 from .detectors import detect_all
 from .errors import SheetLintError
-from .evaluator import EvalResult, eval_in_order
+from .evaluator import EvalResult, eval_in_order, may_divide_by_zero
 from .intervals import load_interval_spec, run_interval_test
 from .model import SpreadsheetProgram, instantiate, load_program
 from . import report
@@ -105,11 +105,18 @@ def _emit(text: str, output: str | None) -> None:
 def _evaluate(
     program: SpreadsheetProgram, graph: DependencyGraph
 ) -> EvalResult | CyclicDependency:
-    """Concrete values in the graph's order, or the cycle that prevents them."""
+    """What ``detect_all`` reads of an evaluation, or the cycle that
+    prevents one.  It reads only the DIV_BY_ZERO notes, so a sheet with
+    no formula that can divide by zero (no '/' and no AVG over labels
+    and empty cells alone) gets an empty result, and any other sheet
+    every cell's value, in the graph's order."""
     try:
-        return eval_in_order(instantiate(program), graph.topo_order())
+        order = graph.topo_order()
     except CyclicDependency as err:
         return err
+    if not may_divide_by_zero(program):
+        return EvalResult({}, ())
+    return eval_in_order(instantiate(program), order)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

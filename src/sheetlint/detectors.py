@@ -434,7 +434,10 @@ def detect_all(
     function of the program.  ``result`` is the program's evaluation,
     or the CyclicDependency that stopped it, reported as G_CYCLE; when
     omitted, the program is checked for cycles here.  With an
-    EvalResult, divisions by zero surface as G_DIV_ZERO.
+    EvalResult, divisions by zero surface as G_DIV_ZERO.  Only its
+    DIV_BY_ZERO notes are read, so when no formula can divide by zero
+    (``evaluator.may_divide_by_zero``) an empty EvalResult stands for
+    the evaluation, as ``check`` and ``graph`` pass it.
     """
     # Each code's findings come sorted, in code order, so the whole
     # list is sorted without a final sort.

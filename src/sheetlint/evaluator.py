@@ -47,9 +47,19 @@ import math
 from enum import Enum
 from typing import Mapping, Union
 
+from .areas import skeletons
 from .dataflow import build_graph
 from .errors import SheetLintError
-from .model import CellIndex, Constant, Formula, Input, SpreadsheetInstance, cell_index
+from .model import (
+    CellIndex,
+    Constant,
+    Formula,
+    Input,
+    Label,
+    SpreadsheetInstance,
+    SpreadsheetProgram,
+    cell_index,
+)
 from .scl import (
     BinaryOp,
     Call,
@@ -62,6 +72,7 @@ from .scl import (
     Reference,
     fold,
     format_number,
+    iter_nodes,
     value_type,
 )
 
@@ -348,6 +359,44 @@ def _aggregate(
         notes.append(RuntimeNote(kind, host, None))
         return Fault(FaultKind[kind.name])
     return _finite(iv_aggregate(node.name, items))
+
+
+def may_divide_by_zero(program: SpreadsheetProgram) -> list[CellAddress]:
+    """The formula cells, row-major, whose concrete evaluation can note
+    DIV_BY_ZERO, whatever the inputs hold.
+
+    Only two nodes note it.  A '/' does when its divisor is zero, which
+    takes values to decide, so every formula holding one is listed.  An
+    AVG does when no operand gives a number or a fault, and that the
+    cell kinds decide: a constant, an input or a formula cell always
+    holds a number or a fault, and so does any argument that is neither
+    a range nor a reference.  So a formula is listed for an AVG only
+    when every argument of it is a range or a reference that reads no
+    cell but labels and empty ones.
+    """
+    cells = program.cells
+    index = cell_index(program)
+    found = []
+    for addr, shape in skeletons(program).items():
+        if "/" in shape:
+            found.append(addr)
+        elif any(type(token) is tuple and token[0] == "AVG" for token in shape) and any(
+            type(node) is Call
+            and node.name == "AVG"
+            and all(_reads_no_number(arg, cells, index) for arg in node.args)
+            for node in iter_nodes(cells[addr].ast)
+        ):
+            found.append(addr)
+    return found
+
+
+def _reads_no_number(arg: FormulaNode, cells: Mapping, index: CellIndex) -> bool:
+    kind = type(arg)
+    if kind is RangeArg:
+        return index.count(arg.rng) == index.count(arg.rng, "label")
+    if kind is Reference:
+        return type(cells.get(arg.ref[:2])) in (Label, type(None))
+    return False
 
 
 def evaluate(

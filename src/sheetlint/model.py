@@ -479,10 +479,16 @@ def load_program(text: str) -> SpreadsheetProgram:
 def render_program(program: SpreadsheetProgram) -> str:
     """Write a program back out, one cell per line in row-major order.
 
-    Loading the result reproduces the program.
+    Loading the result reproduces the program.  Raises ValueError,
+    naming the cell, for a label the format cannot spell: one holding a
+    line end, or a ';' that the loader would take as a comment's start.
     """
-    lines = [
-        f"{addr} = {render_content(content)}"
-        for addr, content in program.cells.items()
-    ]
+    lines = []
+    for addr, content in program.cells.items():
+        line = f"{addr} = {render_content(content)}"
+        if type(content) is Label and (
+            "\n" in content.text or "\r" in content.text or strip_comment(line) != line
+        ):
+            raise ValueError(f"{addr}: label {content.text!r} has no .sheet spelling")
+        lines.append(line)
     return "\n".join(lines) + ("\n" if lines else "")

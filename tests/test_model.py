@@ -189,6 +189,20 @@ class TestRendering:
         prog = load_program(QUARTERLY)
         assert load_program(render_program(prog)) == prog
 
+    @pytest.mark.parametrize("text", ['a";b', 'a";"b', "two\nlines", "two\rlines"])
+    def test_render_program_refuses_labels_it_cannot_spell(self, text):
+        # A ';' after an even count of quotes starts a comment,
+        # and a line end ends the line, so the written label would load
+        # back cut short, or not at all.
+        prog = SpreadsheetProgram({parse_address("B3"): Label(text)})
+        with pytest.raises(ValueError, match="^B3: label"):
+            render_program(prog)
+
+    @pytest.mark.parametrize("text", ['a;"b', "plain;", 'say "hi"', " padded "])
+    def test_render_program_spells_quotes_and_semicolons_it_can(self, text):
+        prog = SpreadsheetProgram({parse_address("B3"): Label(text)})
+        assert load_program(render_program(prog)) == prog
+
     def test_render_program_is_row_major(self):
         prog = load_program("B1 = #2\nA1 = #1\n")
         assert render_program(prog) == "A1 = #1\nB1 = #2\n"
