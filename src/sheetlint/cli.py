@@ -18,12 +18,11 @@ import os
 import sys
 
 from .areas import infer_logical_areas, infer_physical_areas
-from .dataflow import CyclicDependency, DependencyGraph, build_graph
+from .dataflow import build_graph
 from .detectors import detect_all
 from .errors import SheetLintError
-from .evaluator import EvalResult, eval_in_order, may_divide_by_zero
 from .intervals import load_interval_spec, run_interval_test
-from .model import SpreadsheetProgram, instantiate, load_program
+from .model import instantiate, load_program
 from . import report
 
 
@@ -102,27 +101,10 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _evaluate(
-    program: SpreadsheetProgram, graph: DependencyGraph
-) -> EvalResult | CyclicDependency:
-    """What ``detect_all`` reads of an evaluation, or the cycle that
-    prevents one.  It reads only the DIV_BY_ZERO notes, so a sheet with
-    no formula that can divide by zero (no '/' and no AVG over labels
-    and empty cells alone) gets an empty result, and any other sheet
-    every cell's value, in the graph's order."""
-    try:
-        order = graph.topo_order()
-    except CyclicDependency as err:
-        return err
-    if not may_divide_by_zero(program):
-        return EvalResult({}, ())
-    return eval_in_order(instantiate(program), order)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     sheet_text, sheet = _read(args.sheet)
     program = load_program(sheet_text)
-    diagnostics = detect_all(program, _evaluate(program, build_graph(program)))
+    diagnostics = detect_all(program)
     if args.format == "json":
         text = report.to_json(report.check_json(program, diagnostics, [sheet]))
     else:
@@ -148,11 +130,10 @@ def _cmd_test(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     sheet_text, _ = _read(args.sheet)
     program = load_program(sheet_text)
-    graph = build_graph(program)
-    diagnostics = detect_all(program, _evaluate(program, graph))
+    diagnostics = detect_all(program)
     dot = report.area_graph_dot if args.resolution == "area" else report.cell_graph_dot
     physical, logical = infer_physical_areas(program), infer_logical_areas(program)
-    _emit(dot(program, graph, physical, logical, diagnostics), args.output)
+    _emit(dot(program, build_graph(program), physical, logical, diagnostics), args.output)
     return 0
 
 

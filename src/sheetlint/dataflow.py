@@ -13,6 +13,8 @@ formulas are found through the program's occupied-cell index, and the
 cell-level nodes, edges and precedents are derived from the rectangles
 when asked for.  A topological order lists the non-empty cells only.
 Nodes sort by ``scl.rect_key``: row-major by their top-left cells.
+The graph is built once per program and sorted once, so callers must
+not mutate the list ``topo_order()`` returns.
 
 What each formula reads is listed once per program, in one walk of its
 tree, by ``formula_reads``; the graph, D1, the physical areas and D4
@@ -75,27 +77,18 @@ class DependencyGraph:
     """Reads-from relation over one program's cells."""
 
     def __init__(self, program: SpreadsheetProgram):
-        self._program = program
-        self._index = index = cell_index(program)
-        cells = program.cells
+        self._index = cell_index(program)
         self._reads = formula_reads(program)
-        # Formula -> the formulas it reads; formula -> those reading it.
-        self._formula_precedents: dict[CellAddress, set[CellAddress]] = {}
-        self._formula_dependents: dict[CellAddress, set[CellAddress]] = {}
-        for addr, (refs, ranges) in self._reads.items():
-            sources = {ref for ref in refs if type(cells.get(ref)) is Formula}
-            for _, rect in ranges:
-                sources.update(index.occupied(rect, "formula"))
-            self._formula_precedents[addr] = sources
-            for source in sources:
-                self._formula_dependents.setdefault(source, set()).add(addr)
-        self._sources_cache: dict[Node, frozenset[Node]] = {}
+        # Cells other than formulas, row-major.  Kept on the program,
+        # the graph holds these, not it, to form no reference cycle.
+        self._leaves = [addr for addr in program.cells if addr not in self._reads]
+        self._sources_cache: dict[Node, tuple[Node, ...]] = {}
 
     @functools.cached_property
     def nodes(self) -> set[Node]:
         """Every non-empty cell, every cell a formula references and
         every empty run a formula's range reads."""
-        nodes = set(self._program.cells)
+        nodes = {*self._leaves, *self._reads}
         for refs, ranges in self._reads.values():
             nodes.update(refs)
             for _, rect in ranges:
@@ -118,19 +111,18 @@ class DependencyGraph:
         """What a node reads directly: nothing unless it is a formula."""
         return set(self._sources(node))
 
-    def _sources(self, node: Node) -> frozenset[Node]:
-        # Built once per formula, on first use.
+    def _sources(self, node: Node) -> tuple[Node, ...]:
+        # Built once per formula, on first use; other nodes read nothing.
         found = self._sources_cache.get(node)
         if found is None:
-            found = frozenset()
-            if node in self._reads:
-                refs, ranges = self._reads[node]
-                sources = set(refs)
-                for _, rect in ranges:
-                    sources.update(self._index.occupied(rect))
-                    sources.update(self._index.empty_runs(rect))
-                found = frozenset(sources)
-            self._sources_cache[node] = found
+            if node not in self._reads:
+                return ()
+            refs, ranges = self._reads[node]
+            sources = set(refs)
+            for _, rect in ranges:
+                sources.update(self._index.occupied(rect))
+                sources.update(self._index.empty_runs(rect))
+            found = self._sources_cache[node] = tuple(sources)
         return found
 
     def topo_order(self) -> list[CellAddress]:
@@ -139,39 +131,66 @@ class DependencyGraph:
         Cells other than formulas read nothing, so they come first in
         row-major order; the formulas follow, each after the formulas
         it reads, ties broken row-major.  The order is a pure function
-        of the program.  Raises CyclicDependency with a witness cycle.
+        of the program, sorted once: every call returns the same list.
+        Raises a new CyclicDependency with a witness cycle each call.
         """
-        order = [addr for addr in self._program.cells if addr not in self._reads]
-        indegree = {addr: len(sources) for addr, sources in self._formula_precedents.items()}
+        order, cycle = self._sorted
+        if cycle is not None:
+            raise CyclicDependency(cycle)
+        return order
+
+    @functools.cached_property
+    def _sorted(self) -> tuple:
+        # (order, None), or (None, witness cycle): a kept exception
+        # would hold this graph through its traceback once raised.  The
+        # edges between formulas serve only the sort, so none is kept.
+        reads = self._reads
+        # Formula -> the formulas it reads; formula -> those reading it.
+        precedents: dict[CellAddress, set[CellAddress]] = {}
+        dependents: dict[CellAddress, set[CellAddress]] = {}
+        for addr, (refs, ranges) in reads.items():
+            sources = {ref for ref in refs if ref in reads}
+            for _, rect in ranges:
+                sources.update(self._index.occupied(rect, "formula"))
+            precedents[addr] = sources
+            for source in sources:
+                dependents.setdefault(source, set()).add(addr)
+        order = list(self._leaves)
+        indegree = {addr: len(sources) for addr, sources in precedents.items()}
         ready = [(row_major(addr), addr) for addr, deg in indegree.items() if deg == 0]
         heapq.heapify(ready)
         while ready:
             _, node = heapq.heappop(ready)
             order.append(node)
-            for dependent in self._formula_dependents.get(node, ()):
+            for dependent in dependents.get(node, ()):
                 indegree[dependent] -= 1
                 if indegree[dependent] == 0:
                     heapq.heappush(ready, (row_major(dependent), dependent))
-        if len(order) < len(self._program.cells):
-            raise CyclicDependency(self._witness_cycle(set(self._reads) - set(order)))
-        return order
-
-    def _witness_cycle(self, remaining: set[CellAddress]) -> list[CellAddress]:
-        # Every remaining formula keeps at least one formula precedent
-        # within the remainder, so walking precedents must loop.
-        start = min(remaining, key=row_major)
-        path: list[CellAddress] = []
-        index: dict[CellAddress, int] = {}
-        cell = start
-        while cell not in index:
-            index[cell] = len(path)
-            path.append(cell)
-            cell = min(self._formula_precedents[cell] & remaining, key=row_major)
-        cycle = path[index[cell]:]
-        pivot = cycle.index(min(cycle, key=row_major))
-        return cycle[pivot:] + cycle[:pivot]
+        if len(order) < len(self._leaves) + len(reads):
+            return None, _witness_cycle(precedents, set(reads) - set(order))
+        return order, None
 
 
+def _witness_cycle(
+    precedents: dict[CellAddress, set[CellAddress]], remaining: set[CellAddress]
+) -> list[CellAddress]:
+    # Every remaining formula keeps at least one formula precedent
+    # within the remainder, so walking precedents must loop.
+    start = min(remaining, key=row_major)
+    path: list[CellAddress] = []
+    index: dict[CellAddress, int] = {}
+    cell = start
+    while cell not in index:
+        index[cell] = len(path)
+        path.append(cell)
+        cell = min(precedents[cell] & remaining, key=row_major)
+    cycle = path[index[cell]:]
+    pivot = cycle.index(min(cycle, key=row_major))
+    return cycle[pivot:] + cycle[:pivot]
+
+
+@per_program
 def build_graph(program: SpreadsheetProgram) -> DependencyGraph:
-    """The dependency graph over all non-empty and referenced cells."""
+    """The dependency graph over all non-empty and referenced cells,
+    built once per program."""
     return DependencyGraph(program)

@@ -10,12 +10,12 @@ zero or more diagnostics:
     D5_CONSTANT_OVERWRITE    a constant interrupts a run of formula copies
     D6_COPY_MISREFERENCE     one copy deviates only in reference markers
 
-Two further codes surface evaluation facts when an EvalResult is given
-to detect_all: G_CYCLE for reference loops (an error, since nothing can
-be computed) and G_DIV_ZERO for divisions by zero under the current
-inputs.  Every other code is a warning (see ``Code.severity``): the
-sheet may still be right, but each flagged spot is where a
-representative error hides.
+Two further codes surface evaluation facts, from an EvalResult given
+to detect_all or from its own evaluation: G_CYCLE for reference loops
+(an error, since nothing can be computed) and G_DIV_ZERO for divisions
+by zero under the current inputs.  Every other code is a warning (see
+``Code.severity``): the sheet may still be right, but each flagged
+spot is where a representative error hides.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .areas import (
     structural_groups,
 )
 from .dataflow import CyclicDependency, build_graph, formula_reads
-from .evaluator import EvalResult, NoteKind
-from .model import SpreadsheetProgram, cell_index, content_kind
+from .evaluator import EvalResult, NoteKind, eval_instance, may_divide_by_zero
+from .model import SpreadsheetProgram, cell_index, content_kind, instantiate
 from .scl import (
     CellAddress,
     CopyKey,
@@ -432,12 +432,12 @@ def detect_all(
 
     Ordering is by code, then subject cells row-major, and is a pure
     function of the program.  ``result`` is the program's evaluation,
-    or the CyclicDependency that stopped it, reported as G_CYCLE; when
-    omitted, the program is checked for cycles here.  With an
-    EvalResult, divisions by zero surface as G_DIV_ZERO.  Only its
-    DIV_BY_ZERO notes are read, so when no formula can divide by zero
-    (``evaluator.may_divide_by_zero``) an empty EvalResult stands for
-    the evaluation, as ``check`` and ``graph`` pass it.
+    or the CyclicDependency that stopped it, reported as G_CYCLE; with
+    an EvalResult, divisions by zero surface as G_DIV_ZERO.  Only its
+    DIV_BY_ZERO notes are read, so when ``result`` is omitted the
+    program is checked for cycles here, and evaluated only if some
+    formula can divide by zero (``evaluator.may_divide_by_zero``: a
+    '/', or an AVG over labels and empty cells alone).
     """
     # Each code's findings come sorted, in code order, so the whole
     # list is sorted without a final sort.
@@ -445,8 +445,11 @@ def detect_all(
     if result is None:
         try:
             build_graph(program).topo_order()
+            if may_divide_by_zero(program):
+                result = eval_instance(instantiate(program))
         except CyclicDependency as err:
-            result = err
+            # Kept past the handler, so without the traceback to this frame.
+            result = err.with_traceback(None)
     if isinstance(result, CyclicDependency):
         message = f"formulas form a reference cycle: {result.path}"
         out += _diagnostics(Code.G_CYCLE, [(tuple(result.cycle), message, None)])

@@ -442,8 +442,12 @@ def evaluate(
     return held
 
 
-def eval_in_order(instance: SpreadsheetInstance, order: list[CellAddress]) -> EvalResult:
-    """eval_instance over a topological order the caller already has."""
+def eval_instance(instance: SpreadsheetInstance) -> EvalResult:
+    """Evaluate every cell, precedents first.
+
+    Raises CyclicDependency when formulas form a reference loop.
+    """
+    order = build_graph(instance.program).topo_order()
     notes: list[RuntimeNote] = []
     new = tuple.__new__
     values = {
@@ -451,11 +455,3 @@ def eval_in_order(instance: SpreadsheetInstance, order: list[CellAddress]) -> Ev
         for addr, value in evaluate(instance, order, {}, notes).items()
     }
     return EvalResult(values, tuple(notes))
-
-
-def eval_instance(instance: SpreadsheetInstance) -> EvalResult:
-    """Evaluate every cell, precedents first.
-
-    Raises CyclicDependency when formulas form a reference loop.
-    """
-    return eval_in_order(instance, build_graph(instance.program).topo_order())

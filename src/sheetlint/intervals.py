@@ -34,7 +34,7 @@ from .evaluator import (
     IntervalValue,
     Number,
     Value,
-    eval_in_order,
+    eval_instance,
     evaluate,
 )
 from .model import (
@@ -92,15 +92,13 @@ def eval_intervals(
     Raises NotAnInputCell for a range on a non-input and
     CyclicDependency for cyclic programs.
     """
-    order = build_graph(program).topo_order()
-    return _bounds(SpreadsheetInstance(program), spec.input_ranges, order)
+    return _bounds(SpreadsheetInstance(program), spec.input_ranges)
 
 
 def _bounds(
-    instance: SpreadsheetInstance,
-    ranges: Mapping[CellAddress, Interval],
-    order: list[CellAddress],
+    instance: SpreadsheetInstance, ranges: Mapping[CellAddress, Interval]
 ) -> dict[CellAddress, IntervalValue]:
+    order = build_graph(instance.program).topo_order()
     for addr in ranges:
         if not isinstance(instance.program.content(addr), Input):
             raise NotAnInputCell(addr)
@@ -186,10 +184,8 @@ def run_interval_test(instance: SpreadsheetInstance, spec: IntervalSpec) -> Test
     for addr in spec.expected:
         if not isinstance(program.content(addr), Formula):
             raise NotAFormulaCell(addr)
-    graph = build_graph(program)
-    order = graph.topo_order()
-    values = eval_in_order(instance, order).values
-    bounds = _bounds(instance, spec.input_ranges, order)
+    values = eval_instance(instance).values
+    bounds = _bounds(instance, spec.input_ranges)
     verdicts = {
         addr: judge(values[addr], spec.expected[addr], bounds[addr])
         if addr in spec.expected
@@ -204,7 +200,7 @@ def run_interval_test(instance: SpreadsheetInstance, spec: IntervalSpec) -> Test
             bounding=bounds[addr],
             expected=spec.expected.get(addr),
             verdict=verdict,
-            suspects=_suspects(graph, addr, symptomatic) if addr in symptomatic else (),
+            suspects=_suspects(build_graph(program), addr, symptomatic) if addr in symptomatic else (),
         )
         for addr, verdict in verdicts.items()
     )

@@ -1,7 +1,7 @@
 """The evaluator as it stood before its loop read the program's map
 directly, kept as an oracle.
 
-``tests/test_eval_oracle.py`` runs the package's ``eval_in_order`` and
+``tests/test_eval_oracle.py`` runs the package's ``eval_instance`` and
 ``evaluate`` against these on every program it has: each must give
 equal values, in the same key order, and equal notes.
 

@@ -569,10 +569,11 @@ class TestBuildOnce:
 
     # Counted per code object, as pstats merges functions that share a
     # file, line and name; a per_program function by the one it wraps,
-    # which runs only when the program's memo misses.
+    # which runs only when the program's memo misses, and the topo
+    # order by its sort, however often `topo_order` is called.
     BUILDERS = {
         "DependencyGraph.__init__": DependencyGraph.__init__.__code__,
-        "DependencyGraph.topo_order": DependencyGraph.topo_order.__code__,
+        "DependencyGraph._sorted": DependencyGraph._sorted.func.__code__,
         "infer_physical_areas": infer_physical_areas.__wrapped__.__code__,
         "infer_logical_areas": infer_logical_areas.__wrapped__.__code__,
         "structural_groups": structural_groups.__wrapped__.__code__,
@@ -590,7 +591,7 @@ class TestBuildOnce:
             "formula_reads",
         },
         "test": {
-            "DependencyGraph.__init__", "DependencyGraph.topo_order", "cell_index",
+            "DependencyGraph.__init__", "DependencyGraph._sorted", "cell_index",
             "formula_reads",
         },
     }

@@ -1,5 +1,7 @@
 """Dependency graph tests: reachability, ordering, cycle witnesses."""
 
+import pickle
+
 import pytest
 
 from sheetlint.dataflow import CyclicDependency, build_graph
@@ -155,3 +157,27 @@ class TestCycles:
 
     def test_acyclic_program_has_no_witness(self):
         build_graph(load_program(DIAMOND)).topo_order()
+
+
+class TestBuiltOncePerProgram:
+    def test_graph_and_order_are_shared(self):
+        prog = load_program(DIAMOND)
+        graph = build_graph(prog)
+        assert build_graph(prog) is graph
+        assert graph.topo_order() is graph.topo_order()
+
+    def test_cyclic_program_raises_on_every_call(self):
+        prog = load_program("A1 = =B1+1\nB1 = =A1+1\nC1 = =A1\n")
+        raised = []
+        for _ in range(3):
+            with pytest.raises(CyclicDependency) as info:
+                build_graph(prog).topo_order()
+            raised.append(info.value)
+        assert len(set(map(id, raised))) == 3
+        assert [addrs(err.cycle) for err in raised] == [["A1", "B1"]] * 3
+
+    def test_program_pickles_after_sorting(self):
+        prog = load_program(DIAMOND)
+        order = build_graph(prog).topo_order()
+        copy = pickle.loads(pickle.dumps(prog))
+        assert copy == prog and build_graph(copy).topo_order() == order

@@ -4,9 +4,9 @@
 division by zero.  Here both commands are held to the full evaluation:
 on seeded sheets built around zero divisors and AVGs over labels and
 gaps, and on crafted cases, their findings must equal `detect_all` over
-`eval_instance`.  A gate then requires that sheets with no division
-evaluate no formula at all, and that a sheet with one division
-evaluates every formula.
+`eval_instance`, and so must `detect_all` left to evaluate on its own.
+A gate then requires that sheets with no division evaluate no formula
+at all, and that a sheet with one division evaluates every formula.
 """
 
 import contextlib
@@ -104,6 +104,7 @@ def full_evaluation(text: str):
 def assert_matches_full_evaluation(text: str, path) -> None:
     path.write_text(text)
     program, diagnostics = full_evaluation(text)
+    assert detect_all(program) == diagnostics, text
     code, out = run(["check", str(path), "--format", "json"])
     sheet = report.Input(str(path), text.encode())
     assert out == report.to_json(report.check_json(program, diagnostics, [sheet])), text

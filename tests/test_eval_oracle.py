@@ -2,7 +2,7 @@
 
 On every fixture, 300 corpus programs, the injection cases, filled-down
 and subtotal-block sheets and a sheet of every fault, the concrete run
-(``eval_in_order``) and the interval run (``evaluate`` over input
+(``eval_instance``) and the interval run (``evaluate`` over input
 ranges) must each give what the earlier evaluator gave: equal values,
 in the same key order, and equal notes.
 """
@@ -15,7 +15,7 @@ import corpus
 import eval_oracle
 import injection
 from sheetlint.dataflow import CyclicDependency, build_graph
-from sheetlint.evaluator import Fault, FaultKind, Interval, NoteKind, eval_in_order, evaluate
+from sheetlint.evaluator import Fault, FaultKind, Interval, NoteKind, eval_instance, evaluate
 from sheetlint.intervals import load_interval_spec
 from sheetlint.model import instantiate, load_program
 from test_scaling import filled_down, subtotal_blocks
@@ -100,7 +100,7 @@ def test_evaluator_matches_the_oracle(source):
             cyclic.append(name)
             continue
         instance = instantiate(program)
-        new, old = eval_in_order(instance, order), eval_oracle.eval_in_order(instance, order)
+        new, old = eval_instance(instance), eval_oracle.eval_in_order(instance, order)
         assert list(new.values.items()) == list(old.values.items()), name
         assert new.notes == old.notes, name
         ranges = _ranges(program, spec_text)
@@ -116,7 +116,7 @@ def test_the_fault_sheet_reaches_every_fault_and_note():
     program = load_program(FAULTS)
     order = build_graph(program).topo_order()
     instance = instantiate(program)
-    concrete = eval_in_order(instance, order)
+    concrete = eval_instance(instance)
     notes = list(concrete.notes)
     held = evaluate(instance, order, _ranges(program, FAULTS_SPEC), notes)
     values = [*concrete.values.values(), *held.values()]

@@ -19,7 +19,7 @@ from sheetlint.areas import infer_logical_areas, infer_physical_areas
 from sheetlint.cli import main
 from sheetlint.dataflow import CyclicDependency, build_graph
 from sheetlint.detectors import detect_all
-from sheetlint.evaluator import eval_in_order, eval_instance
+from sheetlint.evaluator import eval_instance
 from sheetlint.intervals import load_interval_spec, run_interval_test
 from sheetlint.model import instantiate, load_program, render_content
 from sheetlint import report
@@ -334,7 +334,7 @@ def dot_inputs(program):
     """What `sheetlint graph` hands a DOT renderer, cyclic sheets included."""
     graph = build_graph(program)
     try:
-        result = eval_in_order(instantiate(program), graph.topo_order())
+        result = eval_instance(instantiate(program))
     except CyclicDependency as err:
         result = err
     physical, logical = infer_physical_areas(program), infer_logical_areas(program)
