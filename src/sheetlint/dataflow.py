@@ -9,9 +9,10 @@ A formula depends on the cells, not on whether something is there yet.
 
 The graph keeps each range as one rectangle.  Only formulas need
 ranking: every other cell has no precedents.  So the edges between
-formulas are found through the program's occupied-cell index, and the
-cell-level nodes, edges and precedents are derived from the rectangles
-when asked for.  A topological order lists the non-empty cells only.
+formulas are found through the program's occupied-cell index.  Each
+formula's sources, the cells and empty runs it reads, are listed once,
+when first asked for; the nodes, edges and precedents all read them.
+A topological order lists the non-empty cells only.
 Nodes sort by ``scl.rect_key``: row-major by their top-left cells.
 The graph is built once per program and sorted once, so callers must
 not mutate the list ``topo_order()`` returns.
@@ -86,13 +87,10 @@ class DependencyGraph:
 
     @functools.cached_property
     def nodes(self) -> set[Node]:
-        """Every non-empty cell, every cell a formula references and
-        every empty run a formula's range reads."""
+        """Every non-empty cell and everything a formula reads."""
         nodes = {*self._leaves, *self._reads}
-        for refs, ranges in self._reads.values():
-            nodes.update(refs)
-            for _, rect in ranges:
-                nodes.update(self._index.empty_runs(rect))
+        for target in self._reads:
+            nodes.update(self._sources(target))
         return nodes
 
     def edges(self) -> Iterator[tuple[Node, CellAddress]]:

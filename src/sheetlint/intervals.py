@@ -26,7 +26,7 @@ import re
 from enum import Enum
 from typing import Mapping
 
-from .dataflow import build_graph
+from .dataflow import DependencyGraph, Node, build_graph
 from .errors import SheetLintError
 from .evaluator import (
     Fault,
@@ -193,6 +193,7 @@ def run_interval_test(instance: SpreadsheetInstance, spec: IntervalSpec) -> Test
         for addr, _ in program.formula_cells()
     }
     symptomatic = {addr for addr, v in verdicts.items() if v in SYMPTOMS}
+    graph = build_graph(program)
     rows = tuple(
         CellTest(
             cell=addr,
@@ -200,15 +201,17 @@ def run_interval_test(instance: SpreadsheetInstance, spec: IntervalSpec) -> Test
             bounding=bounds[addr],
             expected=spec.expected.get(addr),
             verdict=verdict,
-            suspects=_suspects(build_graph(program), addr, symptomatic) if addr in symptomatic else (),
+            suspects=_suspects(graph, addr, symptomatic) if addr in symptomatic else (),
         )
         for addr, verdict in verdicts.items()
     )
     return TestReport(rows)
 
 
-def _suspects(graph, addr: CellAddress, symptomatic: set[CellAddress]):
-    distance: dict[CellAddress, int] = {}
+def _suspects(
+    graph: DependencyGraph, addr: CellAddress, symptomatic: set[CellAddress]
+) -> tuple[Node, ...]:
+    distance: dict[Node, int] = {}
     frontier = [addr]
     step = 0
     while frontier:

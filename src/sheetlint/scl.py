@@ -838,10 +838,11 @@ def map_refs(
 
     ``ref_fn`` maps the reference of each Reference leaf and
     ``range_fn`` the range of each RangeArg leaf; operators, calls, and
-    literals keep their shape.
+    literals keep their shape.  The new tree is built from the listing,
+    as ``normalize`` builds; any other leaf raises TypeError.
     """
 
-    def rebuild(n: FormulaNode, children: list) -> FormulaNode:
+    def leaf(n: FormulaNode) -> FormulaNode:
         kind = type(n)
         if kind is Reference:
             return Reference(ref_fn(n.ref))
@@ -849,15 +850,9 @@ def map_refs(
             return RangeArg(range_fn(n.rng))
         if kind is NumberLiteral:
             return n
-        if kind is BinaryOp:
-            return BinaryOp(n.op, *children)
-        if kind is Negate:
-            return Negate(*children)
-        if kind is Call:
-            return Call(n.name, tuple(children))
         raise TypeError(f"not a formula node: {n!r}")
 
-    return fold(node, rebuild)
+    return _rebuild(_listing(node, leaf))
 
 
 def normalize(node: FormulaNode, origin: CellAddress) -> FormulaNode:

@@ -25,7 +25,7 @@ from sheetlint.detectors import (
     detect_incorrect_range,
     detect_wrong_type_in_range,
 )
-from sheetlint.model import Formula, Label, cell_index, content_kind, load_program
+from sheetlint.model import Formula, Label, cell_index, content_kind, load_program, render_program
 from sheetlint.scl import CellRef, RangeArg, RangeRef, Reference, iter_nodes, parse_address, row_major
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
@@ -146,13 +146,26 @@ def named_programs(request):
     return SOURCES[request.param]
 
 
+# Each source read nodes first, and a freshly loaded copy of it read
+# edges first: ``nodes`` reads the sources cache that ``edges()`` fills.
+GRAPH_READS = [pytest.param(source, False, id=source) for source in sorted(SOURCES)] + [
+    pytest.param(source, True, id=f"{source}-edges-first") for source in sorted(SOURCES)
+]
+
+
 class TestAgainstOracle:
-    def test_graph(self, named_programs):
-        for name, program in named_programs:
+    @pytest.mark.parametrize("source, edges_first", GRAPH_READS)
+    def test_graph(self, source, edges_first):
+        for name, program in SOURCES[source]:
             nodes, precedents, edges = oracle_graph(program)
-            graph = build_graph(program)
-            assert graph.nodes == nodes, name
-            assert list(graph.edges()) == edges, name
+            if edges_first:
+                graph = build_graph(load_program(render_program(program)))
+                assert list(graph.edges()) == edges, name
+                assert graph.nodes == nodes, name
+            else:
+                graph = build_graph(program)
+                assert graph.nodes == nodes, name
+                assert list(graph.edges()) == edges, name
             for node in nodes:
                 assert graph.precedents(node) == precedents[node], (name, node)
 

@@ -498,6 +498,12 @@ class TestMapRefs:
         assert map_refs(tree, ref_fn, range_fn) == tree
         assert seen == ["A1", "B1:C2", "$D$3"]
 
+    def test_rejects_a_leaf_that_is_not_a_node(self):
+        # A str passed through would read as an operator token.
+        tree = BinaryOp("+", Reference(CellRef(1, 1)), "x")
+        with pytest.raises(TypeError, match="not a formula node: 'x'"):
+            map_refs(tree, lambda r: r, lambda r: r)
+
 
 class TestSkeleton:
     def test_erases_offsets_and_literals(self):
