@@ -12,10 +12,16 @@ ranking: every other cell has no precedents.  So the edges between
 formulas are found through the program's occupied-cell index.  Each
 formula's sources, the cells and empty runs it reads, are listed once,
 when first asked for; the nodes, edges and precedents all read them.
-A topological order lists the non-empty cells only.
+A topological order lists the non-empty cells only, ties broken
+row-major.  On a sheet laid out top-down, where each formula's
+references to formulas and the bottom-right corner of each of its
+ranges come before it row-major, that order is the other cells and
+then the formulas, each row-major, found in one pass with no edges
+built; otherwise a min-heap sort over the edges between formulas finds
+it, or a cycle.
 Nodes sort by ``scl.rect_key``: row-major by their top-left cells.
-The graph is built once per program and sorted once, so callers must
-not mutate the list ``topo_order()`` returns.
+The graph is built once per program and its order found once, so
+callers must not mutate the list ``topo_order()`` returns.
 
 What each formula reads is listed once per program, in one walk of its
 tree, by ``formula_reads``; the graph, D1, the physical areas and D4
@@ -90,7 +96,7 @@ class DependencyGraph:
         """Every non-empty cell and everything a formula reads."""
         nodes = {*self._leaves, *self._reads}
         for target in self._reads:
-            nodes.update(self._sources(target))
+            nodes.update(self.sources(target))
         return nodes
 
     def edges(self) -> Iterator[tuple[Node, CellAddress]]:
@@ -99,7 +105,7 @@ class DependencyGraph:
         dependents: dict[Node, list[CellAddress]] = {}
         # Formulas come row-major, so each list is built in order.
         for target in self._reads:
-            for source in self._sources(target):
+            for source in self.sources(target):
                 dependents.setdefault(source, []).append(target)
         for source in sorted(dependents, key=rect_key):
             for target in dependents[source]:
@@ -107,10 +113,12 @@ class DependencyGraph:
 
     def precedents(self, node: Node) -> set[Node]:
         """What a node reads directly: nothing unless it is a formula."""
-        return set(self._sources(node))
+        return set(self.sources(node))
 
-    def _sources(self, node: Node) -> tuple[Node, ...]:
-        # Built once per formula, on first use; other nodes read nothing.
+    def sources(self, node: Node) -> tuple[Node, ...]:
+        """What a node reads directly, each once, in no set order: the
+        tuple is built once per formula, on first use, and shared by
+        every caller.  Other nodes read nothing."""
         found = self._sources_cache.get(node)
         if found is None:
             if node not in self._reads:
@@ -128,8 +136,12 @@ class DependencyGraph:
 
         Cells other than formulas read nothing, so they come first in
         row-major order; the formulas follow, each after the formulas
-        it reads, ties broken row-major.  The order is a pure function
-        of the program, sorted once: every call returns the same list.
+        it reads, ties broken row-major: of the formulas whose
+        precedents are placed, the row-major first comes next.  Where
+        every formula reads only cells before it row-major, that is the
+        formulas row-major, taken without a sort.  The order is a
+        pure function of the program, found once: every call returns
+        the same list.
         Raises a new CyclicDependency with a witness cycle each call.
         """
         order, cycle = self._sorted
@@ -143,6 +155,10 @@ class DependencyGraph:
         # would hold this graph through its traceback once raised.  The
         # edges between formulas serve only the sort, so none is kept.
         reads = self._reads
+        if not self._reads_ahead():
+            # The first formula not yet placed reads only placed ones,
+            # so the heap would place the formulas row-major.
+            return [*self._leaves, *reads], None
         # Formula -> the formulas it reads; formula -> those reading it.
         precedents: dict[CellAddress, set[CellAddress]] = {}
         dependents: dict[CellAddress, set[CellAddress]] = {}
@@ -167,6 +183,22 @@ class DependencyGraph:
         if len(order) < len(self._leaves) + len(reads):
             return None, _witness_cycle(precedents, set(reads) - set(order))
         return order, None
+
+    def _reads_ahead(self) -> bool:
+        """Whether some formula may read itself or a formula after it in
+        row-major order: directly, or through a range whose bottom-right
+        corner, its row-major last cell, lies at or after it.  Every
+        cycle holds one."""
+        reads = self._reads
+        for host, (refs, ranges) in reads.items():
+            at = row_major(host)
+            for ref in refs:
+                if row_major(ref) >= at and ref in reads:
+                    return True
+            for _, rect in ranges:
+                if (rect.end.row, rect.end.col) >= at:
+                    return True
+        return False
 
 
 def _witness_cycle(

@@ -211,23 +211,23 @@ def run_interval_test(instance: SpreadsheetInstance, spec: IntervalSpec) -> Test
 def _suspects(
     graph: DependencyGraph, addr: CellAddress, symptomatic: set[CellAddress]
 ) -> tuple[Node, ...]:
-    distance: dict[Node, int] = {}
-    frontier = [addr]
-    step = 0
-    while frontier:
-        step += 1
-        nxt: list[CellAddress] = []
-        for cell in frontier:
-            for pre in graph.precedents(cell):
-                if pre not in distance and pre != addr:
-                    distance[pre] = step
-                    nxt.append(pre)
-        frontier = nxt
-    ordered = sorted(
-        distance,
-        key=lambda a: (distance[a], 0 if a in symptomatic else 1, rect_key(a)),
-    )
-    return tuple(ordered)
+    # Breadth first, one distance at a time: each level is sorted once,
+    # by rect_key, and its symptomatic cells go first.
+    seen = {addr}
+    suspects: list[Node] = []
+    level = [addr]
+    while level:
+        found = []
+        for cell in level:
+            for pre in graph.sources(cell):
+                if pre not in seen:
+                    seen.add(pre)
+                    found.append(pre)
+        found.sort(key=rect_key)
+        suspects += [node for node in found if node in symptomatic]
+        suspects += [node for node in found if node not in symptomatic]
+        level = found
+    return tuple(suspects)
 
 
 # ---------------------------------------------------------------------------

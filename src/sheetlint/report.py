@@ -452,7 +452,7 @@ def area_graph_dot(
     pairs = set()
     for target in nodes:
         head = group_of.get(target, target)
-        for source in graph.precedents(target):
+        for source in graph.sources(target):
             pairs.add((group_of.get(source, source), head))
     lines.extend(sorted(f'  "{tail}" -> "{head}";' for tail, head in pairs if tail != head))
     lines.append("}")

@@ -704,9 +704,10 @@ class CopyClassReader:
     sharing is not known to be safe, so each tree and each error is
     the one ``parse_formula`` gives:
     - its tree does not hold exactly the split's references, in source
-      order (in ``1E5+A1`` the number takes in what the split reads as
-      the reference ``E5``); a later body of the key is then tried as
-      the first of its class;
+      order (the split passes over a reference right after a digit or
+      ``.``, as the lexer takes the ``E5`` of ``1E5+A1`` into the
+      number; should the two still disagree, the parse decides); a
+      later body of the key is then tried as the first of its class;
     - a row is 0, or has more digits than ``int`` reads;
     - a range's corners, once put in, are out of order, where the
       parser would swap them.
@@ -714,7 +715,9 @@ class CopyClassReader:
 
     def __init__(self) -> None:
         # Compiled through re's cache, so only the first reader pays.
-        self._split = re.compile(_REF).split
+        # A reference right after a digit or '.' is skipped: the lexer
+        # reads the E5 of 1E5 as the number's exponent.
+        self._split = re.compile(r"(?<![0-9.])" + _REF).split
         # Split key -> the class's first host and its tree's template.
         self._classes: dict[tuple, tuple[CellAddress, tuple]] = {}
 

@@ -3,11 +3,13 @@
 The reference the index-based readers are checked against: it walks
 every address a rectangle covers, as the graph, D1, the evaluator and
 the DOT claims did before they read through the occupied-cell index.
+It also keeps `test`'s suspect search as it was before it sorted one
+distance at a time.
 """
 
 from itertools import groupby
 
-from sheetlint.scl import CellAddress, CellRef, RangeRef
+from sheetlint.scl import CellAddress, CellRef, RangeRef, rect_key
 
 
 def node_key(node):
@@ -41,3 +43,26 @@ def parts(program, rect):
     """The occupied cells and empty runs of ``rect``, by ``node_key``."""
     occupied = [addr for addr in rect.cells() if program.content(addr) is not None]
     return sorted(occupied + empty_runs(program, rect), key=node_key)
+
+
+def suspects(graph, addr, symptomatic):
+    """The suspects of a symptomatic cell, found as `test` once did: the
+    distance of every transitive precedent, then one sort of them all by
+    distance, symptomatic first, and ``rect_key``."""
+    distance = {}
+    frontier = [addr]
+    step = 0
+    while frontier:
+        step += 1
+        nxt = []
+        for cell in frontier:
+            for pre in graph.precedents(cell):
+                if pre not in distance and pre != addr:
+                    distance[pre] = step
+                    nxt.append(pre)
+        frontier = nxt
+    ordered = sorted(
+        distance,
+        key=lambda a: (distance[a], 0 if a in symptomatic else 1, rect_key(a)),
+    )
+    return tuple(ordered)

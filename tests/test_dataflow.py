@@ -115,6 +115,35 @@ class TestTopoOrder:
         order = addrs(build_graph(load_program(text)).topo_order())
         assert order == ["A1", "B1", "A2", "B2"]
 
+    def test_formula_reading_to_its_right_waits(self):
+        text = "A1 = =B1+1\nB1 = =C1*2\nC1 = ?3\nA2 = =A1\n"
+        order = addrs(build_graph(load_program(text)).topo_order())
+        assert order == ["C1", "B1", "A1", "A2"]
+
+    def test_range_reaching_below_its_host_waits(self):
+        # B2's range holds A2, above it, and A3, below it.
+        text = "A1 = ?1\nA2 = =A1*2\nB2 = =SUM(A1:A3)\nA3 = =A2+1\nB3 = =B2\n"
+        order = addrs(build_graph(load_program(text)).topo_order())
+        assert order == ["A1", "A2", "A3", "B2", "B3"]
+
+    def test_range_reaching_right_in_its_row_waits(self):
+        text = "A1 = ?1\nA2 = =SUM(B1:C2)\nC2 = =A1+1\n"
+        order = addrs(build_graph(load_program(text)).topo_order())
+        assert order == ["A1", "C2", "A2"]
+
+    def test_top_down_sheet_is_in_order_row_major(self):
+        # Each formula reads only cells above it or to its left: inputs,
+        # running totals, a range ending at its host's left neighbour,
+        # and empty cells.
+        text = (
+            'A1 = "qty"\nB1 = "sum"\nA2 = ?1\nB2 = =SUM(A$2:A2)\nA3 = ?2\n'
+            "B3 = =SUM(A$2:A3)+B2\nC3 = =SUM(A1:B3)\nA5 = =B3*2+Z1\nB5 = =SUM(A1:A5)\n"
+        )
+        order = addrs(build_graph(load_program(text)).topo_order())
+        leaves = ["A1", "B1", "A2", "A3"]
+        formulas = ["B2", "B3", "C3", "A5", "B5"]
+        assert order == leaves + formulas
+
     def test_order_ignores_source_line_order(self):
         lines = DIAMOND.strip().splitlines()
         a = build_graph(load_program("\n".join(lines)))
@@ -141,6 +170,16 @@ class TestCycles:
         with pytest.raises(CyclicDependency) as info:
             build_graph(prog).topo_order()
         assert addrs(info.value.cycle) == ["B2"]
+
+    @pytest.mark.parametrize(
+        "own_read", ["A3+1", "SUM(A1:A3)", "SUM(A2:B4)"], ids=["reference", "range", "range-past-host"]
+    )
+    def test_self_read_below_top_down_rows(self, own_read):
+        # The rows above read only earlier cells; the last reads itself.
+        prog = load_program(f"A1 = ?1\nA2 = =A1*2\nA3 = ={own_read}\n")
+        with pytest.raises(CyclicDependency) as info:
+            build_graph(prog).topo_order()
+        assert addrs(info.value.cycle) == ["A3"]
 
     def test_witness_excludes_downstream_cells(self):
         prog = load_program("A1 = =B1+1\nB1 = =A1+1\nC1 = =A1+B1\n")

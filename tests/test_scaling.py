@@ -12,6 +12,7 @@ linear on it.
 import contextlib
 import cProfile
 import io
+import re
 
 import pytest
 
@@ -66,6 +67,17 @@ def subtotal_blocks(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def copied_subtotals(n: int) -> str:
+    """`subtotal_blocks(n)` with a column of copies above the blocks,
+    `C_k = =B_s` for each subtotal `B_s`, and a total of the copies.
+    The copies read formulas below them, so the sheet is not in
+    topological order row-major and its order takes the heap sort."""
+    lines = [subtotal_blocks(n), 'C1 = "copy"\n']
+    lines += [f"C{k + 2} = =B{11 * k + 11}\n" for k in range(n)]
+    lines.append(f"C{n + 3} = =SUM(C2:C{n + 1})\n")
+    return "".join(lines)
+
+
 def filled_down_spec(n: int) -> str:
     """A range on every quantity of `filled_down(n)` and an expectation
     on every amount; every seventh expectation is unreachable, so its
@@ -117,6 +129,15 @@ def subtotal_blocks_spec(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def copied_subtotals_spec(n: int) -> str:
+    """`subtotal_blocks_spec(n)`, and an unreachable expectation on
+    every seventh copy, whose suspects run through its subtotal to the
+    block's amounts."""
+    lines = [subtotal_blocks_spec(n)]
+    lines += [f"expect C{k + 2} in [-2, -1]\n" for k in range(3, n, 7)]
+    return "".join(lines)
+
+
 def profiled(argv: list[str]) -> tuple[int, int]:
     """Python calls made and bytes printed by one command."""
     out = io.StringIO()
@@ -147,8 +168,14 @@ def assert_linear(command: str, shape, n: int, tmp_path, spec=None) -> None:
 
 @pytest.mark.parametrize(
     "shape, n",
-    [(running_totals, 300), (running_totals, 600), (filled_down, 500), (subtotal_blocks, 150)],
-    ids=["running-300", "running-600", "filled-down-500", "subtotal-blocks-150"],
+    [
+        (running_totals, 300),
+        (running_totals, 600),
+        (filled_down, 500),
+        (subtotal_blocks, 150),
+        (copied_subtotals, 150),
+    ],
+    ids=["running-300", "running-600", "filled-down-500", "subtotal-blocks-150", "copied-subtotals-150"],
 )
 def test_check_grows_linearly(shape, n, tmp_path):
     assert_linear("check", shape, n, tmp_path)
@@ -172,13 +199,21 @@ def test_commands_grow_linearly_on_subtotal_blocks(command, tmp_path):
     assert_linear(command, subtotal_blocks, 150, tmp_path, spec)
 
 
+def test_test_grows_linearly_on_copied_subtotals(tmp_path):
+    assert_linear("test", copied_subtotals, 150, tmp_path, copied_subtotals_spec)
+
+
 def test_filled_down_rows_parse_once_per_copy_class():
     # The 500 amounts `=B_r*C_r` are one copy class.  So are the two
     # totals: `=SUM(B2:B501)` at B503 and `=SUM(D2:D501)` at D503 read
-    # the same offsets from their cells.
-    profile = cProfile.Profile()
-    program = profile.runcall(load_program, filled_down(500))
-    calls = sum(
-        entry.callcount for entry in profile.getstats() if entry.code is parse_formula.__code__
-    )
-    assert (calls, sum(1 for _ in program.formula_cells())) == (2, 502)
+    # the same offsets from their cells.  Amounts `=B_r*1e5` are one
+    # class too: the number's exponent `e5` is no reference.
+    priced = filled_down(500)
+    scaled = re.sub(r"=B([0-9]+)\*C[0-9]+", r"=B\1*1e5", priced)
+    for text in (priced, scaled):
+        profile = cProfile.Profile()
+        program = profile.runcall(load_program, text)
+        calls = sum(
+            entry.callcount for entry in profile.getstats() if entry.code is parse_formula.__code__
+        )
+        assert (calls, sum(1 for _ in program.formula_cells())) == (2, 502)
