@@ -37,7 +37,6 @@ from .scl import (
     RangeRef,
     Skeleton,
     copy_key,
-    row_major,
     skeleton,
     value_type,
 )
@@ -135,6 +134,15 @@ def skeletons(program: SpreadsheetProgram) -> dict[CellAddress, Skeleton]:
     return _per_copy_class(program, lambda tree, _: skeleton(tree))
 
 
+def _groups(keys: dict[CellAddress, object]) -> list[list[CellAddress]]:
+    """The formula cells that share a key, two or more per group.  The
+    keys run row-major, so the groups come by their first members."""
+    groups: dict[object, list[CellAddress]] = {}
+    for addr, key in keys.items():
+        groups.setdefault(key, []).append(addr)
+    return [members for members in groups.values() if len(members) >= 2]
+
+
 @per_program
 def infer_logical_areas(program: SpreadsheetProgram) -> list[LogicalArea]:
     """Maximal groups of two or more copy-equivalent formulas.
@@ -142,16 +150,10 @@ def infer_logical_areas(program: SpreadsheetProgram) -> list[LogicalArea]:
     Members need not be adjacent; the hull is the bounding rectangle.
     Each formula cell belongs to at most one area.
     """
-    groups: dict[CopyKey, list[CellAddress]] = {}
-    for addr, key in copy_keys(program).items():
-        groups.setdefault(key, []).append(addr)
-    areas = [
+    return [
         LogicalArea(members=tuple(members), hull=_hull(members))
-        for members in groups.values()
-        if len(members) >= 2
+        for members in _groups(copy_keys(program))
     ]
-    areas.sort(key=lambda area: row_major(area.members[0]))
-    return areas
 
 
 class UnionBox(value_type("UnionBox", "c1 r1 c2 r2 area ranges")):
@@ -242,13 +244,4 @@ def _transposed(parts: list[list]) -> list[list]:
 @per_program
 def structural_groups(program: SpreadsheetProgram) -> list[StructuralGroup]:
     """Maximal groups of two or more shape-alike formulas."""
-    groups: dict[Skeleton, list[CellAddress]] = {}
-    for addr, shape in skeletons(program).items():
-        groups.setdefault(shape, []).append(addr)
-    out = [
-        StructuralGroup(members=tuple(members))
-        for members in groups.values()
-        if len(members) >= 2
-    ]
-    out.sort(key=lambda group: row_major(group.members[0]))
-    return out
+    return [StructuralGroup(members=tuple(members)) for members in _groups(skeletons(program))]

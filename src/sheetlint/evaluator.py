@@ -56,6 +56,7 @@ from .model import (
     Formula,
     Input,
     Label,
+    NotAnInputCell,
     SpreadsheetInstance,
     SpreadsheetProgram,
     cell_index,
@@ -401,20 +402,25 @@ def _reads_no_number(arg: FormulaNode, cells: Mapping, index: CellIndex) -> bool
 
 def evaluate(
     instance: SpreadsheetInstance,
-    order: list[CellAddress],
     ranges: Mapping[CellAddress, Interval],
     notes: list[RuntimeNote],
 ) -> dict[CellAddress, _Held]:
-    """Run the walker over every non-empty cell, in a topological order.
+    """Run the walker over every non-empty cell, in the graph's topological order.
 
     Constants are degenerate intervals, inputs take their range from
     ``ranges`` or else sit at their value in the instance, labels are
     Text, and formulas hold an Interval or a Fault.  Notes are appended
-    in evaluation order, as the module docstring sets out.
+    in evaluation order, as the module docstring sets out.  Raises
+    CyclicDependency for a reference loop, then NotAnInputCell for a
+    range on a non-input.
     """
     program = instance.program
+    order = build_graph(program).topo_order()
     index = cell_index(program)
     content_at = program.cells.get
+    for addr in ranges:
+        if not isinstance(content_at(addr), Input):
+            raise NotAnInputCell(addr)
     bound = instance.bindings.get
     held: dict[CellAddress, _Held] = {}
     # A number the loader or the instance holds is finite, so its point
@@ -437,7 +443,7 @@ def evaluate(
                 value = bound(addr, content.default)
                 box = point(Interval, (value, value))
             held[addr] = box
-        elif content is not None:
+        else:
             held[addr] = Text(content.text)
     return held
 
@@ -447,11 +453,10 @@ def eval_instance(instance: SpreadsheetInstance) -> EvalResult:
 
     Raises CyclicDependency when formulas form a reference loop.
     """
-    order = build_graph(instance.program).topo_order()
     notes: list[RuntimeNote] = []
     new = tuple.__new__
     values = {
         addr: new(Number, (value[0],)) if type(value) is Interval else value
-        for addr, value in evaluate(instance, order, {}, notes).items()
+        for addr, value in evaluate(instance, {}, notes).items()
     }
     return EvalResult(values, tuple(notes))

@@ -52,6 +52,7 @@ from .scl import (
     CellAddress,
     MalformedAddress,
     RangeRef,
+    _ADDRESS,
     column_number,
     parse_address,
     rect_key,
@@ -89,22 +90,12 @@ def eval_intervals(
     tree computes, or to a Fault when it cannot.  Labels and empty
     cells do not appear in the result.
 
-    Raises NotAnInputCell for a range on a non-input and
-    CyclicDependency for cyclic programs.
+    Raises CyclicDependency for cyclic programs, then NotAnInputCell
+    for a range on a non-input.
     """
-    return _bounds(SpreadsheetInstance(program), spec.input_ranges)
-
-
-def _bounds(
-    instance: SpreadsheetInstance, ranges: Mapping[CellAddress, Interval]
-) -> dict[CellAddress, IntervalValue]:
-    order = build_graph(instance.program).topo_order()
-    for addr in ranges:
-        if not isinstance(instance.program.content(addr), Input):
-            raise NotAnInputCell(addr)
     return {
         addr: value
-        for addr, value in evaluate(instance, order, ranges, []).items()
+        for addr, value in evaluate(SpreadsheetInstance(program), spec.input_ranges, []).items()
         if isinstance(value, (Interval, Fault))
     }
 
@@ -185,7 +176,8 @@ def run_interval_test(instance: SpreadsheetInstance, spec: IntervalSpec) -> Test
         if not isinstance(program.content(addr), Formula):
             raise NotAFormulaCell(addr)
     values = eval_instance(instance).values
-    bounds = _bounds(instance, spec.input_ranges)
+    # A formula holds an Interval or a Fault, never Blank or Text.
+    bounds = evaluate(instance, spec.input_ranges, [])
     verdicts = {
         addr: judge(values[addr], spec.expected[addr], bounds[addr])
         if addr in spec.expected
@@ -242,7 +234,7 @@ _SPEC_LINE = r"(input|expect)\s+(\S+)\s+in\s+\[([^,\]]*),([^,\]]*)\]\Z"
 # Compiled by the first call, through re's cache, so that only `test`
 # pays for it.
 _SPEC_ENTRY = (
-    rf"\s*(input|expect)\s+([A-Za-z]+)([0-9]+)\s+in\s+\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]\s*\Z"
+    rf"\s*(input|expect)\s+{_ADDRESS}\s+in\s+\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]\s*\Z"
 )
 
 

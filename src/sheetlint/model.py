@@ -34,6 +34,8 @@ from .scl import (
     FormulaNode,
     MalformedAddress,
     RangeRef,
+    _ADDRESS,
+    _UNSIGNED,
     column_number,
     format_number,
     parse_address,
@@ -357,9 +359,8 @@ def instantiate(
 # ---------------------------------------------------------------------------
 # The .sheet format
 
-# A number as both formats write it.  Digits are ASCII only, as in
-# formulas: \d would also take other scripts'.
-_NUMBER = r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# A number as both formats write it: a formula's, with a sign.
+_NUMBER = rf"[+-]?{_UNSIGNED}"
 
 # The one reader of a well-formed ``ADDR = CONTENT`` line, in one
 # match: the address's letters and digits, then a '#' or '?' with its
@@ -367,7 +368,7 @@ _NUMBER = r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # str.isspace, so it skips the whitespace ``_line_error`` strips; that
 # explainer only names what is wrong with a line this rejects.
 _CELL_LINE_RE = re.compile(
-    rf'\s*([A-Za-z]+)([0-9]+)\s*=\s*(?:([#?])\s*({_NUMBER})\s*|"(.*)"\s*|=(.*))\Z'
+    rf'\s*{_ADDRESS}\s*=\s*(?:([#?])\s*({_NUMBER})\s*|"(.*)"\s*|=(.*))\Z'
 )
 
 

@@ -167,7 +167,13 @@ class CellAddress(namedtuple("CellAddress", "col row")):
 row_major: Callable[[CellAddress], tuple[int, int]] = itemgetter(1, 0)
 
 
-_ADDRESS_RE = re.compile(r"([A-Za-z]+)([0-9]+)\Z")
+# The unsigned number and the address that formulas, the .sheet format
+# and the .intervals format all spell.  Digits are ASCII only: \d would
+# also take the digits of other scripts.
+_UNSIGNED = r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_ADDRESS = r"([A-Za-z]+)([0-9]+)"
+
+_ADDRESS_RE = re.compile(rf"{_ADDRESS}\Z")
 
 
 def parse_address(text: str) -> CellAddress:
@@ -508,15 +514,14 @@ for _inner in (Negate, BinaryOp, Call):
 
 # A reference: its column marker, letters, row marker and digits, one
 # group each.  The lexer's "ref" token and the copy-class reader's split
-# both read references with it.  Digits are ASCII only: \d would also
-# take the digits of other scripts.
+# both read references with it.
 _REF = r"(\$?)([A-Za-z]+)(\$?)([0-9]+)"
 
 # One token after any whitespace (\s, which agrees with str.isspace).
 # A reference's four parts are groups 3 to 6.
 _TOKEN_RE = re.compile(
     rf"""\s*(?:
-      (?P<number>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
+      (?P<number>{_UNSIGNED})
     | (?P<ref>{_REF})
     | (?P<name>[A-Za-z]+)
     | (?P<symbol>[-+*/(),:])
@@ -779,9 +784,7 @@ def _template(tree: FormulaNode) -> tuple[tuple, list[CellRef]]:
 # ---------------------------------------------------------------------------
 # Rendering
 
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_UNARY = 3
+# Above every operator the parser ranks, so an atom is never bracketed.
 _PREC_ATOM = 4
 
 
@@ -803,10 +806,11 @@ def _render(node: FormulaNode, children: list) -> tuple[str, int]:
         return str(node.rng), _PREC_ATOM
     if kind is Negate:
         ((child, prec),) = children
-        return "-" + (f"({child})" if prec < _PREC_UNARY else child), _PREC_UNARY
+        neg = _STACKED_PRECEDENCE["neg"]
+        return "-" + (f"({child})" if prec < neg else child), neg
     if kind is BinaryOp:
         (left, left_prec), (right, right_prec) = children
-        prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
+        prec = _BINARY_PRECEDENCE[node.op]
         if left_prec < prec:
             left = f"({left})"
         # Parenthesize an equal-precedence right operand so the tree

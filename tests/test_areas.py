@@ -131,6 +131,16 @@ class TestLogicalAreas:
         areas = infer_logical_areas(prog)
         assert [addrs(a.members) for a in areas] == [["B1", "B2"], ["C1", "D1"]]
 
+    def test_interleaved_areas_ordered_by_first_member(self):
+        # C1 and C3 are copies, and so are C2 and C4.
+        prog = load_program("A1 = #1\nA3 = #3\nC1 = =A1*2\nC2 = =A1+2\nC3 = =A3*2\nC4 = =A3+2\n")
+        # Built from a dict in reverse row-major order, with no copy classes.
+        by_hand = SpreadsheetProgram(dict(reversed(prog.cells.items())))
+        assert by_hand.copy_classes == {}
+        for program in (prog, by_hand):
+            areas = infer_logical_areas(program)
+            assert [addrs(a.members) for a in areas] == [["C1", "C3"], ["C2", "C4"]]
+
 
 class TestStructuralGroups:
     def test_shape_alike_formulas_group(self):
@@ -138,6 +148,15 @@ class TestStructuralGroups:
         groups = structural_groups(prog)
         assert len(groups) == 1
         assert addrs(groups[0].members) == ["C1", "C9"]
+
+    def test_groups_ordered_by_first_member(self):
+        prog = load_program("A1 = #1\nA2 = #2\nC1 = =A1*2\nC2 = =A1+2\nC3 = =A2*3\nC4 = =A2+3\n")
+        # Built from a dict in reverse row-major order, with no copy classes.
+        by_hand = SpreadsheetProgram(dict(reversed(prog.cells.items())))
+        assert by_hand.copy_classes == {}
+        for program in (prog, by_hand):
+            groups = structural_groups(program)
+            assert [addrs(g.members) for g in groups] == [["C1", "C3"], ["C2", "C4"]]
 
     def test_different_operator_splits_the_group(self):
         prog = load_program("A1 = #1\nC1 = =A1+2\nC2 = =A1*2\n")

@@ -105,7 +105,7 @@ def test_evaluator_matches_the_oracle(source):
         assert new.notes == old.notes, name
         ranges = _ranges(program, spec_text)
         new_notes, old_notes = [], []
-        new_held = evaluate(instance, order, ranges, new_notes)
+        new_held = evaluate(instance, ranges, new_notes)
         old_held = eval_oracle.evaluate(instance, order, ranges, old_notes)
         assert list(new_held.items()) == list(old_held.items()), name
         assert new_notes == old_notes, name
@@ -114,11 +114,10 @@ def test_evaluator_matches_the_oracle(source):
 
 def test_the_fault_sheet_reaches_every_fault_and_note():
     program = load_program(FAULTS)
-    order = build_graph(program).topo_order()
     instance = instantiate(program)
     concrete = eval_instance(instance)
     notes = list(concrete.notes)
-    held = evaluate(instance, order, _ranges(program, FAULTS_SPEC), notes)
+    held = evaluate(instance, _ranges(program, FAULTS_SPEC), notes)
     values = [*concrete.values.values(), *held.values()]
     faults = {value.kind for value in values if isinstance(value, Fault)}
     assert faults == set(FaultKind) - {FaultKind.CYCLE}

@@ -1,7 +1,10 @@
 """Interval arithmetic, bounding evaluation, judging, suspects, specs."""
 
+import pathlib
+
 import pytest
 
+from sheetlint.dataflow import CyclicDependency
 from sheetlint.evaluator import (
     DivisorContainsZero,
     EmptyAggregate,
@@ -9,6 +12,7 @@ from sheetlint.evaluator import (
     FaultKind,
     Number,
     eval_instance,
+    evaluate,
     iv_aggregate,
     iv_binop,
     iv_negate,
@@ -26,6 +30,8 @@ from sheetlint.intervals import (
 )
 from sheetlint.model import LoadError, NotAnInputCell, instantiate, load_program
 from sheetlint.scl import parse_address
+
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
 
 def iv(lo, hi):
@@ -294,6 +300,32 @@ class TestRunIntervalTest:
         spec = IntervalSpec({}, {parse_address("A1"): iv(0, 10)})
         with pytest.raises(NotAFormulaCell):
             run_interval_test(instantiate(prog), spec)
+
+
+class TestRangeOnNonInput:
+    """Specs built by hand, since the loader rejects such a range itself."""
+
+    def spec_on(self, name):
+        return IntervalSpec({parse_address(name): iv(0, 1)}, {})
+
+    def test_a_cycle_is_raised_first(self):
+        # B4 is a constant, and B1 -> B2 -> B3 -> B1 a loop.
+        prog = load_program((FIXTURES / "cyclic.sheet").read_text())
+        with pytest.raises(CyclicDependency):
+            eval_intervals(prog, self.spec_on("B4"))
+        with pytest.raises(CyclicDependency):
+            run_interval_test(instantiate(prog), self.spec_on("B4"))
+
+    def test_a_constant_is_rejected_by_every_caller(self):
+        prog = load_program("A1 = #3\nA2 = ?4\nB1 = =A1+A2\n")
+        spec = self.spec_on("A1")
+        with pytest.raises(NotAnInputCell):
+            run_interval_test(instantiate(prog), spec)
+        with pytest.raises(NotAnInputCell):
+            evaluate(instantiate(prog), spec.input_ranges, [])
+        # The input beside it takes its range.
+        bounds = evaluate(instantiate(prog), self.spec_on("A2").input_ranges, [])
+        assert bounds[parse_address("B1")] == iv(3, 4)
 
 
 class TestLoadIntervalSpec:
