@@ -5,8 +5,10 @@
     sheetlint graph  SHEET             dependency graph as DOT
     sheetlint areas  SHEET             inferred areas
 
-Exit codes: 0 clean, 1 findings or symptoms, 2 when an input could not
-be loaded.  Output for the same inputs is byte-identical across runs.
+``main`` reads and loads the sheet, hands the program to the command,
+and writes the report the command returns.  Exit codes: 0 clean, 1
+findings or symptoms, 2 when an input could not be loaded.  Output for
+the same inputs is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from .dataflow import build_graph
 from .detectors import detect_all
 from .errors import SheetLintError
 from .intervals import load_interval_spec, run_interval_test
-from .model import instantiate, load_program
+from .model import SpreadsheetProgram, instantiate, load_program
 from . import report
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("sheet", help="program in .sheet format")
     common.add_argument(
         "--format",
         choices=("text", "json"),
@@ -47,17 +50,14 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", parents=[common], help="run all fault detectors")
-    p_check.add_argument("sheet", help="program in .sheet format")
+    sub.add_parser("check", parents=[common], help="run all fault detectors")
 
     p_test = sub.add_parser("test", parents=[common], help="interval-based testing")
-    p_test.add_argument("sheet", help="program in .sheet format")
     p_test.add_argument("intervals", help="input ranges and expectations")
 
     p_graph = sub.add_parser(
         "graph", parents=[common], help="dependency graph in DOT form (format flag is ignored)"
     )
-    p_graph.add_argument("sheet", help="program in .sheet format")
     p_graph.add_argument(
         "--resolution",
         choices=("cell", "area"),
@@ -65,8 +65,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         help="one node per cell, or one node per inferred area",
     )
 
-    p_areas = sub.add_parser("areas", parents=[common], help="list inferred areas")
-    p_areas.add_argument("sheet", help="program in .sheet format")
+    sub.add_parser("areas", parents=[common], help="list inferred areas")
 
     return parser.parse_args(argv)
 
@@ -101,21 +100,20 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    sheet_text, sheet = _read(args.sheet)
-    program = load_program(sheet_text)
+def _cmd_check(
+    args: argparse.Namespace, program: SpreadsheetProgram, sheet: report.Input
+) -> tuple[str, int]:
     diagnostics = detect_all(program)
     if args.format == "json":
         text = report.to_json(report.check_json(program, diagnostics, [sheet]))
     else:
         text = report.check_text(program, diagnostics, args.sheet)
-    _emit(text, args.output)
-    return 1 if diagnostics else 0
+    return text, 1 if diagnostics else 0
 
 
-def _cmd_test(args: argparse.Namespace) -> int:
-    sheet_text, sheet = _read(args.sheet)
-    program = load_program(sheet_text)
+def _cmd_test(
+    args: argparse.Namespace, program: SpreadsheetProgram, sheet: report.Input
+) -> tuple[str, int]:
     spec_text, spec_input = _read(args.intervals)
     spec = load_interval_spec(spec_text, program)
     test_report = run_interval_test(instantiate(program), spec)
@@ -123,31 +121,28 @@ def _cmd_test(args: argparse.Namespace) -> int:
         text = report.to_json(report.test_json(program, test_report, [sheet, spec_input]))
     else:
         text = report.test_text(test_report, args.sheet, args.intervals)
-    _emit(text, args.output)
-    return 1 if test_report.any_symptom() else 0
+    return text, 1 if test_report.any_symptom() else 0
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    sheet_text, _ = _read(args.sheet)
-    program = load_program(sheet_text)
+def _cmd_graph(
+    args: argparse.Namespace, program: SpreadsheetProgram, sheet: report.Input
+) -> tuple[str, int]:
     diagnostics = detect_all(program)
     dot = report.area_graph_dot if args.resolution == "area" else report.cell_graph_dot
     physical, logical = infer_physical_areas(program), infer_logical_areas(program)
-    _emit(dot(program, build_graph(program), physical, logical, diagnostics), args.output)
-    return 0
+    return dot(program, build_graph(program), physical, logical, diagnostics), 0
 
 
-def _cmd_areas(args: argparse.Namespace) -> int:
-    sheet_text, sheet = _read(args.sheet)
-    program = load_program(sheet_text)
+def _cmd_areas(
+    args: argparse.Namespace, program: SpreadsheetProgram, sheet: report.Input
+) -> tuple[str, int]:
     physical = infer_physical_areas(program)
     logical = infer_logical_areas(program)
     if args.format == "json":
         text = report.to_json(report.areas_json(program, physical, logical, [sheet]))
     else:
         text = report.areas_text(physical, logical, args.sheet)
-    _emit(text, args.output)
-    return 0
+    return text, 0
 
 
 _COMMANDS = {
@@ -173,7 +168,10 @@ def _error_line(text: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        sheet_text, sheet = _read(args.sheet)
+        text, code = _COMMANDS[args.command](args, load_program(sheet_text), sheet)
+        _emit(text, args.output)
+        return code
     except (SheetLintError, OSError) as err:
         _error_line(f"sheetlint: error: {err}")
         return 2

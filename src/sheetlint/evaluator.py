@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .areas import skeletons
 from .dataflow import build_graph
@@ -454,9 +454,14 @@ def eval_instance(instance: SpreadsheetInstance) -> EvalResult:
     Raises CyclicDependency when formulas form a reference loop.
     """
     notes: list[RuntimeNote] = []
-    new = tuple.__new__
-    values = {
-        addr: new(Number, (value[0],)) if type(value) is Interval else value
-        for addr, value in evaluate(instance, {}, notes).items()
-    }
+    values = point_values(evaluate(instance, {}, notes).items())
     return EvalResult(values, tuple(notes))
+
+
+def point_values(held: Iterable[tuple[CellAddress, _Held]]) -> dict[CellAddress, Value]:
+    """A point run's values: each degenerate Interval becomes its Number."""
+    new = tuple.__new__
+    return {
+        addr: new(Number, (value[0],)) if type(value) is Interval else value
+        for addr, value in held
+    }

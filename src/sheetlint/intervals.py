@@ -34,8 +34,8 @@ from .evaluator import (
     IntervalValue,
     Number,
     Value,
-    eval_instance,
     evaluate,
+    point_values,
 )
 from .model import (
     Formula,
@@ -165,24 +165,27 @@ class TestReport(value_type("TestReport", "rows")):
 def run_interval_test(instance: SpreadsheetInstance, spec: IntervalSpec) -> TestReport:
     """Evaluate, bound, and judge every formula cell.
 
-    Inputs without a declared range are held at their bound value.
-    Cells without an expectation come back NOT_JUDGED.  Suspects for a
-    symptomatic cell are its transitive precedents, nearest first, and
-    symptomatic before clean at equal distance; an empty run a range
-    reads is one suspect, as in the dependency graph.
+    d comes from a run over points, and B from a run over the declared
+    input ranges, or, when the spec ranges no input, from the point run
+    itself.  Inputs without a declared range are held at their bound
+    value.  Cells without an expectation come back NOT_JUDGED.
+    Suspects for a symptomatic cell are its transitive precedents,
+    nearest first, and symptomatic before clean at equal distance; an
+    empty run a range reads is one suspect, as in the dependency graph.
     """
     program = instance.program
     for addr in spec.expected:
         if not isinstance(program.content(addr), Formula):
             raise NotAFormulaCell(addr)
-    values = eval_instance(instance).values
     # A formula holds an Interval or a Fault, never Blank or Text.
-    bounds = evaluate(instance, spec.input_ranges, [])
+    points = evaluate(instance, {}, [])
+    bounds = evaluate(instance, spec.input_ranges, []) if spec.input_ranges else points
+    values = point_values((addr, points[addr]) for addr, _ in program.formula_cells())
     verdicts = {
-        addr: judge(values[addr], spec.expected[addr], bounds[addr])
+        addr: judge(value, spec.expected[addr], bounds[addr])
         if addr in spec.expected
         else Verdict.NOT_JUDGED
-        for addr, _ in program.formula_cells()
+        for addr, value in values.items()
     }
     symptomatic = {addr for addr, v in verdicts.items() if v in SYMPTOMS}
     graph = build_graph(program)

@@ -33,7 +33,7 @@ from .dataflow import DependencyGraph, Node
 from .detectors import Diagnostic
 from .evaluator import Blank, Fault, Number, Text, Value
 from .intervals import Interval, TestReport
-from .model import SpreadsheetProgram, cell_index, content_kind, render_content
+from .model import _KINDS, SpreadsheetProgram, cell_index, content_kind, render_content
 from .scl import CellAddress, format_number, rect_key, value_type
 
 TOOL_NAME = "sheetlint"
@@ -143,7 +143,7 @@ def _value_json(value: Value | Interval) -> dict:
 
 
 def _program_json(program: SpreadsheetProgram) -> dict:
-    counts = {"constant": 0, "input": 0, "formula": 0, "label": 0}
+    counts = dict.fromkeys(_KINDS.values(), 0)
     for content in program.cells.values():
         counts[content_kind(content)] += 1
     return {
@@ -303,7 +303,7 @@ def areas_text(
         lines.append(f"physical: {area} (mostly {majority})")
     for area in logical:
         members = " ".join(str(a) for a in area.members)
-        lines.append(f"logical: {len(area.members)} copies in {area.hull}: {members}")
+        lines.append(f"logical: {area}: {members}")
     return "\n".join(lines) + "\n"
 
 

@@ -30,6 +30,7 @@ from sheetlint.areas import (
 from sheetlint import cli
 from sheetlint.cli import main
 from sheetlint.dataflow import DependencyGraph, formula_reads
+from sheetlint.evaluator import evaluate
 from sheetlint.model import cell_index, load_program, render_program, strip_comment
 from sheetlint.scl import (
     RangeRef,
@@ -46,6 +47,8 @@ SCHEMA = json.loads((HERE.parent / "schema" / "report-v1.json").read_text())
 
 QUARTERLY = str(FIXTURES / "quarterly_sums.sheet")
 QUARTERLY_IV = str(FIXTURES / "quarterly_sums.intervals")
+BUDGET = str(FIXTURES / "quarterly_budget.sheet")
+BUDGET_IV = str(FIXTURES / "quarterly_budget.intervals")
 APPENDED = str(FIXTURES / "sales_appended.sheet")
 APPENDED_IV = str(FIXTURES / "sales_appended.intervals")
 CLEAN = str(FIXTURES / "subtotals_two_column.sheet")
@@ -102,6 +105,27 @@ class TestExitCodes:
         bad.write_text("expect B12 in [1, 0]\n")
         assert main(["test", QUARTERLY, str(bad)]) == 2
         assert capsys.readouterr().err.startswith("sheetlint: error:")
+
+    def test_malformed_sheet_reported_before_malformed_spec(self, tmp_path, capsys):
+        # The sheet is loaded before the spec is read: its error wins.
+        sheet = tmp_path / "bad.sheet"
+        sheet.write_text("A1 = #1\nwhat even is this\n")
+        spec = tmp_path / "bad.intervals"
+        spec.write_text("expect B12 in [1, 0]\n")
+        assert main(["test", str(sheet), str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sheetlint: error: line 2: ") and err.count("\n") == 1
+
+    def test_test_help_lists_sheet_before_intervals(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["test", "--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        # Compared through the words, not the layout, which argparse
+        # changes between Python versions.
+        usage = " ".join(out.split("\n\n")[0].split())
+        assert usage.endswith(" sheet intervals")
+        assert out.index("program in .sheet format") < out.index("input ranges and expectations")
 
 
 class TestNotUtf8:
@@ -612,22 +636,29 @@ class TestBuildOnce:
         return calls
 
     # On the cyclic sheet the cycle that stops evaluation is reported
-    # as G_CYCLE without building the graph again.
+    # as G_CYCLE without building the graph again.  No sheet here can
+    # divide by zero, so only `test` evaluates: once over points, and
+    # once more over the ranges when its spec ranges an input.
     @pytest.mark.parametrize(
-        "argv",
+        "argv, evaluations",
         [
-            ["check", RUNNING],
-            ["graph", RUNNING],
-            ["graph", RUNNING, "--resolution", "area"],
-            ["check", CYCLIC],
-            ["graph", CYCLIC],
-            ["areas", RUNNING],
-            ["test", QUARTERLY, QUARTERLY_IV],
+            (["check", RUNNING], 0),
+            (["graph", RUNNING], 0),
+            (["graph", RUNNING, "--resolution", "area"], 0),
+            (["check", CYCLIC], 0),
+            (["graph", CYCLIC], 0),
+            (["areas", RUNNING], 0),
+            (["test", QUARTERLY, QUARTERLY_IV], 1),
+            (["test", BUDGET, BUDGET_IV], 2),
         ],
-        ids=["check", "graph", "graph-area", "check-cyclic", "graph-cyclic", "areas", "test"],
+        ids=[
+            "check", "graph", "graph-area", "check-cyclic", "graph-cyclic", "areas", "test",
+            "test-ranged",
+        ],
     )
-    def test_each_structure_built_once(self, argv):
+    def test_each_structure_built_once(self, argv, evaluations):
         calls = self.calls(argv)
+        assert calls[evaluate.__code__] == evaluations
         built = self.BUILT[argv[0]]
         counts = {name: calls[code] for name, code in self.BUILDERS.items()}
         assert counts == {name: int(name in built) for name in self.BUILDERS}
