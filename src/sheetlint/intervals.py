@@ -177,10 +177,13 @@ def run_interval_test(instance: SpreadsheetInstance, spec: IntervalSpec) -> Test
     for addr in spec.expected:
         if not isinstance(program.content(addr), Formula):
             raise NotAFormulaCell(addr)
-    # A formula holds an Interval or a Fault, never Blank or Text.
+    # A formula holds an Interval or a Fault, never Blank or Text.  Only
+    # the formula cells are read from here on, so the map of every other
+    # cell is let go before the ranged run.
     points = evaluate(instance, {}, [])
+    points = {addr: points[addr] for addr, _ in program.formula_cells()}
     bounds = evaluate(instance, spec.input_ranges, []) if spec.input_ranges else points
-    values = point_values((addr, points[addr]) for addr, _ in program.formula_cells())
+    values = point_values(points.items())
     verdicts = {
         addr: judge(value, spec.expected[addr], bounds[addr])
         if addr in spec.expected

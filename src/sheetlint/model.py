@@ -183,12 +183,6 @@ class SpreadsheetProgram:
             if isinstance(content, Formula):
                 yield addr, content
 
-    def input_cells(self) -> Iterator[tuple[CellAddress, Input]]:
-        """Input cells in row-major order."""
-        for addr, content in self._cells.items():
-            if isinstance(content, Input):
-                yield addr, content
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpreadsheetProgram):
             return NotImplemented
@@ -299,8 +293,7 @@ class SpreadsheetInstance:
     """A program together with concrete values for its inputs.
 
     Inputs without an explicit binding fall back to their declared
-    default.  Two instances are equal when their programs agree and
-    every input carries the same effective value.
+    default.
     """
 
     def __init__(
@@ -324,21 +317,6 @@ class SpreadsheetInstance:
     def bindings(self) -> Mapping[CellAddress, float]:
         """Read-only view of the explicit bindings, in row-major order."""
         return MappingProxyType(self._bindings)
-
-    def input_value(self, addr: CellAddress) -> float:
-        """The effective value of an input cell."""
-        content = self.program.content(addr)
-        if not isinstance(content, Input):
-            raise NotAnInputCell(addr)
-        return self._bindings.get(addr, content.default)
-
-    def _effective(self) -> dict[CellAddress, float]:
-        return {addr: self.input_value(addr) for addr, _ in self.program.input_cells()}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpreadsheetInstance):
-            return NotImplemented
-        return self.program == other.program and self._effective() == other._effective()
 
     def __repr__(self) -> str:
         return f"SpreadsheetInstance({self.program!r}, {len(self._bindings)} bindings)"
@@ -476,20 +454,3 @@ def load_program(text: str) -> SpreadsheetProgram:
                 classes[addr] = first
     return SpreadsheetProgram(cells, classes)
 
-
-def render_program(program: SpreadsheetProgram) -> str:
-    """Write a program back out, one cell per line in row-major order.
-
-    Loading the result reproduces the program.  Raises ValueError,
-    naming the cell, for a label the format cannot spell: one holding a
-    line end, or a ';' that the loader would take as a comment's start.
-    """
-    lines = []
-    for addr, content in program.cells.items():
-        line = f"{addr} = {render_content(content)}"
-        if type(content) is Label and (
-            "\n" in content.text or "\r" in content.text or strip_comment(line) != line
-        ):
-            raise ValueError(f"{addr}: label {content.text!r} has no .sheet spelling")
-        lines.append(line)
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -198,7 +198,9 @@ def evaluate(
         elif isinstance(content, Constant):
             held[addr] = Interval.degenerate(content.value)
         elif isinstance(content, Input):
-            held[addr] = ranges.get(addr) or Interval.degenerate(instance.input_value(addr))
+            held[addr] = ranges.get(addr) or Interval.degenerate(
+                instance.bindings.get(addr, content.default)
+            )
         else:
             held[addr] = Text(content.text)
     return held

@@ -31,7 +31,7 @@ from sheetlint import cli
 from sheetlint.cli import main
 from sheetlint.dataflow import DependencyGraph, formula_reads
 from sheetlint.evaluator import evaluate
-from sheetlint.model import cell_index, load_program, render_program, strip_comment
+from sheetlint.model import cell_index, strip_comment
 from sheetlint.scl import (
     RangeRef,
     column_number,
@@ -782,7 +782,7 @@ def corpus_invocations(tmp_path, count):
     input ranges as an .intervals file."""
     for cp in corpus.corpus(count):
         sheet = tmp_path / f"corpus-{cp.seed}.sheet"
-        sheet.write_text(render_program(cp.program), encoding="utf-8")
+        sheet.write_text(cp.text, encoding="utf-8")
         spec = tmp_path / f"corpus-{cp.seed}.intervals"
         spec.write_text(
             "".join(

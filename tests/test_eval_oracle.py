@@ -17,7 +17,7 @@ import injection
 from sheetlint.dataflow import CyclicDependency, build_graph
 from sheetlint.evaluator import Fault, FaultKind, Interval, NoteKind, eval_instance, evaluate
 from sheetlint.intervals import load_interval_spec
-from sheetlint.model import instantiate, load_program
+from sheetlint.model import Input, instantiate, load_program
 from test_scaling import filled_down, subtotal_blocks
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
@@ -53,7 +53,8 @@ def _widened(program) -> dict:
     """A range about each input's default that holds zero."""
     return {
         addr: Interval(content.default - abs(content.default) - 1, content.default + 1)
-        for addr, content in program.input_cells()
+        for addr, content in program.cells.items()
+        if isinstance(content, Input)
     }
 
 

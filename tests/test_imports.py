@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-and the console module loads no more of the standard library, and
-compiles no more patterns, than it needs."""
+the package exports every public name it imports, and the console
+module loads no more of the standard library, and compiles no more
+patterns, than it needs."""
 
 import ast
 import os
@@ -33,6 +34,18 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported_names(tree) if name not in used] == []
+
+
+def test_the_package_exports_what_it_imports():
+    # `from sheetlint import *` fails on a name __all__ lists that the
+    # package does not bind, and drops a name it binds that __all__
+    # leaves out; so the two lists must name the same things.
+    namespace: dict = {}
+    exec("from sheetlint import *", namespace)
+    assert [name for name in sheetlint.__all__ if name not in namespace] == []
+    tree = ast.parse(pathlib.Path(sheetlint.__file__).read_text(encoding="utf-8"))
+    public = [name for name in imported_names(tree) if not name.startswith("_")]
+    assert [name for name in public if name not in sheetlint.__all__] == []
 
 
 def _after_import(code: str) -> str:

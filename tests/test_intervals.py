@@ -1,9 +1,11 @@
 """Interval arithmetic, bounding evaluation, judging, suspects, specs."""
 
 import pathlib
+import weakref
 
 import pytest
 
+from sheetlint import intervals
 from sheetlint.dataflow import CyclicDependency
 from sheetlint.evaluator import (
     DivisorContainsZero,
@@ -300,6 +302,28 @@ class TestRunIntervalTest:
         spec = IntervalSpec({}, {parse_address("A1"): iv(0, 10)})
         with pytest.raises(NotAFormulaCell):
             run_interval_test(instantiate(prog), spec)
+
+    def test_point_run_is_let_go_before_the_ranged_run(self, monkeypatch):
+        # The point run holds every non-empty cell, and only its formula
+        # cells are read after it, so its map must not stay alive while
+        # the ranged run evaluates.
+        class Held(dict):
+            pass
+
+        runs = []
+        alive = []
+
+        def tracked(instance, ranges, notes):
+            alive.append([run() is not None for run in runs])
+            held = Held(evaluate(instance, ranges, notes))
+            runs.append(weakref.ref(held))
+            return held
+
+        monkeypatch.setattr(intervals, "evaluate", tracked)
+        inst, spec = self.appended_sales()
+        report = run_interval_test(inst, spec)
+        assert alive == [[], [False]]
+        assert report.rows[0].verdict is Verdict.SYMPTOM_VALUE_OUTSIDE
 
 
 class TestRangeOnNonInput:

@@ -6,7 +6,7 @@ from corpus import corpus, make_program, sample_instance
 from sheetlint.dataflow import build_graph
 from sheetlint.evaluator import Fault, Number, eval_instance
 from sheetlint.intervals import Interval, IntervalSpec, Verdict, eval_intervals, judge
-from sheetlint.model import instantiate, load_program, render_program
+from sheetlint.model import instantiate
 from sheetlint.scl import normalize, skeleton, translate
 
 PROGRAMS = corpus(10, base_seed=4000)
@@ -79,15 +79,6 @@ class TestVerdictAlgebra:
                 assert verdict is Verdict.SYMPTOM_VALUE_OUTSIDE
             else:
                 assert verdict is Verdict.SYMPTOM_BOTH
-
-
-class TestRenderRoundTrip:
-    def test_programs_survive_render_and_reload(self):
-        for cp in PROGRAMS:
-            text = render_program(cp.program)
-            again = load_program(text)
-            assert again == cp.program, cp.seed
-            assert render_program(again) == text, cp.seed
 
 
 class TestNormalizeTranslate:

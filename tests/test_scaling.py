@@ -6,7 +6,8 @@ may at most about double the Python calls made and the bytes printed.
 Call counts are deterministic, so this gate tells linear growth from
 quadratic without timing anything, and it cannot flake on a busy
 machine.  A shape joins the gate for a command once the command is
-linear on it.
+linear on it.  A shape it is not yet linear on may join as a strict
+xfail naming its ROADMAP defect, which flips when the fix lands.
 """
 
 import contextlib
@@ -78,6 +79,15 @@ def copied_subtotals(n: int) -> str:
     return "".join(lines)
 
 
+def chain(n: int) -> str:
+    """n inputs `A_r = ?1` summed down a chain: `B1 = =A1`, then
+    `B_r = =B_{r-1}+A_r`."""
+    lines = ["A1 = ?1", "B1 = =A1"]
+    for r in range(2, n + 1):
+        lines += [f"A{r} = ?1", f"B{r} = =B{r - 1}+A{r}"]
+    return "\n".join(lines) + "\n"
+
+
 def filled_down_spec(n: int) -> str:
     """A range on every quantity of `filled_down(n)` and an expectation
     on every amount; every seventh expectation is unreachable, so its
@@ -98,9 +108,8 @@ def running_totals_spec(n: int) -> str:
 
     A symptom lists every amount above it as a suspect, so a spec with
     a symptom on every k-th total prints suspect lists that grow as
-    n^2/k; such a spec can join the gate once the suspect search stops
-    at the nearest symptom.  One symptom keeps this gate on the cost of
-    evaluating, bounding and judging every total."""
+    n^2/k (`running_totals_symptoms_spec`).  One symptom keeps this
+    gate on the cost of evaluating, bounding and judging every total."""
     lines = []
     bound = 0
     for r in range(2, n + 2):
@@ -112,6 +121,26 @@ def running_totals_spec(n: int) -> str:
         elif r != n // 3:
             lines.append(f"expect B{r} in [0, {bound}]")
     return "\n".join(lines) + "\n"
+
+
+def running_totals_symptoms_spec(n: int) -> str:
+    """A range on every amount of `running_totals(n)`, and an
+    unreachable expectation on every seventh total, so that each of
+    those is a symptom whose suspects are every amount above it."""
+    lines = []
+    for r in range(2, n + 2):
+        if r != n // 2:
+            lines.append(f"input A{r} in [0, {r % 97 + 2}]")
+        if r % 7 == 0 and r != n // 3:
+            lines.append(f"expect B{r} in [-1, -1]")
+    return "\n".join(lines) + "\n"
+
+
+def chain_spec(n: int) -> str:
+    """Every link of `chain(n)` expected in [0, 1], so that each link
+    past the first is a symptom whose suspects are the links and inputs
+    above it."""
+    return "".join(f"expect B{r} in [0, 1]\n" for r in range(1, n + 1))
 
 
 def subtotal_blocks_spec(n: int) -> str:
@@ -148,9 +177,10 @@ def profiled(argv: list[str]) -> tuple[int, int]:
     return calls, len(out.getvalue().encode("utf-8"))
 
 
-def assert_linear(command: str, shape, n: int, tmp_path, spec=None) -> None:
-    """`command --format json` on the shape at n and 2n rows grows at
-    most MAX_GROWTH-fold in calls and in bytes."""
+def assert_linear(command: str, shape, n: int, tmp_path, spec=None, options=()) -> None:
+    """`command --format json`, with ``options`` after the files, on the
+    shape at n and 2n rows grows at most MAX_GROWTH-fold in calls and
+    in bytes."""
     measured = []
     for size in (n, 2 * n):
         sheet = tmp_path / f"{size}.sheet"
@@ -160,7 +190,7 @@ def assert_linear(command: str, shape, n: int, tmp_path, spec=None) -> None:
             intervals = tmp_path / f"{size}.intervals"
             intervals.write_text(spec(size))
             argv.append(str(intervals))
-        measured.append(profiled([*argv, "--format", "json"]))
+        measured.append(profiled([*argv, *options, "--format", "json"]))
     (calls, size), (calls2, size2) = measured
     assert calls2 <= MAX_GROWTH * calls, (calls, calls2)
     assert size2 <= MAX_GROWTH * size, (size, size2)
@@ -201,6 +231,21 @@ def test_commands_grow_linearly_on_subtotal_blocks(command, tmp_path):
 
 def test_test_grows_linearly_on_copied_subtotals(tmp_path):
     assert_linear("test", copied_subtotals, 150, tmp_path, copied_subtotals_spec)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="defect 2: a chain's suspects")
+def test_test_grows_linearly_on_a_chain(tmp_path):
+    assert_linear("test", chain, 200, tmp_path, chain_spec)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="defect 2: a range's suspects")
+def test_test_grows_linearly_on_running_totals_with_many_symptoms(tmp_path):
+    assert_linear("test", running_totals, 300, tmp_path, running_totals_symptoms_spec)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="defect 3: the area view")
+def test_area_graph_grows_linearly_on_running_totals(tmp_path):
+    assert_linear("graph", running_totals, 300, tmp_path, options=("--resolution", "area"))
 
 
 def test_filled_down_rows_parse_once_per_copy_class():
