@@ -5,10 +5,13 @@
     sheetlint graph  SHEET             dependency graph as DOT
     sheetlint areas  SHEET             inferred areas
 
-``main`` reads and loads the sheet, hands the program to the command,
-and writes the report the command returns.  Exit codes: 0 clean, 1
-findings or symptoms, 2 when an input could not be loaded.  Output for
-the same inputs is byte-identical across runs.
+``main`` reads and loads the sheet and hands the program to the
+command.  The command reads and analyses everything else, and returns
+its exit code and a renderer; ``main`` then opens the output and the
+renderer writes the report into it a batch at a time.  So an input that
+cannot be loaded writes nothing.  Exit codes: 0 clean, 1 findings or
+symptoms, 2 when an input could not be loaded or the report could not
+be written.  Output for the same inputs is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import codecs
 import gc
 import os
 import sys
+from collections.abc import Callable
+from functools import partial
 
 from .areas import infer_logical_areas, infer_physical_areas
 from .dataflow import build_graph
@@ -26,6 +31,9 @@ from .errors import SheetLintError
 from .intervals import load_interval_spec, run_interval_test
 from .model import SpreadsheetProgram, instantiate, load_program
 from . import report
+
+# A report, ready to be written: it takes the output's ``write``.
+Render = Callable[[Callable[[str], object]], None]
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -86,63 +94,68 @@ def _read(path: str) -> tuple[str, report.Input]:
         raise SheetLintError(f"{path}: not UTF-8 text (byte {bom + err.start})") from None
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(render: Render, output: str | None) -> None:
     if output is None:
         # A shell's ``>&-`` starts the process with no stdout at all.
         if sys.stdout is None:
             raise SheetLintError("standard output is closed")
-        sys.stdout.write(text)
+        render(sys.stdout.write)
         # A write error (a full disk, a closed pipe) surfaces here, as an
         # error line and exit 2, not at interpreter exit.
         sys.stdout.flush()
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            render(fh.write)
 
 
 def _cmd_check(
     args: argparse.Namespace, program: SpreadsheetProgram, sheet: report.Input
-) -> tuple[str, int]:
+) -> tuple[int, Render]:
     diagnostics = detect_all(program)
+    code = 1 if diagnostics else 0
     if args.format == "json":
-        text = report.to_json(report.check_json(program, diagnostics, [sheet]))
-    else:
-        text = report.check_text(program, diagnostics, args.sheet)
-    return text, 1 if diagnostics else 0
+        return code, partial(report.write_json, report.check_json(program, diagnostics, [sheet]))
+    text = report.check_text(program, diagnostics, args.sheet)
+    return code, lambda write: write(text)
 
 
 def _cmd_test(
     args: argparse.Namespace, program: SpreadsheetProgram, sheet: report.Input
-) -> tuple[str, int]:
+) -> tuple[int, Render]:
     spec_text, spec_input = _read(args.intervals)
     spec = load_interval_spec(spec_text, program)
     test_report = run_interval_test(instantiate(program), spec)
+    code = 1 if test_report.any_symptom() else 0
     if args.format == "json":
-        text = report.to_json(report.test_json(program, test_report, [sheet, spec_input]))
-    else:
-        text = report.test_text(test_report, args.sheet, args.intervals)
-    return text, 1 if test_report.any_symptom() else 0
+        # The renderer holds the payload alone: the program and the
+        # report are freed before the first write.
+        payload = report.test_json(program, test_report, [sheet, spec_input])
+        return code, partial(report.write_json, payload)
+    text = report.test_text(test_report, args.sheet, args.intervals)
+    return code, lambda write: write(text)
 
 
 def _cmd_graph(
     args: argparse.Namespace, program: SpreadsheetProgram, sheet: report.Input
-) -> tuple[str, int]:
+) -> tuple[int, Render]:
     diagnostics = detect_all(program)
-    dot = report.area_graph_dot if args.resolution == "area" else report.cell_graph_dot
     physical, logical = infer_physical_areas(program), infer_logical_areas(program)
-    return dot(program, build_graph(program), physical, logical, diagnostics), 0
+    graph = build_graph(program)
+    if args.resolution == "area":
+        text = report.area_graph_dot(program, graph, physical, logical, diagnostics)
+        return 0, lambda write: write(text)
+    return 0, partial(report.write_cell_graph_dot, program, graph, physical, logical, diagnostics)
 
 
 def _cmd_areas(
     args: argparse.Namespace, program: SpreadsheetProgram, sheet: report.Input
-) -> tuple[str, int]:
+) -> tuple[int, Render]:
     physical = infer_physical_areas(program)
     logical = infer_logical_areas(program)
     if args.format == "json":
-        text = report.to_json(report.areas_json(program, physical, logical, [sheet]))
-    else:
-        text = report.areas_text(physical, logical, args.sheet)
-    return text, 0
+        return 0, partial(report.write_json, report.areas_json(program, physical, logical, [sheet]))
+    text = report.areas_text(physical, logical, args.sheet)
+    return 0, lambda write: write(text)
 
 
 _COMMANDS = {
@@ -169,8 +182,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
         sheet_text, sheet = _read(args.sheet)
-        text, code = _COMMANDS[args.command](args, load_program(sheet_text), sheet)
-        _emit(text, args.output)
+        code, render = _COMMANDS[args.command](args, load_program(sheet_text), sheet)
+        _emit(render, args.output)
         return code
     except (SheetLintError, OSError) as err:
         _error_line(f"sheetlint: error: {err}")

@@ -101,15 +101,18 @@ class DependencyGraph:
 
     def edges(self) -> Iterator[tuple[Node, CellAddress]]:
         """All (read, reading) pairs, by the read node's ``rect_key``
-        and then the formula row-major."""
+        and then the formula row-major.  The call indexes each read
+        node's readers; the pairs come as they are iterated."""
         dependents: dict[Node, list[CellAddress]] = {}
         # Formulas come row-major, so each list is built in order.
         for target in self._reads:
             for source in self.sources(target):
                 dependents.setdefault(source, []).append(target)
-        for source in sorted(dependents, key=rect_key):
-            for target in dependents[source]:
-                yield source, target
+        return (
+            (source, target)
+            for source in sorted(dependents, key=rect_key)
+            for target in dependents[source]
+        )
 
     def precedents(self, node: Node) -> set[Node]:
         """What a node reads directly: nothing unless it is a formula."""

@@ -5,12 +5,20 @@ bytes: object keys are sorted, lists keep the orders the producing
 modules define, and no timestamps or environment details leak in.  The
 JSON layout is versioned; schema/report-v1.json in the repository
 validates it.
+
+The reports that grow with the sheet, JSON and the cell view, have
+writers: ``write_json`` and ``write_cell_graph_dot`` hand their text to
+a ``write`` callable ``BATCH`` pieces or lines at a time, so they hold
+one batch of the output, not all of it.  ``to_json`` and
+``cell_graph_dot`` join what they write.  Text reports and the area
+view are small and are returned whole.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import groupby
+from collections.abc import Callable, Iterator
+from itertools import groupby, islice
 
 # The interpreter's built-in SHA-256 and JSON string escaper, taken
 # directly: hashlib loads OpenSSL and json.encoder loads the decoder and
@@ -39,6 +47,10 @@ from .scl import CellAddress, format_number, rect_key, value_type
 TOOL_NAME = "sheetlint"
 SCHEMA_NAME = "report-v1"
 
+# The pieces of JSON, or the lines of a cell view, that a writer joins
+# into one call of ``write``: what it holds of a report at a time.
+BATCH = 2048
+
 
 class Input(value_type("Input", "path data")):
     """An input as a report names it: its path and the bytes analysed."""
@@ -58,23 +70,34 @@ def _input_json(item: str | Input) -> dict:
 
 
 def to_json(payload: dict) -> str:
-    """The payload as canonical JSON, with a trailing newline.
-
-    Byte-identical to ``json.dumps(payload, indent=2, sort_keys=True,
-    allow_nan=False) + "\\n"``, in about half the time of the
-    pure-Python encoder that ``indent`` makes it use.  Payloads hold
-    only dict, list, str, int, float, bool and None; any other value,
-    and a key that is not a str, is a TypeError.  A non-finite float
-    is a ValueError.
-    """
+    """The payload as canonical JSON, with a trailing newline: what
+    ``write_json`` writes, joined."""
     out: list[str] = []
-    _write(payload, "\n", out)
-    out.append("\n")
+    write_json(payload, out.append)
     return "".join(out)
 
 
-def _write(value, pad: str, out: list[str]) -> None:
-    """Append ``value`` to ``out``; ``pad`` starts a line at its depth."""
+def write_json(payload: dict, write: Callable[[str], object]) -> None:
+    """Write the payload as canonical JSON, with a trailing newline.
+
+    Byte-identical to ``json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``, in about half the time of the
+    pure-Python encoder that ``indent`` makes it use.  The text goes to
+    ``write`` a batch at a time: once ``BATCH`` pieces are pending at
+    the end of a list item, they are joined into one call.  Payloads
+    hold only dict, list, str, int, float, bool and None; any other
+    value, and a key that is not a str, is a TypeError.  A non-finite
+    float is a ValueError.  Either may come after some text is written.
+    """
+    out: list[str] = []
+    _write(payload, "\n", out, write)
+    out.append("\n")
+    write("".join(out))
+
+
+def _write(value, pad: str, out: list[str], write: Callable[[str], object]) -> None:
+    """Append ``value`` to ``out``; ``pad`` starts a line at its depth.
+    Pending pieces go to ``write`` between list items."""
     kind = type(value)
     if kind is str:
         out.append(_quote(value))
@@ -93,7 +116,7 @@ def _write(value, pad: str, out: list[str]) -> None:
                 out += (sep, _quote(key), ": ", _quote(item))
             else:
                 out += (sep, _quote(key), ": ")
-                _write(item, inner, out)
+                _write(item, inner, out, write)
             sep = comma
         out.append(pad + "}")
     elif kind is list:
@@ -107,8 +130,11 @@ def _write(value, pad: str, out: list[str]) -> None:
         sep, comma = "[" + inner, "," + inner
         for item in value:
             out.append(sep)
-            _write(item, inner, out)
+            _write(item, inner, out, write)
             sep = comma
+            if len(out) >= BATCH:
+                write("".join(out))
+                out.clear()
         out.append(pad + "]")
     elif value is None:
         out.append("null")
@@ -375,8 +401,24 @@ def cell_graph_dot(
     logical: list[LogicalArea],
     diagnostics: list[Diagnostic],
 ) -> str:
-    """One node per cell; physical areas become clusters, logical areas
-    share fill colors, diagnostic cells are outlined with their codes."""
+    """What ``write_cell_graph_dot`` writes, joined."""
+    out: list[str] = []
+    write_cell_graph_dot(program, graph, physical, logical, diagnostics, out.append)
+    return "".join(out)
+
+
+def write_cell_graph_dot(
+    program: SpreadsheetProgram,
+    graph: DependencyGraph,
+    physical: list[PhysicalArea],
+    logical: list[LogicalArea],
+    diagnostics: list[Diagnostic],
+    write: Callable[[str], object],
+) -> None:
+    """Write the cell view: one node per cell; physical areas become
+    clusters, logical areas share fill colors, diagnostic cells are
+    outlined with their codes.  The node lines and then the edges go to
+    ``write`` ``BATCH`` lines at a time."""
     codes = _diag_codes(diagnostics)
     fill: dict[CellAddress, str] = {}
     for i, area in enumerate(logical):
@@ -385,25 +427,36 @@ def cell_graph_dot(
     claimed = _claims(program, physical)
     # Each node spelled once, for its own line and for its edges.
     names = {addr: str(addr) for addr in sorted(graph.nodes, key=rect_key)}
+    # The edges' index is built here, before the first write.
+    edges = graph.edges()
 
     def node_line(addr: Node) -> str:
         name = names[addr]
-        return f'"{name}" [{_cell_attrs(program, addr, name, fill.get(addr), codes.get(addr))}];'
+        return f'"{name}" [{_cell_attrs(program, addr, name, fill.get(addr), codes.get(addr))}];\n'
 
-    lines = [
-        "digraph sheet {",
-        '  node [shape=box, fontname="Helvetica"];',
-    ]
-    for i, members in groupby(claimed, key=claimed.__getitem__):
-        lines.append(f"  subgraph cluster_{i} {{")
-        lines.append(f'    label="{_dot_escape(str(physical[i]))}";')
-        lines.append('    color="#888888";')
-        lines.extend(f"    {node_line(addr)}" for addr in members)
-        lines.append("  }")
-    lines.extend(f"  {node_line(addr)}" for addr in names if addr not in claimed)
-    lines.extend(f'  "{names[source]}" -> "{names[target]}";' for source, target in graph.edges())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    def node_lines():
+        yield "digraph sheet {\n"
+        yield '  node [shape=box, fontname="Helvetica"];\n'
+        for i, members in groupby(claimed, key=claimed.__getitem__):
+            yield f"  subgraph cluster_{i} {{\n"
+            yield f'    label="{_dot_escape(str(physical[i]))}";\n'
+            yield '    color="#888888";\n'
+            for addr in members:
+                yield f"    {node_line(addr)}"
+            yield "  }\n"
+        for addr in names:
+            if addr not in claimed:
+                yield f"  {node_line(addr)}"
+
+    _write_lines(node_lines(), write)
+    _write_lines((f'  "{names[source]}" -> "{names[target]}";\n' for source, target in edges), write)
+    write("}\n")
+
+
+def _write_lines(lines: Iterator[str], write: Callable[[str], object]) -> None:
+    """Write lines, each ending in a newline, ``BATCH`` to a call."""
+    while batch := "".join(islice(lines, BATCH)):
+        write(batch)
 
 
 def area_graph_dot(

@@ -13,6 +13,7 @@ import shutil
 import string
 import subprocess
 import sys
+import tracemalloc
 import types
 from collections import Counter
 
@@ -27,7 +28,7 @@ from sheetlint.areas import (
     skeletons,
     structural_groups,
 )
-from sheetlint import cli
+from sheetlint import cli, report
 from sheetlint.cli import main
 from sheetlint.dataflow import DependencyGraph, formula_reads
 from sheetlint.evaluator import evaluate
@@ -744,6 +745,93 @@ class TestOutputFile:
         assert capsys.readouterr().out == ""
         main(["check", QUARTERLY, "--format", "json"])
         assert target.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", ["malformed-spec", "cyclic", "missing-sheet"])
+    def test_nothing_is_written_when_analysis_fails(self, case, tmp_path, capsys):
+        # Every input is read and analysed before the output is opened.
+        spec = tmp_path / "spec.intervals"
+        if case == "malformed-spec":
+            spec.write_text("input B2 [1, 2]\n")
+            argv = ["test", QUARTERLY, str(spec)]
+        elif case == "cyclic":
+            spec.write_text("expect C1 in [0, 100]\n")
+            argv = ["test", CYCLIC, str(spec)]
+        else:
+            argv = ["check", str(tmp_path / "no_such.sheet")]
+        target = tmp_path / "report.out"
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert main(argv + ["--output", str(target)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not target.exists()
+
+
+class TestBoundedWrites:
+    """A report goes to the output in batches while it renders: no write
+    is larger than a batch, and writing holds no more than one."""
+
+    # Every piece of JSON and every DOT line of these sheets' reports is
+    # far shorter than 64 characters on average.
+    WRITE_BOUND = 64 * report.BATCH
+    # A batch's strings, their join, and what the writer keeps between
+    # batches, in bytes.
+    HEAP_BOUND = 256 * report.BATCH
+
+    class Recorder:
+        """An output that keeps the length of each write, and the heap
+        at the first write with the peak reset there."""
+
+        def __init__(self):
+            self.sizes = []
+            self.base = None
+
+        def write(self, text):
+            if self.base is None:
+                self.base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            self.sizes.append(len(text))
+            return len(text)
+
+        def flush(self):
+            pass
+
+    def written(self, argv, monkeypatch):
+        """(largest write, peak heap between the first and the last write
+        over the heap at the first) for one run of main."""
+        recorder = self.Recorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        tracemalloc.start()
+        try:
+            main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return max(recorder.sizes), peak - recorder.base
+
+    def filled_down(self, tmp_path, n):
+        sheet, spec = tmp_path / f"filled{n}.sheet", tmp_path / f"filled{n}.intervals"
+        sheet.write_text("".join(f"A{r} = ?{r % 7 + 1}\nB{r} = =A{r}*2\n" for r in range(1, n + 1)))
+        spec.write_text(
+            "".join(f"input A{r} in [0, 9]\nexpect B{r} in [0, 20]\n" for r in range(1, n + 1))
+        )
+        return ["test", str(sheet), str(spec), "--format", "json"]
+
+    def running_totals(self, tmp_path, n):
+        sheet = tmp_path / f"running{n}.sheet"
+        sheet.write_text(
+            'A1 = "amount"\n'
+            + "".join(f"A{r} = #{r % 97}\nB{r} = =SUM(A$2:A{r})\n" for r in range(2, n + 2))
+        )
+        return ["graph", str(sheet)]
+
+    @pytest.mark.parametrize(
+        "report_of, n", [("filled_down", 500), ("running_totals", 200)], ids=["test-json", "graph"]
+    )
+    def test_writes_stay_bounded_as_the_sheet_doubles(self, report_of, n, tmp_path, monkeypatch):
+        for rows in (n, 2 * n):
+            largest, held = self.written(getattr(self, report_of)(tmp_path, rows), monkeypatch)
+            assert largest <= self.WRITE_BOUND, rows
+            assert held <= self.HEAP_BOUND, rows
 
 
 def invocations(sheet, spec=None):

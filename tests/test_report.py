@@ -49,13 +49,13 @@ class TestCanonicalJson:
 
     def test_fixture_payloads_match_json_dumps(self, monkeypatch):
         payloads = []
-        write = report.to_json
+        write_json = report.write_json
 
-        def keep(payload):
+        def keep(payload, write):
             payloads.append(payload)
-            return write(payload)
+            return write_json(payload, write)
 
-        monkeypatch.setattr(report, "to_json", keep)
+        monkeypatch.setattr(report, "write_json", keep)
         for sheet in sorted(FIXTURES.glob("*.sheet")):
             spec = sheet.with_suffix(".intervals")
             argvs = [["check", str(sheet)], ["areas", str(sheet)]]
@@ -64,9 +64,10 @@ class TestCanonicalJson:
             for argv in argvs:
                 with contextlib.redirect_stdout(io.StringIO()):
                     main(argv + ["--format", "json"])
+        monkeypatch.undo()
         assert {payload["command"] for payload in payloads} == {"check", "areas", "test"}
         for payload in payloads:
-            assert write(payload) == json_oracle.expected(payload)
+            assert report.to_json(payload) == json_oracle.expected(payload)
 
     @pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_is_a_value_error(self, number):
