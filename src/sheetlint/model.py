@@ -21,7 +21,6 @@ import functools
 import math
 import re
 from bisect import bisect_left, bisect_right
-from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
@@ -210,8 +209,8 @@ def per_program(fn: Callable[[SpreadsheetProgram], object]) -> Callable:
 
 
 class CellIndex:
-    """Where a program's content is: for each column, the sorted rows of
-    its non-empty cells, overall and per content kind.
+    """Where a program's content is: for each column, the program's own
+    addresses of its non-empty cells top-down, overall and per content kind.
 
     A rectangle's occupied cells and empty runs are found by bisecting
     these lists, so the cost follows the cells there are and the runs
@@ -219,39 +218,38 @@ class CellIndex:
     """
 
     def __init__(self, program: SpreadsheetProgram):
-        # kind (None for any) -> column -> rows, ascending
-        self._rows: dict[str | None, dict[int, list[int]]] = {None: {}}
-        self._rows.update((kind, {}) for kind in _KINDS.values())
-        anything = self._rows[None]
+        # kind (None for any) -> column -> cells, top-down
+        self._cells: dict[str | None, dict[int, list[CellAddress]]] = {None: {}}
+        self._cells.update((kind, {}) for kind in _KINDS.values())
+        anything = self._cells[None]
         # The cells run row-major, so every list is built in order.
-        for (col, row), content in program.cells.items():
-            anything.setdefault(col, []).append(row)
-            self._rows[_KINDS[type(content)]].setdefault(col, []).append(row)
-        self._cols = {kind: sorted(rows) for kind, rows in self._rows.items()}
+        for addr, content in program.cells.items():
+            anything.setdefault(addr.col, []).append(addr)
+            self._cells[_KINDS[type(content)]].setdefault(addr.col, []).append(addr)
+        self._cols = {kind: sorted(cells) for kind, cells in self._cells.items()}
 
-    def _spans(self, rect: RangeRef, kind: str | None) -> Iterator[tuple[int, list[int]]]:
-        """Each column of ``rect`` holding ``kind``, with its rows there."""
+    def _spans(self, rect: RangeRef, kind: str | None) -> Iterator[tuple[int, list[CellAddress]]]:
+        """Each column of ``rect`` holding ``kind``, with its cells there."""
         cols = self._cols[kind]
         top, bottom = rect.start.row, rect.end.row
         first = bisect_left(cols, rect.start.col)
         for col in cols[first:bisect_right(cols, rect.end.col, first)]:
-            rows = self._rows[kind][col]
-            lo = bisect_left(rows, top)
-            yield col, rows[lo:bisect_right(rows, bottom, lo)]
+            cells = self._cells[kind][col]
+            # The addresses share their column, so they bisect by row.
+            lo = bisect_left(cells, (col, top))
+            yield col, cells[lo:bisect_right(cells, (col, bottom), lo)]
 
     def count(self, rect: RangeRef, kind: str | None = None) -> int:
         """How many cells of ``rect`` hold content, of ``kind`` if given."""
-        return sum(len(rows) for _, rows in self._spans(rect, kind))
+        return sum(len(cells) for _, cells in self._spans(rect, kind))
 
     def occupied(self, rect: RangeRef, kind: str | None = None) -> list[CellAddress]:
         """The cells of ``rect`` that hold content, of ``kind`` if given,
-        column by column and top-down within each."""
-        # The rows and columns come from loaded cells, already checked,
-        # so each address is built in C without CellAddress's checks.
-        cells: list[CellAddress] = []
-        for col, rows in self._spans(rect, kind):
-            cells += map(tuple.__new__, repeat(CellAddress, len(rows)), zip(repeat(col), rows))
-        return cells
+        column by column and top-down, as the program's own addresses."""
+        found: list[CellAddress] = []
+        for _, cells in self._spans(rect, kind):
+            found += cells
+        return found
 
     def empty_runs(self, rect: RangeRef) -> Iterator[CellAddress | RangeRef]:
         """The maximal runs of empty cells in each column of ``rect``,
@@ -260,11 +258,11 @@ class CellIndex:
         top, bottom = rect.start.row, rect.end.row
         full = dict(self._spans(rect, None))
         for col in range(rect.start.col, rect.end.col + 1):
-            rows = full.get(col, ())
-            if len(rows) == bottom - top + 1:
+            cells = full.get(col, ())
+            if len(cells) == bottom - top + 1:
                 continue
             row = top
-            for filled in (*rows, bottom + 1):
+            for _, filled in (*cells, (col, bottom + 1)):
                 if row == filled - 1:
                     yield tuple.__new__(CellAddress, (col, row))
                 elif row < filled:

@@ -797,7 +797,8 @@ class TestBoundedWrites:
 
     def written(self, argv, monkeypatch):
         """(largest write, peak heap between the first and the last write
-        over the heap at the first) for one run of main."""
+        over the heap at the first, heap at the first write) for one run
+        of main."""
         recorder = self.Recorder()
         monkeypatch.setattr(sys, "stdout", recorder)
         tracemalloc.start()
@@ -806,7 +807,7 @@ class TestBoundedWrites:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return max(recorder.sizes), peak - recorder.base
+        return max(recorder.sizes), peak - recorder.base, recorder.base
 
     def filled_down(self, tmp_path, n):
         sheet, spec = tmp_path / f"filled{n}.sheet", tmp_path / f"filled{n}.intervals"
@@ -829,9 +830,18 @@ class TestBoundedWrites:
     )
     def test_writes_stay_bounded_as_the_sheet_doubles(self, report_of, n, tmp_path, monkeypatch):
         for rows in (n, 2 * n):
-            largest, held = self.written(getattr(self, report_of)(tmp_path, rows), monkeypatch)
+            largest, held, _ = self.written(getattr(self, report_of)(tmp_path, rows), monkeypatch)
             assert largest <= self.WRITE_BOUND, rows
             assert held <= self.HEAP_BOUND, rows
+
+    def test_cell_view_edges_share_the_program_addresses(self, tmp_path, monkeypatch):
+        # 600 running totals read 1 + 2 + ... + 600 = 180,300 amounts.
+        # Each edge's source is an address the program already holds,
+        # so the heap at the first write is a few pointers per edge,
+        # not a new address tuple for each.
+        edges = 600 * 601 // 2
+        _, _, base = self.written(self.running_totals(tmp_path, 600), monkeypatch)
+        assert base <= 48 * edges, base / edges
 
 
 def invocations(sheet, spec=None):

@@ -268,13 +268,26 @@ class TestCrafted:
         ]
 
     def test_index_queries(self):
-        index = cell_index(load_program(CRAFTED["empty-column"]))
+        program = load_program(CRAFTED["empty-column"])
+        index = cell_index(program)
         rect = RangeRef(CellRef(1, 1), CellRef(3, 3))
         assert [str(a) for a in index.occupied(rect)] == ["A1", "A2", "C1", "C3"]
         assert [str(a) for a in index.occupied(rect, "label")] == ["C3"]
         assert index.count(rect, "constant") == 3
         assert [str(a) for a in index.empty_runs(rect)] == ["A3", "B1:B3", "C2"]
         assert [str(a) for a in index.parts(rect)] == ["A1", "B1:B3", "C1", "A2", "C2", "A3", "C3"]
+        # Every occupied cell a query returns is the program's own key,
+        # and so is every one the graph keeps as a source.
+        own = {addr: addr for addr in program.cells}
+        sources = build_graph(program).sources(parse_address("A4"))
+        for found in (
+            index.occupied(rect),
+            index.occupied(rect, "label"),
+            [part for part in index.parts(rect) if part in own],
+            [node for node in sources if node in own],
+        ):
+            assert found
+            assert [id(addr) for addr in found] == [id(own[addr]) for addr in found]
 
 
 # ---------------------------------------------------------------------------

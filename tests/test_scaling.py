@@ -177,10 +177,10 @@ def profiled(argv: list[str]) -> tuple[int, int]:
     return calls, len(out.getvalue().encode("utf-8"))
 
 
-def assert_linear(command: str, shape, n: int, tmp_path, spec=None, options=()) -> None:
-    """`command --format json`, with ``options`` after the files, on the
-    shape at n and 2n rows grows at most MAX_GROWTH-fold in calls and
-    in bytes."""
+def growth(command: str, shape, n: int, tmp_path, spec=None, options=()) -> tuple[float, float]:
+    """How many times over the Python calls and the bytes printed of
+    `command --format json`, with ``options`` after the files, grow
+    from the shape at n rows to the shape at 2n."""
     measured = []
     for size in (n, 2 * n):
         sheet = tmp_path / f"{size}.sheet"
@@ -192,8 +192,15 @@ def assert_linear(command: str, shape, n: int, tmp_path, spec=None, options=()) 
             argv.append(str(intervals))
         measured.append(profiled([*argv, *options, "--format", "json"]))
     (calls, size), (calls2, size2) = measured
-    assert calls2 <= MAX_GROWTH * calls, (calls, calls2)
-    assert size2 <= MAX_GROWTH * size, (size, size2)
+    return calls2 / calls, size2 / size
+
+
+def assert_linear(command: str, shape, n: int, tmp_path, spec=None, options=()) -> None:
+    """`command` on the shape at n and 2n rows grows at most
+    MAX_GROWTH-fold in calls and in bytes (see ``growth``)."""
+    calls, size = growth(command, shape, n, tmp_path, spec, options)
+    assert calls <= MAX_GROWTH, calls
+    assert size <= MAX_GROWTH, size
 
 
 @pytest.mark.parametrize(
@@ -227,6 +234,13 @@ def test_commands_grow_linearly_on_running_totals(command, tmp_path):
 def test_commands_grow_linearly_on_subtotal_blocks(command, tmp_path):
     spec = subtotal_blocks_spec if command == "test" else None
     assert_linear(command, subtotal_blocks, 150, tmp_path, spec)
+
+
+def test_cell_view_calls_grow_no_faster_than_its_bytes_on_running_totals(tmp_path):
+    # n running totals draw n^2/2 edges, so the cell view's bytes grow
+    # about fourfold as n doubles; its calls may grow as much, no more.
+    calls, size = growth("graph", running_totals, 300, tmp_path)
+    assert calls <= size, (calls, size)
 
 
 def test_test_grows_linearly_on_copied_subtotals(tmp_path):
