@@ -127,8 +127,8 @@ def _cmd_test(
     test_report = run_interval_test(instantiate(program), spec)
     code = 1 if test_report.any_symptom() else 0
     if args.format == "json":
-        # The renderer holds the payload alone: the program and the
-        # report are freed before the first write.
+        # The renderer holds the payload, and through it the report's
+        # rows: the program is freed before the first write.
         payload = report.test_json(program, test_report, [sheet, spec_input])
         return code, partial(report.write_json, payload)
     text = report.test_text(test_report, args.sheet, args.intervals)

@@ -12,6 +12,10 @@ a ``write`` callable ``BATCH`` pieces or lines at a time, so they hold
 one batch of the output, not all of it.  ``to_json`` and
 ``cell_graph_dot`` join what they write.  Text reports and the area
 view are small and are returned whole.
+
+A ``test`` payload holds the report's rows themselves, not a dict per
+row: each row's keys and nesting are fixed, so ``write_json`` spells it
+from one template.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from . import __version__
 from .areas import LogicalArea, PhysicalArea
 from .dataflow import DependencyGraph, Node
 from .detectors import Diagnostic
-from .evaluator import Blank, Fault, Number, Text, Value
-from .intervals import Interval, TestReport
+from .evaluator import Fault, FaultKind, Number, Text, Value
+from .intervals import CellTest, Interval, TestReport
 from .model import _KINDS, SpreadsheetProgram, cell_index, content_kind, render_content
 from .scl import CellAddress, format_number, rect_key, value_type
 
@@ -85,9 +89,11 @@ def write_json(payload: dict, write: Callable[[str], object]) -> None:
     pure-Python encoder that ``indent`` makes it use.  The text goes to
     ``write`` a batch at a time: once ``BATCH`` pieces are pending at
     the end of a list item, they are joined into one call.  Payloads
-    hold only dict, list, str, int, float, bool and None; any other
-    value, and a key that is not a str, is a TypeError.  A non-finite
-    float is a ValueError.  Either may come after some text is written.
+    hold only dict, list, str, int, float, bool and None, and a
+    ``TestReport``, which stands for the list of its rows' dicts (see
+    ``_write_rows``); any other value, and a key that is not a str, is
+    a TypeError.  A non-finite float is a ValueError.  Either may come
+    after some text is written.
     """
     out: list[str] = []
     _write(payload, "\n", out, write)
@@ -140,32 +146,81 @@ def _write(value, pad: str, out: list[str], write: Callable[[str], object]) -> N
         out.append("null")
     elif kind is bool:
         out.append("true" if value else "false")
-    elif kind is int:
-        out.append(repr(value))
-    elif kind is float:
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        out.append(repr(value))
+    elif kind is int or kind is float:
+        out.append(_number(value))
+    elif kind is TestReport:
+        _write_rows(value.rows, pad, out, write)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+def _number(value: float) -> str:
+    """A finite float or an int, as JSON spells it."""
+    kind = type(value)
+    if kind is float:
+        if -math.inf < value < math.inf:
+            return repr(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if kind is int:
+        return repr(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+# A row is one piece of some 400 characters, as long as 30-odd of the
+# pieces ``_write`` makes elsewhere, so 64 rows make about a batch.
+_ROWS_PER_WRITE = 64
+
+
+def _write_rows(
+    rows: tuple[CellTest, ...], pad: str, out: list[str], write: Callable[[str], object]
+) -> None:
+    """Append the rows as the list of their dicts would be spelled:
+    ``bounding``, ``cell``, ``expected``, ``suspects``, ``value`` and
+    ``verdict``, with ``value`` a Number or a Fault, ``bounding`` an
+    Interval or a Fault, and ``expected`` an Interval or None.  Any
+    other value is a TypeError."""
+    if not rows:
+        out.append("[]")
+        return
+    item = pad + "  "
+    key = item + "  "
+    sub = key + "  "
+    faults = {
+        kind: f'{{{sub}"fault": "{kind.value}",{sub}"kind": "fault"{key}}}' for kind in FaultKind
+    }
+
+    def spell(value: Value | Interval) -> str:
+        kind = type(value)
+        if kind is Number:
+            return f'{{{sub}"kind": "number",{sub}"value": {_number(value.value)}{key}}}'
+        if kind is Interval:
+            lo, hi = _number(value.lo), _number(value.hi)
+            return f'{{{sub}"hi": {hi},{sub}"kind": "interval",{sub}"lo": {lo}{key}}}'
+        if kind is Fault:
+            return faults[value.kind]
+        raise TypeError(f"not a number, an interval or a fault: {value!r}")
+
+    sep = "[" + item
+    for cell, value, bounding, expected, verdict, suspects in rows:
+        box = "null"
+        if expected is not None:
+            box = f'{{{sub}"hi": {_number(expected.hi)},{sub}"lo": {_number(expected.lo)}{key}}}'
+        # Cell and range names need no escapes.
+        names = f'[{sub}"' + f'",{sub}"'.join(map(str, suspects)) + f'"{key}]' if suspects else "[]"
+        out.append(
+            f'{sep}{{{key}"bounding": {spell(bounding)},{key}"cell": "{cell}",'
+            f'{key}"expected": {box},{key}"suspects": {names},'
+            f'{key}"value": {spell(value)},{key}"verdict": "{verdict.value}"{item}}}'
+        )
+        sep = "," + item
+        if len(out) >= _ROWS_PER_WRITE:
+            write("".join(out))
+            out.clear()
+    out.append(pad + "]")
+
+
 # ---------------------------------------------------------------------------
 # JSON pieces
-
-
-def _value_json(value: Value | Interval) -> dict:
-    if isinstance(value, Number):
-        return {"kind": "number", "value": value.value}
-    if isinstance(value, Interval):
-        return {"kind": "interval", "lo": value.lo, "hi": value.hi}
-    if isinstance(value, Fault):
-        return {"kind": "fault", "fault": value.kind.value}
-    if isinstance(value, Text):
-        return {"kind": "text", "text": value.text}
-    if isinstance(value, Blank):
-        return {"kind": "blank"}
-    raise TypeError(f"not a value: {value!r}")
 
 
 def _program_json(program: SpreadsheetProgram) -> dict:
@@ -222,21 +277,8 @@ def test_json(
 ) -> dict:
     payload = envelope("test", inputs, program)
     payload["interval_test"] = {
-        "rows": [
-            {
-                "cell": str(row.cell),
-                "value": _value_json(row.value),
-                "bounding": _value_json(row.bounding),
-                "expected": (
-                    {"lo": row.expected.lo, "hi": row.expected.hi}
-                    if row.expected is not None
-                    else None
-                ),
-                "verdict": row.verdict.value,
-                "suspects": [str(a) for a in row.suspects],
-            }
-            for row in report.rows
-        ],
+        # Spelled row by row as it is written, from the report itself.
+        "rows": report,
         "symptoms": sum(1 for row in report.rows if row.symptomatic),
     }
     return payload

@@ -843,6 +843,15 @@ class TestBoundedWrites:
         _, _, base = self.written(self.running_totals(tmp_path, 600), monkeypatch)
         assert base <= 48 * edges, base / edges
 
+    def test_test_json_holds_the_report_rows(self, tmp_path, monkeypatch):
+        # The renderer of 1,000 filled-down rows holds each row's
+        # CellTest, with its value, bounds and address, not four dicts
+        # per row: the heap at the first write is about 0.9 KB per row,
+        # where the dicts made it about 1.5 KB.
+        rows = 1000
+        _, _, base = self.written(self.filled_down(tmp_path, rows), monkeypatch)
+        assert base <= 1200 * rows, base / rows
+
 
 def invocations(sheet, spec=None):
     """Every command in every format on one sheet."""

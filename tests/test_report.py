@@ -19,9 +19,10 @@ from sheetlint.areas import infer_logical_areas, infer_physical_areas
 from sheetlint.cli import main
 from sheetlint.dataflow import CyclicDependency, build_graph
 from sheetlint.detectors import detect_all
-from sheetlint.evaluator import eval_instance
-from sheetlint.intervals import load_interval_spec, run_interval_test
+from sheetlint.evaluator import BLANK, Fault, FaultKind, Interval, Number, Text, eval_instance
+from sheetlint.intervals import CellTest, Verdict, load_interval_spec, run_interval_test
 from sheetlint.model import instantiate, load_program, render_content
+from sheetlint.scl import CellAddress, RangeRef
 from sheetlint import report
 
 HERE = pathlib.Path(__file__).parent
@@ -67,7 +68,13 @@ class TestCanonicalJson:
         monkeypatch.undo()
         assert {payload["command"] for payload in payloads} == {"check", "areas", "test"}
         for payload in payloads:
-            assert report.to_json(payload) == json_oracle.expected(payload)
+            # A test payload holds its rows as tuples; the oracle spells
+            # each as the dict it stands for.
+            if payload["command"] == "test":
+                reference = json_oracle.with_row_dicts(payload)
+            else:
+                reference = payload
+            assert report.to_json(payload) == json_oracle.expected(reference)
 
     @pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_is_a_value_error(self, number):
@@ -148,6 +155,7 @@ class TestTestJson:
 
     def test_rows_and_symptom_count(self):
         payload = self.run("sales_appended.sheet", "sales_appended.intervals")
+        payload = json.loads(report.to_json(payload))
         jsonschema.validate(payload, SCHEMA)
         assert payload["command"] == "test"
         assert len(payload["inputs"]) == 2
@@ -168,12 +176,69 @@ class TestTestJson:
         program = load_program(sheet.read_text())
         spec = load_interval_spec("expect B1 in [0, 1]\n", program)
         result = run_interval_test(instantiate(program), spec)
-        payload = report.test_json(program, result, [str(sheet)])
+        payload = json.loads(report.to_json(report.test_json(program, result, [str(sheet)])))
         jsonschema.validate(payload, SCHEMA)
         row = payload["interval_test"]["rows"][0]
         assert row["value"] == {"kind": "fault", "fault": "div_by_zero"}
         assert row["bounding"] == {"kind": "fault", "fault": "div_by_zero"}
         assert row["verdict"] == "both"
+
+    def test_random_rows_match_json_dumps(self):
+        payloads = [json_oracle.interval_payload(random.Random(seed)) for seed in range(100)]
+        payloads.append(json_oracle.interval_payload(random.Random(0), rows=0))
+        for payload in payloads:
+            assert report.to_json(payload) == json_oracle.expected(json_oracle.with_row_dicts(payload))
+        # The oracle's rows are ones a report could hold.
+        for payload in payloads[:10]:
+            jsonschema.validate(json.loads(report.to_json(payload)), SCHEMA)
+        # The seeds reach every case the row template spells.
+        rows = [row for payload in payloads for row in payload["interval_test"]["rows"].rows]
+        faults = {kind.value for kind in FaultKind}
+        floats = set(map(repr, json_oracle.FLOATS))
+        boxes = [box for row in rows for box in (row.bounding, row.expected) if type(box) is Interval]
+        assert {row.value.kind.value for row in rows if type(row.value) is Fault} == faults
+        assert {row.bounding.kind.value for row in rows if type(row.bounding) is Fault} == faults
+        assert {repr(row.value.value) for row in rows if type(row.value) is Number} == floats
+        assert {repr(x) for box in boxes for x in box} == floats
+        assert {row.expected is None for row in rows} == {True, False}
+        assert any(
+            {type(a) for a in row.suspects} == {CellAddress, RangeRef} for row in rows
+        )
+        assert any(not payload["interval_test"]["rows"].rows for payload in payloads)
+
+    def row_payload(self, value=Number(1.0), bounding=Interval(0.0, 2.0), expected=None):
+        row = CellTest(CellAddress(2, 1), value, bounding, expected, Verdict.NO_SYMPTOM, ())
+        return json_oracle.payload_of((row,))
+
+    @pytest.mark.parametrize(
+        "value, bounding",
+        [
+            (Text("x"), Interval(0.0, 2.0)),
+            (BLANK, Interval(0.0, 2.0)),
+            (Number(1.0), Text("x")),
+            (Number("1"), Interval(0.0, 2.0)),
+        ],
+    )
+    def test_a_value_of_another_type_is_a_type_error(self, value, bounding):
+        with pytest.raises(TypeError):
+            report.to_json(self.row_payload(value, bounding))
+
+    @pytest.mark.parametrize(
+        "value, bounding, expected",
+        [
+            (Number(math.nan), Interval(0.0, 2.0), None),
+            (Number(math.inf), Interval(0.0, 2.0), None),
+            (Number(1.0), Interval(0.0, math.inf), None),
+            (Number(1.0), Interval(-math.inf, 2.0), None),
+            (Number(1.0), Interval(0.0, 2.0), Interval(0.0, math.inf)),
+        ],
+    )
+    def test_a_non_finite_number_is_a_value_error(self, value, bounding, expected):
+        payload = self.row_payload(value, bounding, expected)
+        with pytest.raises(ValueError):
+            json_oracle.expected(json_oracle.with_row_dicts(payload))
+        with pytest.raises(ValueError):
+            report.to_json(payload)
 
 
 class TestAreasJson:
