@@ -27,9 +27,9 @@ from functools import partial
 from .areas import infer_logical_areas, infer_physical_areas
 from .dataflow import build_graph
 from .detectors import detect_all
-from .errors import SheetLintError
 from .intervals import load_interval_spec, run_interval_test
 from .model import SpreadsheetProgram, instantiate, load_program
+from .scl import SheetLintError
 from . import report
 
 # A report, ready to be written: it takes the output's ``write``.

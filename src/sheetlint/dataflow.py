@@ -34,9 +34,18 @@ import functools
 import heapq
 from typing import Iterator, Union
 
-from .errors import SheetLintError
 from .model import Formula, SpreadsheetProgram, cell_index, per_program
-from .scl import CellAddress, Call, RangeArg, RangeRef, Reference, iter_nodes, rect_key, row_major
+from .scl import (
+    CellAddress,
+    Call,
+    RangeArg,
+    RangeRef,
+    Reference,
+    SheetLintError,
+    iter_nodes,
+    rect_key,
+    row_major,
+)
 
 # A graph node: a cell, or a run of empty cells in one column.
 Node = Union[CellAddress, RangeRef]

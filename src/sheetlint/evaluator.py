@@ -49,7 +49,6 @@ from typing import Iterable, Mapping, Union
 
 from .areas import skeletons
 from .dataflow import build_graph
-from .errors import SheetLintError
 from .model import (
     CellIndex,
     Constant,
@@ -71,6 +70,7 @@ from .scl import (
     RangeArg,
     RangeRef,
     Reference,
+    SheetLintError,
     fold,
     format_number,
     iter_nodes,

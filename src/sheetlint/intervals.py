@@ -27,7 +27,6 @@ from enum import Enum
 from typing import Mapping
 
 from .dataflow import DependencyGraph, Node, build_graph
-from .errors import SheetLintError
 from .evaluator import (
     Fault,
     Interval,
@@ -52,6 +51,7 @@ from .scl import (
     CellAddress,
     MalformedAddress,
     RangeRef,
+    SheetLintError,
     _ADDRESS,
     column_number,
     parse_address,

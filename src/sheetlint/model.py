@@ -24,7 +24,6 @@ from bisect import bisect_left, bisect_right
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
-from .errors import SheetLintError
 from .scl import (
     CellAddress,
     CellRef,
@@ -33,6 +32,7 @@ from .scl import (
     FormulaNode,
     MalformedAddress,
     RangeRef,
+    SheetLintError,
     _ADDRESS,
     _UNSIGNED,
     column_number,

@@ -43,10 +43,10 @@ from . import __version__
 from .areas import LogicalArea, PhysicalArea
 from .dataflow import DependencyGraph, Node
 from .detectors import Diagnostic
-from .evaluator import Fault, FaultKind, Number, Text, Value
+from .evaluator import Fault, FaultKind, Number, Value
 from .intervals import CellTest, Interval, TestReport
 from .model import _KINDS, SpreadsheetProgram, cell_index, content_kind, render_content
-from .scl import CellAddress, format_number, rect_key, value_type
+from .scl import format_number, rect_key, value_type
 
 TOOL_NAME = "sheetlint"
 SCHEMA_NAME = "report-v1"
@@ -168,7 +168,7 @@ def _number(value: float) -> str:
 
 # A row is one piece of some 400 characters, as long as 30-odd of the
 # pieces ``_write`` makes elsewhere, so 64 rows make about a batch.
-_ROWS_PER_WRITE = 64
+_ROWS_PER_WRITE = BATCH // 32
 
 
 def _write_rows(
@@ -233,13 +233,13 @@ def _program_json(program: SpreadsheetProgram) -> dict:
     }
 
 
-def _diagnostic_json(diag: Diagnostic, area: str | None) -> dict:
+def _diagnostic_json(diag: Diagnostic) -> dict:
     return {
         "code": diag.code.value,
         "severity": diag.severity.value,
         "cells": [str(a) for a in diag.cells],
         "message": diag.message,
-        "area": area,
+        "area": None if diag.area is None else str(diag.area),
     }
 
 
@@ -261,14 +261,7 @@ def check_json(
     program: SpreadsheetProgram, diagnostics: list[Diagnostic], inputs: list[str | Input]
 ) -> dict:
     payload = envelope("check", inputs, program)
-    # Findings may share an area object (two labels in one range, or a
-    # range that meets two other intended areas), so each area is
-    # spelled once.
-    areas = {id(d.area): d.area for d in diagnostics if d.area is not None}
-    spelled = {key: str(area) for key, area in areas.items()}
-    payload["diagnostics"] = [
-        _diagnostic_json(d, spelled.get(id(d.area))) for d in diagnostics
-    ]
+    payload["diagnostics"] = [_diagnostic_json(d) for d in diagnostics]
     return payload
 
 
@@ -316,16 +309,12 @@ def areas_json(
 # Text rendering
 
 
-def _value_text(value: Value | Interval) -> str:
+def _value_text(value: Number | Interval | Fault) -> str:
     if isinstance(value, Number):
         return format_number(value.value)
     if isinstance(value, Interval):
         return str(value)
-    if isinstance(value, Fault):
-        return f"fault({value.kind.value})"
-    if isinstance(value, Text):
-        return f'"{value.text}"'
-    return "(blank)"
+    return f"fault({value.kind.value})"
 
 
 def check_text(
@@ -462,10 +451,7 @@ def write_cell_graph_dot(
     outlined with their codes.  The node lines and then the edges go to
     ``write`` ``BATCH`` lines at a time."""
     codes = _diag_codes(diagnostics)
-    fill: dict[CellAddress, str] = {}
-    for i, area in enumerate(logical):
-        for addr in area.members:
-            fill.setdefault(addr, _FILLS[i % len(_FILLS)])
+    fill = {addr: _FILLS[i % len(_FILLS)] for i, area in enumerate(logical) for addr in area.members}
     claimed = _claims(program, physical)
     # Each node spelled once, for its own line and for its edges.
     names = {addr: str(addr) for addr in sorted(graph.nodes, key=rect_key)}

@@ -1,4 +1,5 @@
-"""Core cell language: addresses, references, and the formula grammar.
+"""Core cell language: addresses, references, and the formula grammar,
+with ``SheetLintError``, the base of every error the package raises.
 
 Formulas follow a small expression grammar over cell references:
 
@@ -25,7 +26,9 @@ from collections import namedtuple
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Union
 
-from .errors import SheetLintError
+
+class SheetLintError(Exception):
+    """Base class for every error raised by sheetlint."""
 
 
 class MalformedAddress(SheetLintError):
@@ -297,19 +300,11 @@ class NormRef(value_type("NormRef", "col row col_absolute row_absolute", (False,
     col_absolute: bool
     row_absolute: bool
 
-    def __str__(self) -> str:
-        c = f"${column_letters(self.col)}" if self.col_absolute else f"[{self.col:+d}]"
-        r = f"${self.row}" if self.row_absolute else f"[{self.row:+d}]"
-        return c + r
-
 
 class NormRange(value_type("NormRange", "start end")):
     __slots__ = ()
     start: NormRef
     end: NormRef
-
-    def __str__(self) -> str:
-        return f"{self.start}:{self.end}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,13 @@
-"""CLI output on every fixture, compared byte for byte with recordings.
+"""CLI output on every input sheet, compared byte for byte with recordings.
+
+The inputs are the sheets in ``fixtures/`` and, in ``tests/shapes/``,
+small copies of the benchmark's three shapes, written at seed 301 by
+``perfbench/gen.py``'s ``generate(shape, 301, size)`` with sizes 24
+(``ledger``), 40 (``running``) and 12 (``blocks``).  The copies in
+``blocks`` (``D2 = =C12``, ``D3 = =C23``, ...) read subtotals below
+them, so its evaluation order comes from the dependency graph's heap
+sort, not from row-major order; ``cyclic.sheet`` is the only other
+input that takes that sort.
 
 Each case runs one command through ``cli.main`` from the repository
 root, so the paths printed in reports are the relative ones recorded.
@@ -26,9 +35,11 @@ EXIT_CODES = GOLDEN / "exit_codes.json"
 
 
 def cases():
-    """(case name, argv) for every fixture, command and format."""
-    for sheet in sorted((ROOT / "fixtures").glob("*.sheet")):
-        rel = f"fixtures/{sheet.name}"
+    """(case name, argv) for every input sheet, command and format."""
+    sheets = sorted((ROOT / "fixtures").glob("*.sheet"))
+    sheets += sorted((HERE / "shapes").glob("*.sheet"))
+    for sheet in sheets:
+        rel = sheet.relative_to(ROOT).as_posix()
         for fmt in ("text", "json"):
             yield f"{sheet.stem}.check.{fmt}", ["check", rel, "--format", fmt]
             yield f"{sheet.stem}.graph.{fmt}", ["graph", rel, "--format", fmt]
@@ -38,7 +49,7 @@ def cases():
         if spec.exists():
             for fmt in ("text", "json"):
                 yield f"{sheet.stem}.test.{fmt}", [
-                    "test", rel, f"fixtures/{spec.name}", "--format", fmt,
+                    "test", rel, spec.relative_to(ROOT).as_posix(), "--format", fmt,
                 ]
 
 

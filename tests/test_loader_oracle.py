@@ -29,8 +29,8 @@ import corpus
 import injection
 import loader_oracle
 from idioms import IDIOMS
+from sheetlint import SheetLintError
 from sheetlint.areas import copy_keys, skeletons
-from sheetlint.errors import SheetLintError
 from sheetlint.intervals import _SPEC_ENTRY, load_interval_spec
 from sheetlint.model import (
     _CELL_LINE_RE,

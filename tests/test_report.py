@@ -137,6 +137,18 @@ class TestCheckJson:
         assert d2["area"] == "SUM B2:B10 -> B12"
         assert payload["diagnostics"][0]["area"] is None
 
+    def test_two_findings_on_one_area(self):
+        # Two labels inside one summed range: two D2 findings that hold
+        # the same PhysicalArea, each spelled in full.
+        program = load_program('A1 = #1\nA2 = "x"\nA3 = #3\nA4 = "y"\nA5 = #5\nA6 = =SUM(A1:A5)\n')
+        diagnostics = detect_all(program)
+        assert [d.code.value for d in diagnostics] == ["D2_WRONG_TYPE_IN_RANGE"] * 2
+        area = diagnostics[0].area
+        assert diagnostics[1].area is area
+        payload = report.check_json(program, diagnostics, [report.Input("two.sheet", b"")])
+        assert [d["area"] for d in payload["diagnostics"]] == [str(area)] * 2
+        assert report.to_json(payload) == json_oracle.expected(payload)
+
     def test_validates_against_schema(self):
         path = str(FIXTURES / "quarterly_sums.sheet")
         program, diagnostics = checked("quarterly_sums.sheet")
