@@ -2,11 +2,14 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
+import itertools
 import json
 import math
 import pathlib
 import random
+import sys
 
 import jsonschema
 import pytest
@@ -22,7 +25,7 @@ from sheetlint.detectors import detect_all
 from sheetlint.evaluator import BLANK, Fault, FaultKind, Interval, Number, Text, eval_instance
 from sheetlint.intervals import CellTest, Verdict, load_interval_spec, run_interval_test
 from sheetlint.model import instantiate, load_program, render_content
-from sheetlint.scl import CellAddress, RangeRef
+from sheetlint.scl import CellAddress, RangeRef, rect_key
 from sheetlint import report
 
 HERE = pathlib.Path(__file__).parent
@@ -523,6 +526,113 @@ class TestAreaGraphOracle:
         assert '  "p1" [label="SUM B1:B2 -> C2"];\n' in dot
         assert '"l0"' not in dot
         assert '  "p0" -> "p1";\n' in dot
+
+
+def full_size_shapes():
+    """The benchmark's three shapes at full size and seed 301, from
+    ``perfbench/gen.py``, loaded by path: ``perfbench`` is no package."""
+    path = HERE.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    # A dataclass looks its module up while the class is made.
+    sys.modules[spec.name] = gen
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        del sys.modules[spec.name]
+    return {shape: gen.generate(shape, 301).sheet_text for shape in gen.SHAPES}
+
+
+class TestCellGraphOracle:
+    """The cell view against its writer as it stood before it took its
+    nodes from the program: every node sorted by ``rect_key``, its own
+    index of each read node's readers, and each address, number and
+    formula spelled where it is printed."""
+
+    # A2 holds -0, spelled as 0.  A3:A4 is an empty run in two ranges
+    # and A3 an empty cell read directly, so two nodes start at A3.  A2
+    # lies in both physical areas, and the first claims it.  B1 needs
+    # DOT escapes.  C2:C4 are copies holding $B$1 and B$1, and the
+    # copies E2:E4 are filled, clustered and outlined with G_DIV_ZERO.
+    CRAFTED = (
+        "A1 = #1\nA2 = #-0\nA5 = #0\nA6 = ?1e20\nA7 = #0.1\n"
+        'B1 = "a\\b "q""\nB2 = =SUM(A1:A5)\nB3 = =SUM(A2:A6)\nB4 = =A3+1\n'
+        "C1 = #2\nC2 = =$B$1*B$1+A2\nC3 = =$B$1*B$1+A3\nC4 = =$B$1*B$1+A4\n"
+        "D2 = =A2*2\nD3 = =A3*2\nD4 = =A4*2\nD5 = =A5*2\nD6 = =A6*2\n"
+        "E2 = =A2/$A$5\nE3 = =A3/$A$5\nE4 = =A4/$A$5\nF5 = =SUM(E2:E4)\n"
+    )
+
+    @staticmethod
+    def oracle(program, graph, physical, logical, diagnostics):
+        codes = report._diag_codes(diagnostics)
+        fills = report._FILLS
+        fill = {addr: fills[i % len(fills)] for i, area in enumerate(logical) for addr in area.members}
+        claimed = report._claims(program, physical)
+        names = {addr: str(addr) for addr in sorted(graph.nodes, key=rect_key)}
+        readers = {}
+        for target in program.cells:
+            for source in graph.sources(target):
+                readers.setdefault(source, []).append(target)
+
+        def node_line(addr):
+            name = names[addr]
+            return f'"{name}" [{report._cell_attrs(program, addr, name, fill.get(addr), codes.get(addr))}];\n'
+
+        lines = ["digraph sheet {\n", '  node [shape=box, fontname="Helvetica"];\n']
+        for i, members in itertools.groupby(claimed, key=claimed.__getitem__):
+            lines.append(f"  subgraph cluster_{i} {{\n")
+            lines.append(f'    label="{report._dot_escape(str(physical[i]))}";\n')
+            lines.append('    color="#888888";\n')
+            lines += [f"    {node_line(addr)}" for addr in members]
+            lines.append("  }\n")
+        lines += [f"  {node_line(addr)}" for addr in names if addr not in claimed]
+        for source in sorted(readers, key=rect_key):
+            lines += [f'  "{names[source]}" -> "{names[target]}";\n' for target in readers[source]]
+        lines.append("}\n")
+        return "".join(lines)
+
+    def assert_same(self, program):
+        inputs = dot_inputs(program)
+        assert report.cell_graph_dot(*inputs) == self.oracle(*inputs)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.sheet")))
+    def test_fixtures(self, name):
+        self.assert_same(load_program(fixture_text(name)))
+
+    def test_corpus(self):
+        for cp in corpus.corpus(300):
+            self.assert_same(cp.program)
+
+    def test_injection_sheets(self):
+        for case in injection.cases(20):
+            self.assert_same(load_program(case.clean))
+            self.assert_same(load_program(case.faulty))
+
+    @pytest.mark.parametrize("path", sorted((HERE / "shapes").glob("*.sheet")), ids=lambda p: p.stem)
+    def test_shapes(self, path):
+        self.assert_same(load_program(path.read_text()))
+
+    def test_full_size_shapes(self):
+        for shape, text in full_size_shapes().items():
+            self.assert_same(load_program(text))
+
+    def test_crafted(self):
+        program = load_program(self.CRAFTED)
+        self.assert_same(program)
+        dot = report.cell_graph_dot(*dot_inputs(program))
+        for line in [
+            '    "A2" [label="A2\\n#0"];\n',
+            '  "A3" [label="A3\\n(empty)\\nD1_BLANK_REF", style="dashed", color="#cc2222", penwidth=2];\n',
+            '    "A6" [label="A6\\n?1e+20"];\n',
+            '  "B1" [label="B1\\n\\"a\\\\b \\"q\\"\\""];\n',
+            '  "C3" [label="C3\\n=$B$1*B$1+A3", style="filled", fillcolor="#d8f5d8"];\n',
+            '    "E3" [label="E3\\n=A3/$A$5\\nG_DIV_ZERO", style="filled", fillcolor="#f3d9f2", '
+            'color="#cc2222", penwidth=2];\n',
+        ]:
+            assert line in dot
+        assert dot.index('  "A3" [') < dot.index('  "B3" [')
+        assert dot.index('  "A3" -> "B4";\n') < dot.index('  "A3:A4" -> "B2";\n')
+        assert dot.index('    "E2" [') < dot.index('  "B1" [')
 
 
 class TestDeterminism:
