@@ -108,19 +108,26 @@ class DependencyGraph:
             nodes.update(self.sources(target))
         return nodes
 
-    def edges(self) -> Iterator[tuple[Node, CellAddress]]:
-        """All (read, reading) pairs, by the read node's ``rect_key``
-        and then the formula row-major.  The call indexes each read
-        node's readers; the pairs come as they are iterated."""
-        dependents: dict[Node, list[CellAddress]] = {}
+    def readers(self) -> dict[Node, list[CellAddress]]:
+        """Each node a formula reads, mapped to the formulas reading it,
+        row-major; the keys come in no set order.  Built anew each
+        call, so it is held only while its caller walks it."""
+        readers: dict[Node, list[CellAddress]] = {}
         # Formulas come row-major, so each list is built in order.
         for target in self._reads:
             for source in self.sources(target):
-                dependents.setdefault(source, []).append(target)
+                readers.setdefault(source, []).append(target)
+        return readers
+
+    def edges(self) -> Iterator[tuple[Node, CellAddress]]:
+        """All (read, reading) pairs, by the read node's ``rect_key``
+        and then the formula row-major.  The call builds ``readers()``;
+        the pairs come as they are iterated."""
+        readers = self.readers()
         return (
             (source, target)
-            for source in sorted(dependents, key=rect_key)
-            for target in dependents[source]
+            for source in sorted(readers, key=rect_key)
+            for target in readers[source]
         )
 
     def precedents(self, node: Node) -> set[Node]:

@@ -21,6 +21,7 @@ import functools
 import math
 import re
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
@@ -146,13 +147,12 @@ class SpreadsheetProgram:
             addr: cells[addr] for addr in sorted(cells, key=row_major)
         }
         self._copy_classes = dict(copy_classes or {})
-        if self._cells:
-            self._extent = (
-                max(a.col for a in self._cells),
-                max(a.row for a in self._cells),
-            )
-        else:
-            self._extent = (0, 0)
+        # The last address row-major holds the largest row.
+        self._extent = (
+            (max(map(itemgetter(0), self._cells)), next(reversed(self._cells))[1])
+            if self._cells
+            else (0, 0)
+        )
         # What each per_program function built from this program.
         self._memo: dict = {}
 

@@ -16,13 +16,25 @@ view are small and are returned whole.
 A ``test`` payload holds the report's rows themselves, not a dict per
 row: each row's keys and nesting are fixed, so ``write_json`` spells it
 from one template.
+
+The cell view derives each thing it prints once.  Its nodes are the
+program's cells, already row-major, with the few read nodes that are
+no cells (empty cells and empty runs) placed among them by
+``rect_key``.  They go out cluster by cluster, each node in the first
+physical area claiming it, then the rest in that order.  The edges come
+from one index, ``graph.readers()``: by read node in that order, then
+by reader row-major.  Each node's name and each number is spelled once
+per write, and each copy class's formula once, as a template its other
+members fill with what they read.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Callable, Iterator
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 
 # The interpreter's built-in SHA-256 and JSON string escaper, taken
 # directly: hashlib loads OpenSSL and json.encoder loads the decoder and
@@ -41,12 +53,32 @@ except ImportError:
 
 from . import __version__
 from .areas import LogicalArea, PhysicalArea
-from .dataflow import DependencyGraph, Node
+from .dataflow import DependencyGraph, Node, formula_reads
 from .detectors import Diagnostic
 from .evaluator import Fault, FaultKind, Number, Value
 from .intervals import CellTest, Interval, TestReport
-from .model import _KINDS, SpreadsheetProgram, cell_index, content_kind, render_content
-from .scl import format_number, rect_key, value_type
+from .model import (
+    _KINDS,
+    Formula,
+    Label,
+    SpreadsheetProgram,
+    cell_index,
+    content_kind,
+    render_content,
+)
+from .scl import (
+    CellAddress,
+    CellRef,
+    FormulaNode,
+    RangeRef,
+    column_letters,
+    format_number,
+    rect_key,
+    render,
+    render_slots,
+    row_major,
+    value_type,
+)
 
 TOOL_NAME = "sheetlint"
 SCHEMA_NAME = "report-v1"
@@ -453,14 +485,54 @@ def write_cell_graph_dot(
     codes = _diag_codes(diagnostics)
     fill = {addr: _FILLS[i % len(_FILLS)] for i, area in enumerate(logical) for addr in area.members}
     claimed = _claims(program, physical)
-    # Each node spelled once, for its own line and for its edges.
-    names = {addr: str(addr) for addr in sorted(graph.nodes, key=rect_key)}
+    cells = program.cells
     # The edges' index is built here, before the first write.
-    edges = graph.edges()
+    readers = graph.readers()
+    # The read nodes that are no cells: empty cells and empty runs.
+    others = sorted((rect_key(node), node) for node in readers if node not in cells)
+    names = {addr: f"{column_letters(addr[0])}{addr[1]}" for addr in cells}
+    names.update((node, str(node)) for _, node in others)
+    order = _placed(list(cells), others)
+    # Each number's spelling, per kind of cell holding it.
+    numbers: defaultdict[type, dict[float, str]] = defaultdict(dict)
+    classes = program.copy_classes
+    heads = set(classes.values())
+    reads = formula_reads(program)
+    # Copy class head -> how its members are spelled, or None.
+    spellings: dict[CellAddress, Callable[..., str] | None] = {}
+
+    def formula_text(addr: CellAddress, tree: FormulaNode) -> str:
+        head = classes.get(addr)
+        if head is None:
+            if addr not in heads:
+                return render(tree)
+            head = addr
+        if head in spellings:
+            spell = spellings[head]
+        else:
+            spell = spellings[head] = _class_spelling(cells[head].ast, reads[head][1], names)
+        return render(tree) if spell is None else spell(*reads[addr])
 
     def node_line(addr: Node) -> str:
         name = names[addr]
-        return f'"{name}" [{_cell_attrs(program, addr, name, fill.get(addr), codes.get(addr))}];\n'
+        content = cells.get(addr)
+        style = fill.get(addr)
+        if content is None or addr in codes:
+            return f'"{name}" [{_cell_attrs(program, addr, name, style, codes.get(addr))}];\n'
+        kind = type(content)
+        if kind is Formula:
+            # Formula text holds no quote or backslash to escape.
+            text = "=" + formula_text(addr, content.ast)
+        elif kind is Label:
+            text = f'\\"{_dot_escape(content.text)}\\"'
+        else:
+            spelled = numbers[kind]
+            text = spelled.get(content[0])
+            if text is None:
+                text = spelled[content[0]] = render_content(content)
+        if style:
+            return f'"{name}" [label="{name}\\n{text}", {style}];\n'
+        return f'"{name}" [label="{name}\\n{text}"];\n'
 
     def node_lines():
         yield "digraph sheet {\n"
@@ -472,13 +544,77 @@ def write_cell_graph_dot(
             for addr in members:
                 yield f"    {node_line(addr)}"
             yield "  }\n"
-        for addr in names:
+        for addr in order:
             if addr not in claimed:
                 yield f"  {node_line(addr)}"
 
+    def edge_lines():
+        for source in order:
+            targets = readers.get(source)
+            if targets:
+                head = f'  "{names[source]}" -> "'
+                for target in targets:
+                    yield f'{head}{names[target]}";\n'
+
     _write_lines(node_lines(), write)
-    _write_lines((f'  "{names[source]}" -> "{names[target]}";\n' for source, target in edges), write)
+    _write_lines(edge_lines(), write)
     write("}\n")
+
+
+def _class_spelling(
+    tree: FormulaNode, ranges: list[tuple[str, RangeRef]], names: dict[Node, str]
+) -> Callable[[list[CellAddress], list[tuple[str, RangeRef]]], str] | None:
+    """How each member of the copy class of a head with formula ``tree``
+    and range arguments ``ranges`` is spelled from what it reads, as
+    ``formula_reads`` lists it: ``tree``'s text with the member's own
+    references and ranges put in.  A class's members share their
+    literal text and markers.  None when the tree's ranges come in
+    another order than ``ranges``, as a call nested before another
+    range argument puts them."""
+    fmt, held = render_slots(tree)
+    if [item for item in held if type(item) is RangeRef] != [rng for _, rng in ranges]:
+        return None
+    if not any(type(item) is RangeRef or item.col_absolute or item.row_absolute for item in held):
+        name = names.__getitem__
+        return lambda refs, _: fmt.format(*map(name, refs))
+    # A member's points are its references and then its ranges' corners,
+    # as it reads them; each field spells one, with the head's markers.
+    fields = []
+    refs, corners = 0, sum(type(item) is CellRef for item in held)
+    for item in held:
+        if type(item) is RangeRef:
+            fields += ((corners, *_marks(item.start)), (corners + 1, *_marks(item.end)))
+            corners += 2
+        else:
+            fields.append((refs, *_marks(item)))
+            refs += 1
+
+    def spell(refs: list[CellAddress], ranges: list[tuple[str, RangeRef]]) -> str:
+        points = [*refs, *chain.from_iterable(rng for _, rng in ranges)]
+        return fmt.format(
+            *[f"{col}{column_letters(points[i][0])}{row}{points[i][1]}" for i, col, row in fields]
+        )
+
+    return spell
+
+
+def _marks(ref: CellRef) -> tuple[str, str]:
+    return "$" if ref.col_absolute else "", "$" if ref.row_absolute else ""
+
+
+def _placed(cells: list[CellAddress], others: list[tuple[tuple, Node]]) -> list[Node]:
+    """The cells, row-major, with each other node, given by its
+    ``rect_key`` in that order, placed among them by bisection.  No
+    other node is a cell, so none ties with one."""
+    order: list[Node] = []
+    start = 0
+    for key, node in others:
+        at = bisect_left(cells, key, start, key=row_major)
+        order += islice(cells, start, at)
+        order.append(node)
+        start = at
+    order += islice(cells, start, None)
+    return order
 
 
 def _write_lines(lines: Iterator[str], write: Callable[[str], object]) -> None:

@@ -67,6 +67,13 @@ class TestGraph:
             ("B2", "C1"),
         ]
 
+    def test_readers_map_each_read_node_to_its_formulas_row_major(self):
+        graph = build_graph(load_program("A1 = ?1\nB2 = =SUM(A1:A3)\nB1 = =A1+A2\n"))
+        readers = {str(s): addrs(targets) for s, targets in graph.readers().items()}
+        assert sorted(readers.items()) == [("A1", ["B1", "B2"]), ("A2", ["B1"]), ("A2:A3", ["B2"])]
+        # Each call builds its own map.
+        assert graph.readers() is not graph.readers()
+
     def test_precedents_and_dependents(self):
         graph = build_graph(load_program(DIAMOND))
         c1 = parse_address("C1")

@@ -554,12 +554,16 @@ class TestCellGraphOracle:
     # lies in both physical areas, and the first claims it.  B1 needs
     # DOT escapes.  C2:C4 are copies holding $B$1 and B$1, and the
     # copies E2:E4 are filled, clustered and outlined with G_DIV_ZERO.
+    # G3 copies G2, whose nested call lists its ranges out of text order;
+    # H3 copies H2, which holds markers and a range.
     CRAFTED = (
         "A1 = #1\nA2 = #-0\nA5 = #0\nA6 = ?1e20\nA7 = #0.1\n"
         'B1 = "a\\b "q""\nB2 = =SUM(A1:A5)\nB3 = =SUM(A2:A6)\nB4 = =A3+1\n'
         "C1 = #2\nC2 = =$B$1*B$1+A2\nC3 = =$B$1*B$1+A3\nC4 = =$B$1*B$1+A4\n"
         "D2 = =A2*2\nD3 = =A3*2\nD4 = =A4*2\nD5 = =A5*2\nD6 = =A6*2\n"
         "E2 = =A2/$A$5\nE3 = =A3/$A$5\nE4 = =A4/$A$5\nF5 = =SUM(E2:E4)\n"
+        "G2 = =MAX(SUM(A1:A2),A5:A6)\nG3 = =MAX(SUM(A2:A3),A6:A7)\n"
+        "H2 = =A2+SUM(A$1:A2)*$C$1\nH3 = =A3+SUM(A$1:A3)*$C$1\n"
     )
 
     @staticmethod
@@ -576,7 +580,8 @@ class TestCellGraphOracle:
 
         def node_line(addr):
             name = names[addr]
-            return f'"{name}" [{report._cell_attrs(program, addr, name, fill.get(addr), codes.get(addr))}];\n'
+            attrs = report._cell_attrs(program, addr, name, fill.get(addr), codes.get(addr))
+            return f'"{name}" [{attrs}];\n'
 
         lines = ["digraph sheet {\n", '  node [shape=box, fontname="Helvetica"];\n']
         for i, members in itertools.groupby(claimed, key=claimed.__getitem__):
@@ -628,6 +633,8 @@ class TestCellGraphOracle:
             '  "C3" [label="C3\\n=$B$1*B$1+A3", style="filled", fillcolor="#d8f5d8"];\n',
             '    "E3" [label="E3\\n=A3/$A$5\\nG_DIV_ZERO", style="filled", fillcolor="#f3d9f2", '
             'color="#cc2222", penwidth=2];\n',
+            '  "G3" [label="G3\\n=MAX(SUM(A2:A3),A6:A7)", style="filled", fillcolor="#e2e2e2"];\n',
+            '  "H3" [label="H3\\n=A3+SUM(A$1:A3)*$C$1", style="filled", fillcolor="#ffd9cc"];\n',
         ]:
             assert line in dot
         assert dot.index('  "A3" [') < dot.index('  "B3" [')
