@@ -24,8 +24,7 @@ no cells (empty cells and empty runs) placed among them by
 physical area claiming it, then the rest in that order.  The edges come
 from one index, ``graph.readers()``: by read node in that order, then
 by reader row-major.  Each node's name and each number is spelled once
-per write, and each copy class's formula once, as a template its other
-members fill with what they read.
+per write.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import math
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Callable, Iterator
-from itertools import chain, groupby, islice
+from itertools import groupby, islice
 
 # The interpreter's built-in SHA-256 and JSON string escaper, taken
 # directly: hashlib loads OpenSSL and json.encoder loads the decoder and
@@ -53,7 +52,7 @@ except ImportError:
 
 from . import __version__
 from .areas import LogicalArea, PhysicalArea
-from .dataflow import DependencyGraph, Node, formula_reads
+from .dataflow import DependencyGraph, Node
 from .detectors import Diagnostic
 from .evaluator import Fault, FaultKind, Number, Value
 from .intervals import CellTest, Interval, TestReport
@@ -68,14 +67,10 @@ from .model import (
 )
 from .scl import (
     CellAddress,
-    CellRef,
-    FormulaNode,
-    RangeRef,
     column_letters,
     format_number,
     rect_key,
     render,
-    render_slots,
     row_major,
     value_type,
 )
@@ -495,23 +490,6 @@ def write_cell_graph_dot(
     order = _placed(list(cells), others)
     # Each number's spelling, per kind of cell holding it.
     numbers: defaultdict[type, dict[float, str]] = defaultdict(dict)
-    classes = program.copy_classes
-    heads = set(classes.values())
-    reads = formula_reads(program)
-    # Copy class head -> how its members are spelled, or None.
-    spellings: dict[CellAddress, Callable[..., str] | None] = {}
-
-    def formula_text(addr: CellAddress, tree: FormulaNode) -> str:
-        head = classes.get(addr)
-        if head is None:
-            if addr not in heads:
-                return render(tree)
-            head = addr
-        if head in spellings:
-            spell = spellings[head]
-        else:
-            spell = spellings[head] = _class_spelling(cells[head].ast, reads[head][1], names)
-        return render(tree) if spell is None else spell(*reads[addr])
 
     def node_line(addr: Node) -> str:
         name = names[addr]
@@ -522,7 +500,7 @@ def write_cell_graph_dot(
         kind = type(content)
         if kind is Formula:
             # Formula text holds no quote or backslash to escape.
-            text = "=" + formula_text(addr, content.ast)
+            text = "=" + render(content.ast)
         elif kind is Label:
             text = f'\\"{_dot_escape(content.text)}\\"'
         else:
@@ -559,47 +537,6 @@ def write_cell_graph_dot(
     _write_lines(node_lines(), write)
     _write_lines(edge_lines(), write)
     write("}\n")
-
-
-def _class_spelling(
-    tree: FormulaNode, ranges: list[tuple[str, RangeRef]], names: dict[Node, str]
-) -> Callable[[list[CellAddress], list[tuple[str, RangeRef]]], str] | None:
-    """How each member of the copy class of a head with formula ``tree``
-    and range arguments ``ranges`` is spelled from what it reads, as
-    ``formula_reads`` lists it: ``tree``'s text with the member's own
-    references and ranges put in.  A class's members share their
-    literal text and markers.  None when the tree's ranges come in
-    another order than ``ranges``, as a call nested before another
-    range argument puts them."""
-    fmt, held = render_slots(tree)
-    if [item for item in held if type(item) is RangeRef] != [rng for _, rng in ranges]:
-        return None
-    if not any(type(item) is RangeRef or item.col_absolute or item.row_absolute for item in held):
-        name = names.__getitem__
-        return lambda refs, _: fmt.format(*map(name, refs))
-    # A member's points are its references and then its ranges' corners,
-    # as it reads them; each field spells one, with the head's markers.
-    fields = []
-    refs, corners = 0, sum(type(item) is CellRef for item in held)
-    for item in held:
-        if type(item) is RangeRef:
-            fields += ((corners, *_marks(item.start)), (corners + 1, *_marks(item.end)))
-            corners += 2
-        else:
-            fields.append((refs, *_marks(item)))
-            refs += 1
-
-    def spell(refs: list[CellAddress], ranges: list[tuple[str, RangeRef]]) -> str:
-        points = [*refs, *chain.from_iterable(rng for _, rng in ranges)]
-        return fmt.format(
-            *[f"{col}{column_letters(points[i][0])}{row}{points[i][1]}" for i, col, row in fields]
-        )
-
-    return spell
-
-
-def _marks(ref: CellRef) -> tuple[str, str]:
-    return "$" if ref.col_absolute else "", "$" if ref.row_absolute else ""
 
 
 def _placed(cells: list[CellAddress], others: list[tuple[tuple, Node]]) -> list[Node]:

@@ -827,26 +827,6 @@ def render(node: FormulaNode) -> str:
     return fold(node, _render)[0]
 
 
-def render_slots(node: FormulaNode) -> tuple[str, list[CellRef | RangeRef]]:
-    """The text ``render`` gives, as a format string with a ``{}`` field
-    for each reference and a ``{}:{}`` for each range, and the
-    references and ranges there, left to right.  Formula text holds no
-    braces, so the fields are the only ones."""
-    held: list[CellRef | RangeRef] = []
-
-    def spell(node: FormulaNode, children: list) -> tuple[str, int]:
-        kind = type(node)
-        if kind is Reference:
-            held.append(node.ref)
-            return "{}", _PREC_ATOM
-        if kind is RangeArg:
-            held.append(node.rng)
-            return "{}:{}", _PREC_ATOM
-        return _render(node, children)
-
-    return fold(node, spell)[0], held
-
-
 # ---------------------------------------------------------------------------
 # Copy equivalence
 

@@ -23,7 +23,7 @@ from sheetlint.cli import main
 from sheetlint.dataflow import build_graph
 from sheetlint.detectors import detect_all
 from sheetlint.model import load_program
-from sheetlint.scl import fold, parse_formula, rect_key
+from sheetlint.scl import parse_formula, rect_key
 
 # Doubling may cost a little more than twice: sorting is n log n.
 MAX_GROWTH = 2.3
@@ -282,19 +282,16 @@ def test_filled_down_rows_parse_once_per_copy_class():
         assert (calls, sum(1 for _ in program.formula_cells())) == (2, 502)
 
 
-def test_filled_down_cell_view_spells_each_copy_class_once():
+def test_filled_down_cell_view_sorts_no_cell_by_rect_key():
     # Every node of `filled_down(500)` is a cell, so the cell view takes
-    # its node order from the program and sorts nothing by `rect_key`.  Its 502 formulas are two
-    # copy classes, so their text takes one fold of a tree per class.
+    # its node order from the program and sorts nothing by `rect_key`.
     program = load_program(filled_down(500))
     graph = build_graph(program)
     inputs = (program, graph, infer_physical_areas(program), infer_logical_areas(program))
     diagnostics = detect_all(program)
     profile = cProfile.Profile()
     profile.runcall(report.write_cell_graph_dot, *inputs, diagnostics, lambda text: None)
-    counts = {entry.code: entry.callcount for entry in profile.getstats()}
-    classes = sum(1 for _ in program.formula_cells()) - len(program.copy_classes)
+    calls = sum(entry.callcount for entry in profile.getstats() if entry.code is rect_key.__code__)
     others = len(graph.nodes - program.cells.keys())
-    assert (others, classes) == (0, 2)
-    assert counts.get(rect_key.__code__, 0) <= others
-    assert counts.get(fold.__code__, 0) == classes
+    assert others == 0
+    assert calls <= others
