@@ -74,6 +74,9 @@ def formula_reads(
     kept, and one (function, rectangle) pair per range argument, by
     call top-down and then argument left to right."""
     table = {}
+    # A reference's column and row are 1 or more, as the parser built
+    # it, so its address is built in C without CellAddress's check.
+    new = tuple.__new__
     for addr, content in program.cells.items():
         if type(content) is not Formula:
             continue
@@ -81,7 +84,7 @@ def formula_reads(
         for node in iter_nodes(content.ast):
             kind = type(node)
             if kind is Reference:
-                refs.append(node.ref.address())
+                refs.append(new(CellAddress, node.ref[:2]))
             elif kind is Call:
                 for arg in node.args:
                     if type(arg) is RangeArg:

@@ -8,11 +8,19 @@ Every non-empty cell evaluates to one of four values:
     Fault   evaluation failed; the kind says how
 
 One walker computes every formula, over closed intervals instead of
-numbers.  A concrete run is an interval run with each input held at a
-single point: every interval then stays degenerate, and the cell's
-Number is its lower endpoint.  Interval testing runs the same walker
-over declared input ranges, so a bound collapses to the concrete value
-when every range is a point.
+numbers: a fold step built once per run.  A concrete run is an interval
+run with each input held at a single point: every interval then stays
+degenerate, and the cell's Number is its lower endpoint.  Interval
+testing runs the same walker over declared input ranges, so a bound
+collapses to the concrete value when every range is a point.
+
+Interval testing needs both runs, and ``evaluate_lanes`` takes them
+from one walk, folding each formula once.  A lane is one of the two
+runs: the point lane holds inputs at their values, the ranged lane
+holds them at their ranges.  A cell whose lanes differ holds a plain
+(point, ranged) tuple, every other cell its one value.  A node whose
+children differ between the lanes runs the one-lane step once per
+lane, so the faults, notes and coercions below are defined once.
 
 Scalar arithmetic coerces Blank to 0 and treats Text as a type fault.
 Grouping functions instead skip Blank and Text cells in their ranges.
@@ -45,7 +53,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .areas import skeletons
 from .dataflow import build_graph
@@ -240,10 +248,15 @@ def iv_aggregate(name: str, items: list[Interval]) -> Interval:
 # What a cell holds while the walker runs: numbers are intervals.
 _Held = Union[Interval, Blank, Text, Fault]
 _Cells = Mapping[CellAddress, _Held]
+# What a cell holds in a two-lane run: one value, the same in both
+# lanes, or a plain (point, ranged) tuple where they differ.  Every
+# value type is a tuple subclass, so ``type(v) is tuple`` tells a pair.
+_Lanes = Union[_Held, tuple[_Held, _Held]]
 
 _ZERO = Interval.degenerate(0.0)
 _PROPAGATED = Fault(FaultKind.PROPAGATED)
 _OVERFLOW = Fault(FaultKind.OVERFLOW)
+_INF = math.inf
 
 
 def _subject(node: FormulaNode) -> CellAddress | None:
@@ -253,6 +266,29 @@ def _subject(node: FormulaNode) -> CellAddress | None:
 def _finite(box: Interval) -> IntervalValue:
     if math.isfinite(box.lo) and math.isfinite(box.hi):
         return box
+    return _OVERFLOW
+
+
+def _arith(op: str, a: Interval, b: Interval) -> IntervalValue:
+    """``_finite(iv_binop(op, a, b))`` for '+', '-' and '*', on the
+    endpoints.  Held intervals are finite, so no endpoint comes out NaN
+    or out of order, and one beyond the floats is infinite."""
+    if op == "+":
+        lo = a[0] + b[0]
+        hi = a[1] + b[1]
+    elif op == "-":
+        lo = a[0] - b[1]
+        hi = a[1] - b[0]
+    elif op == "*":
+        alo, ahi = a
+        blo, bhi = b
+        products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        lo = min(products)
+        hi = max(products)
+    else:
+        return iv_binop(op, a, b)  # raises for an operator it does not know
+    if -_INF < lo and hi < _INF:
+        return tuple.__new__(Interval, (lo, hi))
     return _OVERFLOW
 
 
@@ -272,65 +308,106 @@ def _operand(
     return Fault(FaultKind.TYPE_ERROR)
 
 
-def _walk(
-    ast: FormulaNode,
-    host: CellAddress,
-    held: _Cells,
-    index: CellIndex,
-    notes: list[RuntimeNote],
-) -> _Held:
-    """One formula's value.  A RangeArg leaf gives the numbers its
-    occupied cells hold, in row-major order, and every other part it
-    reads as a (subject, value) pair: an occupied cell with its Text or
-    Fault, an empty run with Blank, by the subject's top-left cell."""
+def _gathered(parts: list, values: list) -> list:
+    """What a RangeArg reads: the numbers its occupied cells hold, in
+    row-major order, and every other part as a (subject, value) pair:
+    an occupied cell with its Text or Fault, an empty run, not held and
+    so read as None, with Blank.  A list, never a lane pair."""
+    numbers = [value for value in values if type(value) is Interval]
+    others = []
+    if len(numbers) < len(values):
+        others = [
+            (part, BLANK if value is None else value)
+            for part, value in zip(parts, values)
+            if type(value) is not Interval
+        ]
+    return [numbers, others]
+
+
+def _step(held: _Cells, index: CellIndex, notes: list[RuntimeNote], host: list):
+    """The fold step of one lane over the cells in ``held``, built once
+    per run.  ``host[0]`` is the formula being folded, set by the loop
+    before each fold, for the notes it raises."""
+    get = held.get
+    new = tuple.__new__
 
     def step(node: FormulaNode, children: list):
         kind = type(node)
         if kind is Reference:
             # An address hashes and compares as its plain (col, row).
-            return held.get(node.ref[:2], BLANK)
+            return get(node.ref[:2], BLANK)
         if kind is NumberLiteral:
-            return tuple.__new__(Interval, (node.value, node.value))
+            return new(Interval, (node.value, node.value))
         if kind is RangeArg:
             parts = index.parts(node.rng)
-            # An empty run is not held: it reads as None, then Blank.
-            values = list(map(held.get, parts))
-            numbers = [value for value in values if type(value) is Interval]
-            others = []
-            if len(numbers) < len(values):
-                others = [
-                    (part, BLANK if value is None else value)
-                    for part, value in zip(parts, values)
-                    if type(value) is not Interval
-                ]
-            return numbers, others
+            return _gathered(parts, list(map(get, parts)))
         if kind is BinaryOp:
             left, right = children
+            if type(left) is Interval and type(right) is Interval and node.op != "/":
+                return _arith(node.op, left, right)
             if type(left) is not Interval:
-                left = _operand(left, node.left, host, notes)
+                left = _operand(left, node.left, host[0], notes)
                 if type(left) is Fault:
                     return left
             if type(right) is not Interval:
-                right = _operand(right, node.right, host, notes)
+                right = _operand(right, node.right, host[0], notes)
                 if type(right) is Fault:
                     return right
             if node.op == "/" and right.lo <= 0.0 <= right.hi:
                 if right.lo < right.hi:
                     return Fault(FaultKind.DIVISOR_CONTAINS_ZERO)
                 subject = _subject(node.right)
-                notes.append(RuntimeNote(NoteKind.DIV_BY_ZERO, host, subject))
+                notes.append(RuntimeNote(NoteKind.DIV_BY_ZERO, host[0], subject))
                 return Fault(FaultKind.DIV_BY_ZERO)
             return _finite(iv_binop(node.op, left, right))
         if kind is Negate:
-            operand = _operand(children[0], node.child, host, notes)
+            operand = _operand(children[0], node.child, host[0], notes)
             if isinstance(operand, Fault):
                 return operand
             return iv_negate(operand)
         if kind is Call:
-            return _aggregate(node, children, host, notes)
+            return _aggregate(node, children, host[0], notes)
         raise TypeError(f"not evaluable: {node!r}")
 
-    return fold(ast, step)
+    return step
+
+
+def _lanes_step(held: Mapping[CellAddress, _Lanes], index: CellIndex, step):
+    """The fold step of both lanes over the cells in ``held``.  Leaves
+    read both lanes; a '+', '-' or '*' over Intervals in both runs the
+    arithmetic once per lane, and every other node runs the one-lane
+    ``step`` once per lane.  A node none of whose children differ
+    between the lanes gives one value, the same in both."""
+    get = held.get
+
+    def lanes(node: FormulaNode, children: list):
+        kind = type(node)
+        if kind is Reference:
+            return get(node.ref[:2], BLANK)
+        if kind is RangeArg:
+            parts = index.parts(node.rng)
+            values = list(map(get, parts))
+            if tuple not in map(type, values):
+                return _gathered(parts, values)
+            return (
+                _gathered(parts, [v[0] if type(v) is tuple else v for v in values]),
+                _gathered(parts, [v[1] if type(v) is tuple else v for v in values]),
+            )
+        if kind is BinaryOp and node.op != "/":
+            left, right = children
+            lp, lr = left if type(left) is tuple else (left, left)
+            rp, rr = right if type(right) is tuple else (right, right)
+            if type(lp) is type(lr) is type(rp) is type(rr) is Interval:
+                if lp is lr and rp is rr:  # neither child differs between the lanes
+                    return _arith(node.op, lp, rp)
+                return _arith(node.op, lp, rp), _arith(node.op, lr, rr)
+        if tuple not in map(type, children):
+            return step(node, children)
+        point = [c[0] if type(c) is tuple else c for c in children]
+        ranged = [c[1] if type(c) is tuple else c for c in children]
+        return step(node, point), step(node, ranged)
+
+    return lanes
 
 
 def _aggregate(
@@ -414,6 +491,28 @@ def evaluate(
     CyclicDependency for a reference loop, then NotAnInputCell for a
     range on a non-input.
     """
+    return _evaluate(instance, ranges, notes, False)
+
+
+def evaluate_lanes(
+    instance: SpreadsheetInstance, ranges: Mapping[CellAddress, Interval]
+) -> dict[CellAddress, _Lanes]:
+    """``evaluate`` over points and over ``ranges`` in one walk, without notes.
+
+    A cell whose two runs agree holds its one value; one whose runs
+    differ, an input ``ranges`` ranges or a formula that reads one,
+    holds the plain tuple (point value, ranged value).  With no range
+    every cell holds one value.  Raises as ``evaluate`` does.
+    """
+    return _evaluate(instance, ranges, [], True)
+
+
+def _evaluate(
+    instance: SpreadsheetInstance,
+    ranges: Mapping[CellAddress, Interval],
+    notes: list[RuntimeNote],
+    lanes: bool,
+) -> dict:
     program = instance.program
     order = build_graph(program).topo_order()
     index = cell_index(program)
@@ -422,7 +521,11 @@ def evaluate(
         if not isinstance(content_at(addr), Input):
             raise NotAnInputCell(addr)
     bound = instance.bindings.get
-    held: dict[CellAddress, _Held] = {}
+    held: dict = {}
+    host = [None]
+    step = _step(held, index, notes, host)
+    if lanes:
+        step = _lanes_step(held, index, step)
     # A number the loader or the instance holds is finite, so its point
     # interval is built in C without Interval's check.
     point = tuple.__new__
@@ -430,18 +533,21 @@ def evaluate(
         content = content_at(addr)
         kind = type(content)
         if kind is Formula:
-            result = _walk(content.ast, addr, held, index, notes)
+            host[0] = addr
+            result = fold(content.ast, step)
             if type(result) is Blank or type(result) is Text:
-                # A bare reference at the root still lands in a numeric cell.
+                # A bare reference at the root still lands in a numeric
+                # cell.  A lane pair holds numbers and faults only.
                 result = _operand(result, content.ast, addr, notes)
             held[addr] = result
         elif kind is Constant:
             held[addr] = point(Interval, (content.value, content.value))
         elif kind is Input:
             box = ranges.get(addr)
-            if box is None:
+            if box is None or lanes:
                 value = bound(addr, content.default)
-                box = point(Interval, (value, value))
+                at = point(Interval, (value, value))
+                box = at if box is None else (at, box)
             held[addr] = box
         else:
             held[addr] = Text(content.text)
@@ -449,19 +555,15 @@ def evaluate(
 
 
 def eval_instance(instance: SpreadsheetInstance) -> EvalResult:
-    """Evaluate every cell, precedents first.
+    """Evaluate every cell, precedents first; each degenerate Interval
+    becomes its Number.
 
     Raises CyclicDependency when formulas form a reference loop.
     """
     notes: list[RuntimeNote] = []
-    values = point_values(evaluate(instance, {}, notes).items())
-    return EvalResult(values, tuple(notes))
-
-
-def point_values(held: Iterable[tuple[CellAddress, _Held]]) -> dict[CellAddress, Value]:
-    """A point run's values: each degenerate Interval becomes its Number."""
     new = tuple.__new__
-    return {
+    values = {
         addr: new(Number, (value[0],)) if type(value) is Interval else value
-        for addr, value in held
+        for addr, value in evaluate(instance, {}, notes).items()
     }
+    return EvalResult(values, tuple(notes))

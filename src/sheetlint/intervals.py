@@ -16,7 +16,9 @@ some expected values are unreachable.
 
 Interval arithmetic and the formula walker live in the evaluator, which
 computes d and B alike: d is the walker's result with every input range
-collapsed to a point, so B collapses to d by construction.
+collapsed to a point, so B collapses to d by construction.  Both come
+from one walk of each formula, and each formula cell is judged straight
+from it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .evaluator import (
     Number,
     Value,
     evaluate,
-    point_values,
+    evaluate_lanes,
 )
 from .model import (
     Formula,
@@ -165,45 +167,48 @@ class TestReport(value_type("TestReport", "rows")):
 def run_interval_test(instance: SpreadsheetInstance, spec: IntervalSpec) -> TestReport:
     """Evaluate, bound, and judge every formula cell.
 
-    d comes from a run over points, and B from a run over the declared
-    input ranges, or, when the spec ranges no input, from the point run
-    itself.  Inputs without a declared range are held at their bound
+    d and B come from one two-lane walk (``evaluate_lanes``): d from
+    its lane over points, B from its lane over the declared input
+    ranges, which is the point lane itself when the spec ranges no
+    input.  Inputs without a declared range are held at their bound
     value.  Cells without an expectation come back NOT_JUDGED.
     Suspects for a symptomatic cell are its transitive precedents,
     nearest first, and symptomatic before clean at equal distance; an
     empty run a range reads is one suspect, as in the dependency graph.
     """
     program = instance.program
-    for addr in spec.expected:
+    expected = spec.expected
+    for addr in expected:
         if not isinstance(program.content(addr), Formula):
             raise NotAFormulaCell(addr)
-    # A formula holds an Interval or a Fault, never Blank or Text.  Only
-    # the formula cells are read from here on, so the map of every other
-    # cell is let go before the ranged run.
-    points = evaluate(instance, {}, [])
-    points = {addr: points[addr] for addr, _ in program.formula_cells()}
-    bounds = evaluate(instance, spec.input_ranges, []) if spec.input_ranges else points
-    values = point_values(points.items())
-    verdicts = {
-        addr: judge(value, spec.expected[addr], bounds[addr])
-        if addr in spec.expected
-        else Verdict.NOT_JUDGED
-        for addr, value in values.items()
-    }
-    symptomatic = {addr for addr, v in verdicts.items() if v in SYMPTOMS}
-    graph = build_graph(program)
-    rows = tuple(
-        CellTest(
-            cell=addr,
-            value=values[addr],
-            bounding=bounds[addr],
-            expected=spec.expected.get(addr),
-            verdict=verdict,
-            suspects=_suspects(graph, addr, symptomatic) if addr in symptomatic else (),
-        )
-        for addr, verdict in verdicts.items()
-    )
-    return TestReport(rows)
+    # A formula holds an Interval or a Fault in each lane, so its row
+    # is judged as it comes; suspects wait for every verdict.  Each
+    # value leaves the map as its row takes it, so a point Interval
+    # is let go as its Number is made.
+    take = evaluate_lanes(instance, spec.input_ranges).pop
+    new = tuple.__new__
+    rows = []
+    flagged = []
+    for addr, _ in program.formula_cells():
+        value = bounding = take(addr)
+        if type(value) is tuple:
+            value, bounding = value
+        if type(value) is Interval:
+            value = new(Number, (value[0],))
+        box = expected.get(addr)
+        if box is None:
+            verdict = Verdict.NOT_JUDGED
+        else:
+            verdict = judge(value, box, bounding)
+            if verdict in SYMPTOMS:
+                flagged.append(len(rows))
+        rows.append(CellTest(addr, value, bounding, box, verdict, ()))
+    if flagged:
+        symptomatic = {rows[i].cell for i in flagged}
+        graph = build_graph(program)
+        for i in flagged:
+            rows[i] = rows[i]._replace(suspects=_suspects(graph, rows[i].cell, symptomatic))
+    return TestReport(tuple(rows))
 
 
 def _suspects(

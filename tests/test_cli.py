@@ -31,7 +31,7 @@ from sheetlint.areas import (
 from sheetlint import cli, report
 from sheetlint.cli import main
 from sheetlint.dataflow import DependencyGraph, formula_reads
-from sheetlint.evaluator import evaluate
+from sheetlint.evaluator import _evaluate
 from sheetlint.model import cell_index, strip_comment
 from sheetlint.scl import (
     RangeRef,
@@ -638,8 +638,9 @@ class TestBuildOnce:
 
     # On the cyclic sheet the cycle that stops evaluation is reported
     # as G_CYCLE without building the graph again.  No sheet here can
-    # divide by zero, so only `test` evaluates: once over points, and
-    # once more over the ranges when its spec ranges an input.
+    # divide by zero, so only `test` evaluates, once, points and ranges
+    # in one walk, whether or not its spec ranges an input.  Counted by
+    # the loop that `evaluate` and `evaluate_lanes` both run.
     @pytest.mark.parametrize(
         "argv, evaluations",
         [
@@ -650,7 +651,7 @@ class TestBuildOnce:
             (["graph", CYCLIC], 0),
             (["areas", RUNNING], 0),
             (["test", QUARTERLY, QUARTERLY_IV], 1),
-            (["test", BUDGET, BUDGET_IV], 2),
+            (["test", BUDGET, BUDGET_IV], 1),
         ],
         ids=[
             "check", "graph", "graph-area", "check-cyclic", "graph-cyclic", "areas", "test",
@@ -659,7 +660,7 @@ class TestBuildOnce:
     )
     def test_each_structure_built_once(self, argv, evaluations):
         calls = self.calls(argv)
-        assert calls[evaluate.__code__] == evaluations
+        assert calls[_evaluate.__code__] == evaluations
         built = self.BUILT[argv[0]]
         counts = {name: calls[code] for name, code in self.BUILDERS.items()}
         assert counts == {name: int(name in built) for name in self.BUILDERS}

@@ -183,10 +183,11 @@ def test_crafted_divisions(name, tmp_path):
     ids=["check", "graph", "graph-area"],
 )
 def test_no_formula_is_evaluated_without_a_division(shape, argv, tmp_path, monkeypatch):
-    def refuse(ast, host, *rest):
-        raise AssertionError(f"{host} was evaluated")
+    # The evaluator folds each formula's tree once, and nothing else.
+    def refuse(ast, step):
+        raise AssertionError(f"={render(ast)} was evaluated")
 
-    monkeypatch.setattr(evaluator, "_walk", refuse)
+    monkeypatch.setattr(evaluator, "fold", refuse)
     sheet = tmp_path / "shape.sheet"
     sheet.write_text(shape(60))
     run([argv[0], str(sheet), *argv[1:]])
@@ -195,20 +196,21 @@ def test_no_formula_is_evaluated_without_a_division(shape, argv, tmp_path, monke
 @pytest.mark.parametrize("argv", [["check"], ["graph"]])
 def test_a_division_evaluates_every_formula(argv, tmp_path, monkeypatch):
     walked = []
-    walk = evaluator._walk
+    fold = evaluator.fold
 
-    def record(ast, host, *rest):
-        walked.append(host)
-        return walk(ast, host, *rest)
+    def record(ast, step):
+        walked.append(ast)
+        return fold(ast, step)
 
-    monkeypatch.setattr(evaluator, "_walk", record)
+    monkeypatch.setattr(evaluator, "fold", record)
     sheet = tmp_path / "chain.sheet"
     text = filled_down(60) + "F1 = ?-1\nG1 = =F1+1\nG2 = =G1*2\nG3 = =7/G2\n"
     sheet.write_text(text)
     code, out = run([argv[0], str(sheet)])
     program = load_program(text)
+    # Every formula's tree is folded once, in evaluation order.
     assert walked == [
-        addr for addr in build_graph(program).topo_order()
+        program.cells[addr].ast for addr in build_graph(program).topo_order()
         if type(program.cells[addr]) is Formula
     ]
     if argv[0] == "check":

@@ -4,7 +4,9 @@ On every fixture, 300 corpus programs, the injection cases, filled-down
 and subtotal-block sheets and a sheet of every fault, the concrete run
 (``eval_instance``) and the interval run (``evaluate`` over input
 ranges) must each give what the earlier evaluator gave: equal values,
-in the same key order, and equal notes.
+in the same key order, and equal notes.  So must each lane of the
+two-lane run (``evaluate_lanes``): its point lane the earlier run over
+points, and its ranged lane the earlier run over the ranges.
 """
 
 import pathlib
@@ -15,7 +17,15 @@ import corpus
 import eval_oracle
 import injection
 from sheetlint.dataflow import CyclicDependency, build_graph
-from sheetlint.evaluator import Fault, FaultKind, Interval, NoteKind, eval_instance, evaluate
+from sheetlint.evaluator import (
+    Fault,
+    FaultKind,
+    Interval,
+    NoteKind,
+    eval_instance,
+    evaluate,
+    evaluate_lanes,
+)
 from sheetlint.intervals import load_interval_spec
 from sheetlint.model import Input, instantiate, load_program
 from test_scaling import filled_down, subtotal_blocks
@@ -123,3 +133,36 @@ def test_the_fault_sheet_reaches_every_fault_and_note():
     faults = {value.kind for value in values if isinstance(value, Fault)}
     assert faults == set(FaultKind) - {FaultKind.CYCLE}
     assert {note.kind for note in notes} == set(NoteKind)
+
+
+def _lane(held: dict, k: int) -> list:
+    """One lane of a two-lane run: lane k of each pair, and every other
+    value as it is."""
+    return [(addr, value[k] if type(value) is tuple else value) for addr, value in held.items()]
+
+
+@pytest.mark.parametrize("source", sorted(CASES))
+def test_each_lane_matches_the_oracle(source):
+    split = set()
+    for name, text, spec_text in CASES[source]:
+        program = load_program(text)
+        try:
+            order = build_graph(program).topo_order()
+        except CyclicDependency:
+            continue
+        instance = instantiate(program)
+        ranges = _ranges(program, spec_text)
+        held = evaluate_lanes(instance, ranges)
+        points = eval_oracle.evaluate(instance, order, {}, [])
+        bounds = eval_oracle.evaluate(instance, order, ranges, [])
+        assert _lane(held, 0) == list(points.items()), name
+        assert _lane(held, 1) == list(bounds.items()), name
+        if name == "faults":
+            split = {value for value in held.values() if type(value) is tuple}
+        # With no range, every cell holds one value.
+        assert tuple not in map(type, evaluate_lanes(instance, {}).values()), name
+    if source == "shapes":
+        # B2 = =A2/(A2-3) divides by zero at the point, and by a range
+        # that holds zero over the ranges: the lanes fault differently.
+        divided = (Fault(FaultKind.DIV_BY_ZERO), Fault(FaultKind.DIVISOR_CONTAINS_ZERO))
+        assert divided in split

@@ -1,12 +1,11 @@
 """Interval arithmetic, bounding evaluation, judging, suspects, specs."""
 
 import pathlib
-import weakref
+import tracemalloc
 
 import pytest
 
-from sheetlint import intervals
-from sheetlint.dataflow import CyclicDependency
+from sheetlint.dataflow import CyclicDependency, build_graph
 from sheetlint.evaluator import (
     DivisorContainsZero,
     EmptyAggregate,
@@ -30,8 +29,9 @@ from sheetlint.intervals import (
     load_interval_spec,
     run_interval_test,
 )
-from sheetlint.model import LoadError, NotAnInputCell, instantiate, load_program
+from sheetlint.model import LoadError, NotAnInputCell, cell_index, instantiate, load_program
 from sheetlint.scl import parse_address
+from test_scaling import filled_down, filled_down_spec
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
@@ -303,27 +303,26 @@ class TestRunIntervalTest:
         with pytest.raises(NotAFormulaCell):
             run_interval_test(instantiate(prog), spec)
 
-    def test_point_run_is_let_go_before_the_ranged_run(self, monkeypatch):
-        # The point run holds every non-empty cell, and only its formula
-        # cells are read after it, so its map must not stay alive while
-        # the ranged run evaluates.
-        class Held(dict):
-            pass
-
-        runs = []
-        alive = []
-
-        def tracked(instance, ranges, notes):
-            alive.append([run() is not None for run in runs])
-            held = Held(evaluate(instance, ranges, notes))
-            runs.append(weakref.ref(held))
-            return held
-
-        monkeypatch.setattr(intervals, "evaluate", tracked)
-        inst, spec = self.appended_sales()
-        report = run_interval_test(inst, spec)
-        assert alive == [[], [False]]
-        assert report.rows[0].verdict is Verdict.SYMPTOM_VALUE_OUTSIDE
+    def test_peak_heap_stays_small_per_cell(self):
+        # Points and ranges share one map, and a cell holds a (point,
+        # ranged) pair only where its lanes differ; two full maps, one
+        # per lane, take about 250 B per cell here.  The graph and
+        # the occupied-cell index are the program's, shared by every
+        # command, so they are built before tracing starts.
+        program = load_program(filled_down(1000))
+        spec = load_interval_spec(filled_down_spec(1000), program)
+        instance = instantiate(program)
+        build_graph(program).topo_order()
+        cell_index(program)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = run_interval_test(instance, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.rows) == 1002
+        assert (peak - base) / len(program.cells) <= 200
 
 
 class TestRangeOnNonInput:

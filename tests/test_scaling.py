@@ -23,7 +23,7 @@ from sheetlint.cli import main
 from sheetlint.dataflow import build_graph
 from sheetlint.detectors import detect_all
 from sheetlint.model import load_program
-from sheetlint.scl import parse_formula, rect_key
+from sheetlint.scl import fold, parse_formula, rect_key
 
 # Doubling may cost a little more than twice: sorting is n log n.
 MAX_GROWTH = 2.3
@@ -295,3 +295,17 @@ def test_filled_down_cell_view_sorts_no_cell_by_rect_key():
     others = len(graph.nodes - program.cells.keys())
     assert others == 0
     assert calls <= others
+
+
+def test_test_folds_each_formula_once(tmp_path):
+    # `test` takes d and B from one walk of each formula, holding both
+    # lanes, even with every input of `filled_down(500)` ranged.
+    text = filled_down(500)
+    sheet, spec = tmp_path / "shape.sheet", tmp_path / "shape.intervals"
+    sheet.write_text(text)
+    spec.write_text(filled_down_spec(500))
+    profile = cProfile.Profile()
+    with contextlib.redirect_stdout(io.StringIO()):
+        profile.runcall(main, ["test", str(sheet), str(spec), "--format", "json"])
+    calls = sum(entry.callcount for entry in profile.getstats() if entry.code is fold.__code__)
+    assert calls == sum(1 for _ in load_program(text).formula_cells()) == 502
