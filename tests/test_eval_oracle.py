@@ -17,6 +17,7 @@ import corpus
 import eval_oracle
 import injection
 from sheetlint.dataflow import CyclicDependency, build_graph
+from sheetlint.detectors import detect_blank_ref, detect_wrong_type_in_range
 from sheetlint.evaluator import (
     Fault,
     FaultKind,
@@ -28,9 +29,11 @@ from sheetlint.evaluator import (
 )
 from sheetlint.intervals import load_interval_spec
 from sheetlint.model import Input, instantiate, load_program
+from sheetlint.scl import RangeRef, parse_address
 from test_scaling import filled_down, subtotal_blocks
 
-FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+HERE = pathlib.Path(__file__).parent
+FIXTURES = HERE.parent / "fixtures"
 
 # Every fault and note the walker knows, over a point and over a range
 # that holds the divisor's zero.
@@ -166,3 +169,86 @@ def test_each_lane_matches_the_oracle(source):
         # that holds zero over the ranges: the lanes fault differently.
         divided = (Fault(FaultKind.DIV_BY_ZERO), Fault(FaultKind.DIVISOR_CONTAINS_ZERO))
         assert divided in split
+
+
+# ---------------------------------------------------------------------------
+# The blank and label notes against D1 and D2
+
+
+def _notes(program) -> tuple:
+    """The notes of the concrete run, or None for a cyclic program."""
+    try:
+        build_graph(program).topo_order()
+    except CyclicDependency:
+        return None
+    return eval_instance(instantiate(program)).notes
+
+
+def _noted(program, notes) -> tuple[set, set]:
+    """What the blank and label notes say: the (formula, subject) pairs
+    of the BLANK_IN_ARITHMETIC notes and of the SKIPPED_NON_NUMERIC
+    notes whose subject is empty, and the label subjects of the rest."""
+    empty, labels = set(), set()
+    for note in notes:
+        if note.kind is NoteKind.BLANK_IN_ARITHMETIC:
+            empty.add((note.cell, note.subject))
+        elif note.kind is NoteKind.SKIPPED_NON_NUMERIC:
+            if type(note.subject) is RangeRef or program.content(note.subject) is None:
+                empty.add((note.cell, note.subject))
+            else:
+                labels.add(note.subject)
+    return empty, labels
+
+
+def _reported(program) -> tuple[set, set]:
+    """D1's (formula, subject) pairs and D2's labels."""
+    empty = {
+        (parse_address(diag.message.split(" ", 1)[0]), diag.cells[0])
+        for diag in detect_blank_ref(program)
+    }
+    labels = {diag.cells[0] for diag in detect_wrong_type_in_range(program)}
+    return empty, labels
+
+
+def _programs() -> list[tuple[str, str]]:
+    """(name, .sheet text) for 300 corpus programs, the fixtures and
+    the small benchmark shapes."""
+    sheets = sorted(FIXTURES.glob("*.sheet")) + sorted((HERE / "shapes").glob("*.sheet"))
+    return [(cp.seed, cp.text) for cp in corpus.corpus(300)] + [
+        (sheet.name, sheet.read_text()) for sheet in sheets
+    ]
+
+
+def test_blank_and_label_notes_say_what_d1_and_d2_report():
+    pairs = labels = 0
+    for name, text in _programs():
+        program = load_program(text)
+        notes = _notes(program)
+        if notes is None:
+            assert name == "cyclic.sheet"
+            continue
+        noted, reported = _noted(program, notes), _reported(program)
+        assert noted == reported, name
+        pairs += len(reported[0])
+        labels += len(reported[1])
+    assert (pairs, labels) == (374, 189)
+
+
+@pytest.mark.parametrize(
+    "text, blanks, labels, d1",
+    [
+        # A label read as a grouping function's direct argument is
+        # noted, but D2 reports labels inside ranges only.
+        ('L1 = "x"\nB1 = =SUM(L1, A1)\n', {"A1"}, {"L1"}, {"A1"}),
+        # The left operand faults first, so the blank on the right is
+        # never coerced and never noted; D1 still reports it.
+        ('L1 = "x"\nB1 = =L1+C9\n', set(), set(), {"C9"}),
+    ],
+)
+def test_where_the_notes_and_the_detectors_differ(text, blanks, labels, d1):
+    program = load_program(text)
+    noted, reported = _noted(program, _notes(program)), _reported(program)
+    assert {str(subject) for _, subject in noted[0]} == blanks
+    assert set(map(str, noted[1])) == labels
+    assert {str(subject) for _, subject in reported[0]} == d1
+    assert reported[1] == set()
