@@ -23,30 +23,23 @@ children differ between the lanes runs the one-lane step once per
 lane, so the faults, notes and coercions below are defined once.
 
 Scalar arithmetic coerces Blank to 0 and treats Text as a type fault.
-Grouping functions instead skip Blank and Text cells in their ranges.
-Both departures from plain arithmetic are recorded as runtime notes so
-callers can surface them.  Faults travel: an operation over a faulty
-operand yields Fault(PROPAGATED).  A result with an endpoint beyond
-the floats' range yields Fault(OVERFLOW); the loaders reject
-non-finite numbers, so no operation ever sees infinity or NaN.
+Grouping functions instead skip Blank and Text silently: D1 and D2
+report empty cells read and labels inside ranges without evaluating.
+Faults travel: an operation over a faulty operand yields
+Fault(PROPAGATED).  A result with an endpoint beyond the floats' range
+yields Fault(OVERFLOW); the loaders reject non-finite numbers, so no
+operation ever sees infinity or NaN.  Where a fault starts in a type
+error or a division by zero, a runtime note records it.
 
-A range is read through the program's occupied-cell index, never
-address by address.  Its numbers are added in row-major order.  Each
-label it skips is noted with the label's cell as the subject, and each
-maximal run of empty cells in one of its columns is noted once, with
-the run as the subject: a run of one is its cell, a longer run the
-RangeRef it spans.  A range's notes come by their subjects' top-left
-cells, row-major.
+A range reads the values of its occupied cells, found through the
+program's occupied-cell index, never address by address.  Its numbers
+are added in row-major order.
 
-Notes come cell by cell in evaluation order, and within one formula in
-post-order of the node that raises them: a note an operator or call
-raises about its operands follows every note raised inside them.  For
-=SUM(A1, B1+1) over empty cells, BLANK_IN_ARITHMETIC for B1 comes
-before SKIPPED_NON_NUMERIC for A1.
-
-A formula therefore never evaluates to Blank or Text.  A bare reference
-as the whole formula body goes through the same scalar coercion at the
-root.
+A bare reference as the whole formula body coerces a Blank to 0 and a
+Text to a type fault at the root, so a formula never evaluates to
+Blank or Text.  A Number or a Fault it reads is its value as read: a
+bare reference to a cell holding Fault(DIV_BY_ZERO) holds that fault,
+not Fault(PROPAGATED).
 """
 
 from __future__ import annotations
@@ -82,6 +75,7 @@ from .scl import (
     fold,
     format_number,
     iter_nodes,
+    row_major,
     value_type,
 )
 
@@ -126,24 +120,22 @@ BLANK = Blank()
 
 
 class NoteKind(Enum):
-    BLANK_IN_ARITHMETIC = "blank_in_arithmetic"
-    SKIPPED_NON_NUMERIC = "skipped_non_numeric"
     DIV_BY_ZERO = "div_by_zero"
     TYPE_ERROR = "type_error"
 
 
 class RuntimeNote(value_type("RuntimeNote", "kind cell subject", (None,))):
-    """One noteworthy event during evaluation.
+    """A fault that started during evaluation: a division by zero or
+    a type error.
 
-    ``cell`` is the formula where it surfaced; ``subject`` is the
-    referenced cell that triggered it, or the run of empty cells a
-    grouping range skipped, when one did.
+    ``cell`` is the formula where it started; ``subject`` is the
+    referenced cell that triggered it, when one did.
     """
 
     __slots__ = ()
     kind: NoteKind
     cell: CellAddress
-    subject: CellAddress | RangeRef | None
+    subject: CellAddress | None
 
 
 class EvalResult(value_type("EvalResult", "values notes")):
@@ -302,26 +294,18 @@ def _operand(
     if kind is Fault:
         return _PROPAGATED
     if kind is Blank:
-        notes.append(RuntimeNote(NoteKind.BLANK_IN_ARITHMETIC, host, _subject(node)))
         return _ZERO
     notes.append(RuntimeNote(NoteKind.TYPE_ERROR, host, _subject(node)))
     return Fault(FaultKind.TYPE_ERROR)
 
 
-def _gathered(parts: list, values: list) -> list:
-    """What a RangeArg reads: the numbers its occupied cells hold, in
-    row-major order, and every other part as a (subject, value) pair:
-    an occupied cell with its Text or Fault, an empty run, not held and
-    so read as None, with Blank.  A list, never a lane pair."""
-    numbers = [value for value in values if type(value) is Interval]
-    others = []
-    if len(numbers) < len(values):
-        others = [
-            (part, BLANK if value is None else value)
-            for part, value in zip(parts, values)
-            if type(value) is not Interval
-        ]
-    return [numbers, others]
+def _read(rng: RangeRef, index: CellIndex, get) -> list:
+    """What a RangeArg reads: the values its occupied cells hold, in
+    row-major order.  A list, never a lane pair."""
+    cells = index.occupied(rng)
+    if rng.start.col != rng.end.col:
+        cells.sort(key=row_major)
+    return list(map(get, cells))
 
 
 def _step(held: _Cells, index: CellIndex, notes: list[RuntimeNote], host: list):
@@ -339,8 +323,7 @@ def _step(held: _Cells, index: CellIndex, notes: list[RuntimeNote], host: list):
         if kind is NumberLiteral:
             return new(Interval, (node.value, node.value))
         if kind is RangeArg:
-            parts = index.parts(node.rng)
-            return _gathered(parts, list(map(get, parts)))
+            return _read(node.rng, index, get)
         if kind is BinaryOp:
             left, right = children
             if type(left) is Interval and type(right) is Interval and node.op != "/":
@@ -385,13 +368,12 @@ def _lanes_step(held: Mapping[CellAddress, _Lanes], index: CellIndex, step):
         if kind is Reference:
             return get(node.ref[:2], BLANK)
         if kind is RangeArg:
-            parts = index.parts(node.rng)
-            values = list(map(get, parts))
+            values = _read(node.rng, index, get)
             if tuple not in map(type, values):
-                return _gathered(parts, values)
+                return values
             return (
-                _gathered(parts, [v[0] if type(v) is tuple else v for v in values]),
-                _gathered(parts, [v[1] if type(v) is tuple else v for v in values]),
+                [v[0] if type(v) is tuple else v for v in values],
+                [v[1] if type(v) is tuple else v for v in values],
             )
         if kind is BinaryOp and node.op != "/":
             left, right = children
@@ -414,22 +396,13 @@ def _aggregate(
     node: Call, children: list, host: CellAddress, notes: list[RuntimeNote]
 ) -> IntervalValue:
     items: list[Interval] = []
-    faulted = False
-    for arg, raw in zip(node.args, children):
-        if type(arg) is RangeArg:
-            numbers, pairs = raw
-            items += numbers
-        else:
-            pairs = ((_subject(arg), raw),)
-        for subject, value in pairs:
-            if isinstance(value, Interval):
-                items.append(value)
-            elif isinstance(value, Fault):
-                faulted = True
-            else:
-                notes.append(RuntimeNote(NoteKind.SKIPPED_NON_NUMERIC, host, subject))
-    if faulted:
-        return _PROPAGATED
+    for raw in children:
+        # A range argument reads a list, every other argument one value.
+        values = raw if type(raw) is list else [raw]
+        numbers = [value for value in values if type(value) is Interval]
+        if len(numbers) < len(values) and Fault in map(type, values):
+            return _PROPAGATED
+        items += numbers
     if not items and node.name != "COUNT":
         # AVG divides by the count, so emptiness surfaces as its
         # division fault; the others have no value to give at all.
@@ -486,10 +459,10 @@ def evaluate(
 
     Constants are degenerate intervals, inputs take their range from
     ``ranges`` or else sit at their value in the instance, labels are
-    Text, and formulas hold an Interval or a Fault.  Notes are appended
-    in evaluation order, as the module docstring sets out.  Raises
-    CyclicDependency for a reference loop, then NotAnInputCell for a
-    range on a non-input.
+    Text, and formulas hold an Interval or a Fault.  Each division by
+    zero and type error is noted in ``notes`` where it starts, cell by
+    cell in evaluation order.  Raises CyclicDependency for a reference
+    loop, then NotAnInputCell for a range on a non-input.
     """
     return _evaluate(instance, ranges, notes, False)
 

@@ -3,21 +3,27 @@ directly, kept as an oracle.
 
 ``tests/test_eval_oracle.py`` runs the package's ``eval_instance`` and
 ``evaluate`` against these on every program it has: each must give
-equal values, in the same key order, and equal notes.
+equal values, in the same key order, and equal notes of the kinds the
+package still has.
 
 The code below is the earlier evaluator verbatim: it fetched each
 cell's content through ``SpreadsheetProgram.content``, tested types
 with ``isinstance``, built every point interval through
 ``Interval.degenerate`` and read a reference through
-``CellRef.address()``.  The value types, the interval arithmetic
-(``iv_binop``, ``iv_negate``, ``iv_aggregate``), the tree fold and the
-occupied-cell index are shared with the package, so results compare
-equal.
+``CellRef.address()``.  It also notes what the package's evaluator no
+longer does, since D1 and D2 report it without evaluating: each blank
+coerced in arithmetic (BLANK_IN_ARITHMETIC) and each label or empty run
+a grouping range skips (SKIPPED_NON_NUMERIC).  So it keeps its own
+``NoteKind``, the evaluator's four kinds as they were.  The value types,
+the interval arithmetic (``iv_binop``, ``iv_negate``,
+``iv_aggregate``), the tree fold and the occupied-cell index are shared
+with the package, so results compare equal.
 """
 
 from __future__ import annotations
 
 import math
+from enum import Enum
 from typing import Mapping, Union
 
 from sheetlint.evaluator import (
@@ -28,7 +34,6 @@ from sheetlint.evaluator import (
     FaultKind,
     Interval,
     IntervalValue,
-    NoteKind,
     Number,
     RuntimeNote,
     Text,
@@ -48,6 +53,14 @@ from sheetlint.scl import (
     Reference,
     fold,
 )
+
+
+class NoteKind(Enum):
+    BLANK_IN_ARITHMETIC = "blank_in_arithmetic"
+    SKIPPED_NON_NUMERIC = "skipped_non_numeric"
+    DIV_BY_ZERO = "div_by_zero"
+    TYPE_ERROR = "type_error"
+
 
 # What a cell holds while the walker runs: numbers are intervals.
 _Held = Union[Interval, Blank, Text, Fault]

@@ -3,17 +3,20 @@
 import pytest
 
 from sheetlint.dataflow import CyclicDependency
+from sheetlint.detectors import Code, detect_all
 from sheetlint.evaluator import (
     EvalResult,
     Fault,
     FaultKind,
+    Interval,
     NoteKind,
     Number,
     RuntimeNote,
     Text,
     eval_instance,
+    evaluate_lanes,
 )
-from sheetlint.model import instantiate, load_program
+from sheetlint.model import CellIndex, instantiate, load_program
 from sheetlint.scl import parse_address
 
 
@@ -58,16 +61,11 @@ class TestScalarArithmetic:
         assert value(result, "B4") == Number(4.5)
         assert value(result, "B5") == Number(-9.0)
 
-    def test_blank_coerces_to_zero_with_note(self):
+    def test_blank_coerces_to_zero_silently(self):
+        # D1 reports the empty cell read; evaluation notes nothing.
         result = run("A2 = =A1+1\n")
         assert value(result, "A2") == Number(1.0)
-        assert result.notes == (
-            RuntimeNote(
-                NoteKind.BLANK_IN_ARITHMETIC,
-                parse_address("A2"),
-                parse_address("A1"),
-            ),
-        )
+        assert result.notes == ()
 
     def test_text_in_arithmetic_is_a_type_fault(self):
         result = run('A1 = "x"\nA2 = =A1+1\n')
@@ -99,19 +97,16 @@ class TestScalarArithmetic:
 
 
 class TestGroupingFunctions:
-    def test_sum_skips_blank_and_text_with_notes(self):
+    def test_sum_skips_blank_and_text_silently(self):
+        # D1 and D2 report the empty cell and the labels; evaluation
+        # notes nothing.
         result = run(
             'B2 = "1. Quarter"\nB4 = #140\nB5 = #200\nB6 = #170\n'
             'B7 = "2. Quarter"\nB8 = #180\nB9 = #230\nB10 = #100\n'
             "B12 = =SUM(B2:B10)\n"
         )
-        host = parse_address("B12")
         assert value(result, "B12") == Number(1020.0)
-        assert result.notes == (
-            RuntimeNote(NoteKind.SKIPPED_NON_NUMERIC, host, parse_address("B2")),
-            RuntimeNote(NoteKind.SKIPPED_NON_NUMERIC, host, parse_address("B3")),
-            RuntimeNote(NoteKind.SKIPPED_NON_NUMERIC, host, parse_address("B7")),
-        )
+        assert result.notes == ()
 
     def test_avg_min_max_count(self):
         text = 'A1 = #10\nA2 = "gap"\nA4 = #30\n'
@@ -167,43 +162,28 @@ class TestGroupingFunctions:
 
 
 class TestNoteOrder:
+    # Only a fault that starts is noted, never a blank or a label read:
+    # these cases pin the values of formulas that read them.
     def test_notes_follow_the_post_order_of_their_node(self):
-        # The '+' raises its note before the call, its parent, raises
-        # the notes on its arguments.
         result = run("C1 = =SUM(A1, B1+1)\n")
-        host = parse_address("C1")
-        assert result.notes == (
-            RuntimeNote(NoteKind.BLANK_IN_ARITHMETIC, host, parse_address("B1")),
-            RuntimeNote(NoteKind.SKIPPED_NON_NUMERIC, host, parse_address("A1")),
-        )
+        assert value(result, "C1") == Number(1.0)
 
     def test_range_notes_by_top_left_cell(self):
         # Column A holds a label over a run of three empty cells, column
         # B a run of one, a number, and a run of two.
         result = run('A1 = "x"\nB2 = #1\nC1 = =SUM(A1:B4)\n')
         assert value(result, "C1") == Number(1.0)
-        assert [(n.kind, str(n.subject)) for n in result.notes] == [
-            (NoteKind.SKIPPED_NON_NUMERIC, "A1"),
-            (NoteKind.SKIPPED_NON_NUMERIC, "B1"),
-            (NoteKind.SKIPPED_NON_NUMERIC, "A2:A4"),
-            (NoteKind.SKIPPED_NON_NUMERIC, "B3:B4"),
-        ]
 
     def test_empty_run_is_one_note(self):
         result = run("B1 = =COUNT(A1:A99999999)\n")
         assert value(result, "B1") == Number(0.0)
-        assert [str(n.subject) for n in result.notes] == ["A1:A99999999"]
 
     def test_operands_then_operator(self):
         result = run("C1 = =(A1+1)*(B1+1)/A2\n")
-        host = parse_address("C1")
-        assert [(n.kind, str(n.subject)) for n in result.notes] == [
-            (NoteKind.BLANK_IN_ARITHMETIC, "A1"),
-            (NoteKind.BLANK_IN_ARITHMETIC, "B1"),
-            (NoteKind.BLANK_IN_ARITHMETIC, "A2"),
-            (NoteKind.DIV_BY_ZERO, "A2"),
-        ]
-        assert {n.cell for n in result.notes} == {host}
+        assert value(result, "C1") == Fault(FaultKind.DIV_BY_ZERO)
+        assert result.notes == (
+            RuntimeNote(NoteKind.DIV_BY_ZERO, parse_address("C1"), parse_address("A2")),
+        )
 
 
 class TestRootCoercion:
@@ -214,7 +194,17 @@ class TestRootCoercion:
     def test_bare_reference_to_blank_is_zero(self):
         result = run("A2 = =A1\n")
         assert value(result, "A2") == Number(0.0)
-        assert result.notes[0].kind is NoteKind.BLANK_IN_ARITHMETIC
+
+    def test_bare_reference_to_a_fault_keeps_its_kind(self):
+        # Only Blank and Text are coerced at the root: B2 holds B1's
+        # fault as it is, not PROPAGATED, and only B1 divides by zero.
+        text = "A1 = #0\nA2 = #3\nB1 = =A2/A1\nB2 = =B1\n"
+        result = run(text)
+        assert value(result, "B1") == value(result, "B2") == Fault(FaultKind.DIV_BY_ZERO)
+        found = detect_all(load_program(text), result)
+        assert [(d.code, d.cells) for d in found] == [
+            (Code.G_DIV_ZERO, (parse_address("B1"),))
+        ]
 
     def test_bare_reference_to_label_is_a_type_fault(self):
         result = run('A1 = "x"\nA2 = =A1\n')
@@ -230,3 +220,50 @@ class TestEvalInstance:
     def test_chained_formulas_evaluate_in_dependency_order(self):
         result = run("A3 = =A2*2\nA2 = =A1*2\nA1 = #3\n")
         assert value(result, "A3") == Number(12.0)
+
+
+class TestOccupiedCellsOnly:
+    """A range reads its occupied cells alone: evaluation never asks
+    the index for the empty runs between them."""
+
+    # Six numbers spread over 2.6 million addresses, which sum to
+    # different floats in row-major and in column-major order, a label
+    # among them, and a range of two columns over a label and a fault.
+    SHEET = (
+        "A1 = #1e50\nM1 = #3\nZ1 = #1e16\n"
+        'M50000 = "gap"\n'
+        "A99999 = #-1e50\nM99999 = ?3\nZ99999 = #7\n"
+        "AA1 = =SUM(A1:Z100000)\nAA2 = =COUNT(A1:Z100000)\n"
+        'AB7 = =M1/0\nAC9 = "x"\nAD1 = =SUM(AB1:AC100000)\n'
+        "AE1 = =COUNT(BA1:ZZZ1000000)\n"
+    )
+    ROW_MAJOR = [1e50, 3.0, 1e16, -1e50, 3.0, 7.0]
+
+    @pytest.fixture(autouse=True)
+    def no_empty_runs(self, monkeypatch):
+        def walked(index, rect):
+            raise AssertionError(f"read the empty runs of {rect}")
+
+        monkeypatch.setattr(CellIndex, "empty_runs", walked)
+        monkeypatch.setattr(CellIndex, "parts", walked)
+
+    def test_concrete_run(self):
+        result = eval_instance(instantiate(load_program(self.SHEET)))
+        column_major = [1e50, -1e50, 3.0, 3.0, 1e16, 7.0]
+        assert sum(self.ROW_MAJOR) != sum(column_major)
+        assert value(result, "AA1") == Number(sum(self.ROW_MAJOR))
+        assert value(result, "AA2") == Number(6.0)
+        assert value(result, "AD1") == Fault(FaultKind.PROPAGATED)
+        assert value(result, "AE1") == Number(0.0)
+
+    def test_two_lane_run(self):
+        program = load_program(self.SHEET)
+        held = evaluate_lanes(instantiate(program), {parse_address("M99999"): Interval(2.0, 4.0)})
+        total = sum(self.ROW_MAJOR)
+        low, high = (sum([*self.ROW_MAJOR[:4], x, 7.0]) for x in (2.0, 4.0))
+        six = Interval(6.0, 6.0)
+        at = parse_address
+        assert held[at("AA1")] == (Interval(total, total), Interval(low, high))
+        assert held[at("AA2")] == (six, six)
+        assert held[at("AD1")] == Fault(FaultKind.PROPAGATED)
+        assert held[at("AE1")] == Interval(0.0, 0.0)

@@ -168,8 +168,8 @@ class TestRepr:
             ),
             (Label("Net"), "Label(text='Net')"),
             (
-                RuntimeNote(NoteKind.BLANK_IN_ARITHMETIC, ADDR),
-                "RuntimeNote(kind=<NoteKind.BLANK_IN_ARITHMETIC: 'blank_in_arithmetic'>, "
+                RuntimeNote(NoteKind.TYPE_ERROR, ADDR),
+                "RuntimeNote(kind=<NoteKind.TYPE_ERROR: 'type_error'>, "
                 "cell=CellAddress(col=2, row=3), subject=None)",
             ),
             (BLANK, "Blank()"),
